@@ -8,6 +8,7 @@ from .functionals import (
     G_delta,
     I_bad,
     I_good,
+    NumericsError,
     R_eps_delta,
     R_main,
     State,

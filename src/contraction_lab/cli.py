@@ -2,8 +2,9 @@
 threshold scans.
 
 Exit codes: 0 success, 2 config error, 3 stability error, 4 verification
-failure.  The environment variable A_CONTRACTION_LAB_THREADS caps internal
-fan-out over independent samples.
+failure (a failed check, or functionals that break an exact identity).
+The environment variable A_CONTRACTION_LAB_THREADS caps internal fan-out
+over independent samples.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, apply_override, load_config
-from .functionals import reference_arrays
+from .functionals import NumericsError, reference_arrays
 from .identities import check_identities, max_workers_from_env
 from .poincare import scan_delta_star
 from .solver import StabilityError, run
@@ -259,6 +260,9 @@ def main(argv=None) -> int:
     except StabilityError as exc:
         print(f"stability error: {exc} (t={exc.t}, node={exc.node})", file=sys.stderr)
         return EXIT_STABILITY
+    except NumericsError as exc:
+        print(f"verification error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     raise AssertionError("unreachable")
 
 

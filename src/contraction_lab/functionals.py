@@ -23,17 +23,18 @@ from .grid import Grid, GridField, _ddx_central, integrate_values
 from .wave import (
     DomainError,
     WaveParams,
+    _a_derivative_of,
+    _a_of,
+    _n_prime_of,
+    _n_second_of,
+    _q_of,
     profile_n,
-    profile_n_prime,
-    profile_n_second,
-    profile_q,
     weight_a,
-    weight_a_prime,
-    weight_a_second,
 )
 
 __all__ = [
     "State",
+    "NumericsError",
     "FunctionalReport",
     "ReferenceArrays",
     "reference_arrays",
@@ -58,6 +59,8 @@ __all__ = [
     "R_main",
     "R_eps_delta",
     "evaluate_report",
+    "PairEvaluation",
+    "evaluate_pair",
     "y_and_ibad",
     "REPORT_COLUMNS",
 ]
@@ -100,17 +103,22 @@ def reference_arrays(params: WaveParams, grid: Grid, shift: float = 0.0) -> Refe
 
     Functionals of the shifted state U^X use references translated by X;
     translating the analytic objects is exact and never interpolates U.
+    The profile is evaluated once; the other six arrays are algebraic in it,
+    through the same expressions as the pointwise functions of `wave`.
     """
     xi = grid.nodes() - shift
+    n = np.asarray(profile_n(params, xi))
+    n_prime = _n_prime_of(params, n)
+    n_second = _n_second_of(params, n, n_prime)
     return ReferenceArrays(
         xi=xi,
-        ntil=np.asarray(profile_n(params, xi)),
-        ntil_prime=np.asarray(profile_n_prime(params, xi)),
-        ntil_second=np.asarray(profile_n_second(params, xi)),
-        qtil=np.asarray(profile_q(params, xi)),
-        a=np.asarray(weight_a(params, xi)),
-        a_prime=np.asarray(weight_a_prime(params, xi)),
-        a_second=np.asarray(weight_a_second(params, xi)),
+        ntil=n,
+        ntil_prime=n_prime,
+        ntil_second=n_second,
+        qtil=_q_of(params, n),
+        a=_a_of(params, n),
+        a_prime=_a_derivative_of(params, n_prime),
+        a_second=_a_derivative_of(params, n_second),
     )
 
 
@@ -416,18 +424,7 @@ def R_main(
     """
     if not (0.0 < delta0 < 0.5 and 0.0 < delta1 < 0.5):
         raise DomainError("delta0 and delta1 must lie in (0, 1/2)")
-    c = _core(params, state, shift)
-    s = _split(params, c, delta1)
-    y = _Y_value(params, c)
-    b = s.B1 + s.B2_in + s.B2_out + s.B3
-    g = s.G1_in + s.G1_out + s.G2 + s.D
-    return (
-        -(y * y) / params.eps**4
-        + b
-        + delta0 * (params.eps / params.lam) * abs(b)
-        - g
-        + delta0 * s.D
-    )
+    return _report(params, _core(params, state, shift), delta0, delta1).R_main
 
 
 def R_eps_delta(params: WaveParams, n: GridField, delta: float, shift: float = 0.0) -> float:
@@ -470,6 +467,10 @@ REPORT_COLUMNS = (
 )
 
 
+class NumericsError(RuntimeError):
+    """Computed functionals break a sign or an identity that holds exactly."""
+
+
 @dataclass(frozen=True)
 class FunctionalReport:
     """All functional values at one time, with consistency baked in."""
@@ -489,7 +490,7 @@ class FunctionalReport:
 
     def __post_init__(self):
         if self.I_good < 0 or self.G_delta < -1e-15 or self.D < 0:
-            raise ValueError("good terms must be nonnegative")
+            raise NumericsError("good terms must be nonnegative")
         for total, parts in (
             (self.Y, self.Y_parts),
             (self.B_delta, self.B_parts),
@@ -497,7 +498,7 @@ class FunctionalReport:
         ):
             gap = abs(total - sum(parts))
             if gap > 1e-10 * max(1.0, abs(total)):
-                raise ValueError(f"decomposition does not reproduce total: gap={gap:.3e}")
+                raise NumericsError(f"decomposition does not reproduce total: gap={gap:.3e}")
 
     def to_row(self) -> list[float]:
         return [
@@ -519,15 +520,8 @@ class FunctionalReport:
         return dict(zip(REPORT_COLUMNS, self.to_row()))
 
 
-def evaluate_report(
-    params: WaveParams,
-    state: State,
-    delta0: float = 0.01,
-    delta1: float = 0.25,
-    shift: float = 0.0,
-) -> FunctionalReport:
-    """Compute every functional once, sharing all intermediate arrays."""
-    c = _core(params, state, shift)
+def _report(params: WaveParams, c: _Core, delta0: float, delta1: float) -> FunctionalReport:
+    """Every functional of one core; the one definition of R_main."""
     s = _split(params, c, delta1)
     y = _Y_value(params, c)
     ibad = _I_bad_value(params, c)
@@ -549,6 +543,36 @@ def evaluate_report(
         R_main=r,
         delta_used=delta1,
     )
+
+
+def evaluate_report(
+    params: WaveParams,
+    state: State,
+    delta0: float = 0.01,
+    delta1: float = 0.25,
+    shift: float = 0.0,
+) -> FunctionalReport:
+    """Compute every functional once, sharing all intermediate arrays."""
+    return _report(params, _core(params, state, shift), delta0, delta1)
+
+
+class PairEvaluation(NamedTuple):
+    """Everything the run loop monitors at one (state, shift) pair."""
+
+    report: FunctionalReport
+    eta_unweighted: float
+
+
+def evaluate_pair(
+    params: WaveParams,
+    state: State,
+    delta0: float,
+    delta1: float,
+    shift: float,
+) -> PairEvaluation:
+    """The report and the plain relative entropy, from one shared core."""
+    c = _core(params, state, shift)
+    return PairEvaluation(_report(params, c, delta0, delta1), integrate_values(c.eta, c.dx))
 
 
 def y_and_ibad(params: WaveParams, state: State, shift: float = 0.0) -> tuple[float, float]:

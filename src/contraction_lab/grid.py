@@ -138,10 +138,7 @@ def ddx_upwind(f: GridField, speed: GridField) -> GridField:
 
 
 def _ddx_upwind_biased(v: np.ndarray, speed: np.ndarray, dx: float) -> np.ndarray:
-    central = np.empty_like(v)
-    central[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
-    central[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dx)
-    central[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dx)
+    central = _ddx_central(v, dx)
     backward = central.copy()
     backward[2:] = (3.0 * v[2:] - 4.0 * v[1:-1] + v[:-2]) / (2.0 * dx)
     forward = central.copy()

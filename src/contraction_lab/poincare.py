@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridField
+from .grid import GridField, _ddx_central
 from .wave import DomainError, WaveParams, profile_n, xi_of_y
 
 __all__ = [
@@ -43,10 +43,7 @@ def _moments(w: np.ndarray) -> tuple[float, float, float, float, float]:
     m = len(w) - 1
     dy = 1.0 / m
     y = _y_nodes(m)
-    dw = np.empty_like(w)
-    dw[1:-1] = (w[2:] - w[:-2]) / (2.0 * dy)
-    dw[0] = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * dy)
-    dw[-1] = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * dy)
+    dw = _ddx_central(w, dy)
     weight = y * (1.0 - y)  # vanishes at the endpoints, so endpoint dw is never weighted
     i2 = float(np.trapezoid(w * w, dx=dy))
     i1 = float(np.trapezoid(w, dx=dy))

@@ -65,12 +65,17 @@ def advance(
     params: WaveParams,
     substeps: int = 4,
     eps: float | None = None,
+    *,
+    start: tuple[float, float] | None = None,
 ) -> ShiftState:
     """Advance the shift ODE across one PDE step with the state frozen.
 
     Forward-Euler substeps; Y and I_bad are re-evaluated with the
     references translated by each intermediate X, so the right-hand side
-    stays smooth in X through the analytic profiles.
+    stays smooth in X through the analytic profiles.  Each (state, X) pair
+    is evaluated once: a caller that already holds (Y, I_bad) at
+    (state, shift.X) passes it as `start`, and only the later substeps
+    evaluate; without it the first substep evaluates as well.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -79,8 +84,11 @@ def advance(
     h = dt / substeps
     last_xdot = shift.X_dot
     last_regime = shift.regime
-    for _ in range(substeps):
-        y, ibad = y_and_ibad(params, state, shift=x)
+    for i in range(substeps):
+        if i == 0 and start is not None:
+            y, ibad = start
+        else:
+            y, ibad = y_and_ibad(params, state, shift=x)
         last_xdot = phi_eps(y, e) * (2.0 * abs(ibad) + 1.0)
         last_regime = phi_regime(y, e)
         x += h * last_xdot

@@ -10,6 +10,11 @@ By default the discrete residual of the sampled wave is subtracted from
 the right-hand side, which makes the sampled wave a bit-exact fixed point
 of the scheme: a zero perturbation stays identically zero, shift included.
 Disable `well_balanced` to measure the raw truncation drift instead.
+
+Monitoring evaluates each (state, shift) pair once.  One evaluation at
+(U_{k+1}, X_{k+1}) gives the entropies that close step k, its stride report,
+the report of step k + 1 and the first shift substep of step k + 1; only the
+later shift substeps, at new shifts, evaluate again.
 """
 
 from __future__ import annotations
@@ -21,14 +26,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_banded
 
-from .functionals import (
-    REPORT_COLUMNS,
-    State,
-    evaluate_report,
-    eta_unweighted,
-    eta_weighted,
-    reference_arrays,
-)
+from .functionals import REPORT_COLUMNS, State, evaluate_pair, reference_arrays
 from .grid import Grid, GridField, _ddx_central, _ddx_upwind_biased
 from .shift import ShiftState, advance, phi_eps, phi_regime
 from .wave import WaveParams, characteristic_speeds
@@ -376,8 +374,9 @@ def run(config: SolverConfig) -> RunResult:
     dt = config.t_end / n_steps
 
     shift_state = ShiftState()
-    rep0 = evaluate_report(params, state, config.delta0, config.delta1, shift=0.0)
-    eta0_unw = eta_unweighted(params, state, shift=0.0)
+    current = state
+    evaluation = evaluate_pair(params, current, config.delta0, config.delta1, shift=0.0)
+    rep0, eta0_unw = evaluation
 
     columns = (
         "t", "X", "X_dot", "regime", "lab_shift", "eta_weighted", "Y", "I_bad",
@@ -395,19 +394,24 @@ def run(config: SolverConfig) -> RunResult:
     t = 0.0
 
     for k in range(n_steps):
-        current = State(n=GridField(config.grid, n), q=GridField(config.grid, q))
-        rep = evaluate_report(params, current, config.delta0, config.delta1, shift=shift_state.X)
+        rep = evaluation.report
         xdot_now = phi_eps(rep.Y, params.eps) * (2.0 * abs(rep.I_bad) + 1.0)
         regime = phi_regime(rep.Y, params.eps)
         bound = (2.0 * abs(rep.I_bad) + 1.0) / params.eps**2
 
-        new_shift = advance(shift_state, current, dt, params, substeps=config.shift_substeps)
+        new_shift = advance(
+            shift_state, current, dt, params, substeps=config.shift_substeps,
+            start=(rep.Y, rep.I_bad),
+        )
         n, q = stepper.step(n, q, dt)
         _check_state(n, q, t=t + dt)
-        new_state = State(n=GridField(config.grid, n), q=GridField(config.grid, q))
+        current = State(n=GridField(config.grid, n), q=GridField(config.grid, q))
 
-        e_new = eta_weighted(params, new_state, shift=new_shift.X)
-        eta_unw = eta_unweighted(params, new_state, shift=new_shift.X)
+        evaluation = evaluate_pair(
+            params, current, config.delta0, config.delta1, shift=new_shift.X
+        )
+        e_new = evaluation.report.eta_weighted
+        eta_unw = evaluation.eta_unweighted
         xdot_eff = (new_shift.X - shift_state.X) / dt
         residual = (e_new - e_prev) / dt - (xdot_eff * rep.Y + rep.I_bad - rep.I_good)
         violation = max(e_new - e_prev, 0.0)
@@ -432,17 +436,14 @@ def run(config: SolverConfig) -> RunResult:
         monitor["xdot_bound"].append(bound)
 
         if (k + 1) % config.report_stride == 0 or k == n_steps - 1:
-            step_report = evaluate_report(
-                params, new_state, config.delta0, config.delta1, shift=new_shift.X
-            )
-            reports.append((t, step_report))
+            reports.append((t, evaluation.report))
             report_rows.append(
                 [t, new_shift.X, xdot_now, regime, params.sigma * t - new_shift.X]
-                + step_report.to_row()
+                + evaluation.report.to_row()
                 + [eta_unw, violation, residual]
             )
             if states is not None:
-                states.append((t, new_state))
+                states.append((t, current))
 
         shift_state = new_shift
         e_prev = e_new
@@ -457,7 +458,7 @@ def run(config: SolverConfig) -> RunResult:
         reports=reports,
         report_rows=report_rows,
         initial_state=state,
-        final_state=State(n=GridField(config.grid, n), q=GridField(config.grid, q)),
+        final_state=current,
         final_shift=shift_state,
         states=states,
         e0=rep0.eta_weighted,

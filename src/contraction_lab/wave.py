@@ -209,45 +209,63 @@ def profile_n(params: WaveParams, xi):
     return _maybe_scalar(xi, params.n_plus + params.eps / (1.0 + np.exp(z)))
 
 
+def _n_prime_of(params: WaveParams, n):
+    """n~' from n~ through the profile ODE."""
+    return (n - params.n_minus) * (n - params.n_plus) / (params.nu * params.sigma)
+
+
+def _n_second_of(params: WaveParams, n, n_prime):
+    """n~'' from n~ and n~'."""
+    return n_prime * ((n - params.n_minus) + (n - params.n_plus)) / (params.nu * params.sigma)
+
+
+def _q_of(params: WaveParams, n):
+    """q~ from n~."""
+    return params.q_minus - (n - params.n_minus) / params.sigma
+
+
+def _a_of(params: WaveParams, n):
+    """a from n~."""
+    return 1.0 + (params.lam / params.eps) * (params.n_minus - n)
+
+
+def _a_derivative_of(params: WaveParams, n_derivative):
+    """a' from n~', or a'' from n~''."""
+    return -(params.lam / params.eps) * n_derivative
+
+
 def profile_n_prime(params: WaveParams, xi):
     """n~'(xi) = (n~ - n_-)(n~ - n_+) / (nu sigma) < 0."""
     n = np.asarray(profile_n(params, xi))
-    out = (n - params.n_minus) * (n - params.n_plus) / (params.nu * params.sigma)
-    return _maybe_scalar(xi, out)
+    return _maybe_scalar(xi, _n_prime_of(params, n))
 
 
 def profile_n_second(params: WaveParams, xi):
     """n~''(xi) = n~' * ((n~ - n_-) + (n~ - n_+)) / (nu sigma)."""
     n = np.asarray(profile_n(params, xi))
-    np1 = (n - params.n_minus) * (n - params.n_plus) / (params.nu * params.sigma)
-    out = np1 * ((n - params.n_minus) + (n - params.n_plus)) / (params.nu * params.sigma)
-    return _maybe_scalar(xi, out)
+    return _maybe_scalar(xi, _n_second_of(params, n, _n_prime_of(params, n)))
 
 
 def profile_q(params: WaveParams, xi):
     """Velocity-type profile q~(xi) = q_- - (n~(xi) - n_-) / sigma."""
     n = np.asarray(profile_n(params, xi))
-    return _maybe_scalar(xi, params.q_minus - (n - params.n_minus) / params.sigma)
+    return _maybe_scalar(xi, _q_of(params, n))
 
 
 def weight_a(params: WaveParams, xi):
     """Weight a(xi) = 1 + (lam/eps)(n_- - n~(xi)); increases from 1 to 1+lam."""
     n = np.asarray(profile_n(params, xi))
-    return _maybe_scalar(xi, 1.0 + (params.lam / params.eps) * (params.n_minus - n))
+    return _maybe_scalar(xi, _a_of(params, n))
 
 
 def weight_a_prime(params: WaveParams, xi):
     """a'(xi) = -(lam/eps) n~'(xi) > 0."""
-    return _maybe_scalar(
-        xi, -(params.lam / params.eps) * np.asarray(profile_n_prime(params, xi))
-    )
+    return _maybe_scalar(xi, _a_derivative_of(params, np.asarray(profile_n_prime(params, xi))))
 
 
 def weight_a_second(params: WaveParams, xi):
     """a''(xi) = -(lam/eps) n~''(xi)."""
-    return _maybe_scalar(
-        xi, -(params.lam / params.eps) * np.asarray(profile_n_second(params, xi))
-    )
+    return _maybe_scalar(xi, _a_derivative_of(params, np.asarray(profile_n_second(params, xi))))
 
 
 def y_of_xi(params: WaveParams, xi):

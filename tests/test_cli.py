@@ -170,6 +170,23 @@ class TestCommands:
         out = tmp_path / "out"
         assert main(["--config", str(cfg_path), "--out", str(out), "simulate"]) == 3
 
+    def test_numerics_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a tube split whose parts miss the total must fail verification,
+        # not pass for a config error
+        import contraction_lab.functionals as fn
+
+        split = fn._split
+
+        def broken_split(params, c, delta):
+            s = split(params, c, delta)
+            return s._replace(Y_s=s.Y_s + 1.0)
+
+        monkeypatch.setattr(fn, "_split", broken_split)
+        cfg_path = write_config(tmp_path, {"solver": {"t_end": 0.2}})
+        code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "simulate"])
+        assert code == 4
+        assert "decomposition" in capsys.readouterr().err
+
     def test_override_flag(self, tmp_path):
         cfg_path = write_config(tmp_path)
         out = tmp_path / "out"

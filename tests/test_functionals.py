@@ -28,7 +28,17 @@ from contraction_lab import (
 from contraction_lab.functionals import reference_arrays
 from contraction_lab.grid import integrate_values
 from contraction_lab.identities import random_state
-from contraction_lab.wave import make_wave_params, profile_n, profile_q
+from contraction_lab.wave import (
+    EXP_CLAMP,
+    make_wave_params,
+    profile_n,
+    profile_n_prime,
+    profile_n_second,
+    profile_q,
+    weight_a,
+    weight_a_prime,
+    weight_a_second,
+)
 
 from conftest import lab_grid
 
@@ -586,3 +596,50 @@ class TestReport:
                 n=GridField(grid, np.ones(grid.num_nodes)),
                 q=GridField(other, np.zeros(other.num_nodes)),
             )
+
+    def test_R_main_is_the_report_value(self, params, grid):
+        for seed in (23, 24):
+            state = random_state(params, grid, seed)
+            for shift in (0.0, 2.5):
+                rep = evaluate_report(params, state, 0.01, 0.2, shift=shift)
+                assert R_main(params, state, 0.01, 0.2, shift=shift) == rep.R_main
+
+    def test_broken_decomposition_is_a_numerics_error(self, params, grid):
+        rep = evaluate_report(params, random_state(params, grid, 23), 0.01, 0.25)
+        broken = rep.Y_parts._replace(Y_s=rep.Y_parts.Y_s + 1.0)
+        with pytest.raises(cl.NumericsError, match="decomposition") as info:
+            cl.FunctionalReport(**{**rep.__dict__, "Y_parts": broken})
+        assert not isinstance(info.value, ValueError)
+        with pytest.raises(cl.NumericsError, match="nonnegative"):
+            cl.FunctionalReport(**{**rep.__dict__, "D": -1.0})
+
+
+class TestReferenceArrays:
+    @pytest.mark.parametrize(
+        "shift_kind", ["zero", "plus", "minus", "past_clamp_plus", "past_clamp_minus"]
+    )
+    def test_bit_identical_to_pointwise_profiles(self, params, grid, shift_kind):
+        beyond = 2.0 * EXP_CLAMP * params.nu * params.sigma / params.eps + grid.xi_max
+        shift = {
+            "zero": 0.0,
+            "plus": 3.7,
+            "minus": -3.7,
+            "past_clamp_plus": beyond,
+            "past_clamp_minus": -beyond,
+        }[shift_kind]
+        refs = reference_arrays(params, grid, shift)
+        xi = grid.nodes() - shift
+        assert np.array_equal(refs.xi, xi)
+        for field, fn in (
+            ("ntil", profile_n),
+            ("ntil_prime", profile_n_prime),
+            ("ntil_second", profile_n_second),
+            ("qtil", profile_q),
+            ("a", weight_a),
+            ("a_prime", weight_a_prime),
+            ("a_second", weight_a_second),
+        ):
+            assert np.array_equal(getattr(refs, field), np.asarray(fn(params, xi))), field
+        if shift_kind.startswith("past_clamp"):
+            z = params.eps * xi / (params.nu * params.sigma)
+            assert np.all(np.abs(z) > EXP_CLAMP)

@@ -176,3 +176,28 @@ class TestShiftedFunctionalConsistency:
         assert np.all(
             np.abs(np.asarray(m["X_dot"])) <= np.asarray(m["xdot_bound"]) * (1 + 1e-12)
         )
+
+
+class TestAdvanceStart:
+    @pytest.mark.parametrize("seed,x0", [(0, 0.0), (3, 1.25), (5, -2.0)])
+    def test_known_first_values_change_nothing(self, params, grid, seed, x0):
+        state = random_state(params, grid, seed)
+        shift = ShiftState(X=x0)
+        start = y_and_ibad(params, state, shift=x0)
+        for substeps in (1, 4):
+            plain = advance(shift, state, 0.05, params, substeps=substeps)
+            known = advance(shift, state, 0.05, params, substeps=substeps, start=start)
+            assert known == plain
+
+    def test_known_first_values_skip_one_evaluation(self, params, grid, monkeypatch):
+        state = random_state(params, grid, 1)
+        shifts = []
+
+        def counting(p, s, shift=0.0):
+            shifts.append(shift)
+            return y_and_ibad(p, s, shift=shift)
+
+        monkeypatch.setattr(shift_mod, "y_and_ibad", counting)
+        start = y_and_ibad(params, state, shift=0.0)
+        advance(ShiftState(), state, 0.05, params, substeps=4, start=start)
+        assert len(shifts) == 3 and 0.0 not in shifts

@@ -13,7 +13,12 @@ from contraction_lab import (
     run,
     step,
 )
-from contraction_lab.functionals import reference_arrays
+from contraction_lab.functionals import (
+    eta_unweighted,
+    eta_weighted,
+    evaluate_report,
+    reference_arrays,
+)
 from contraction_lab.grid import ddx_central, integrate
 
 from conftest import lab_grid
@@ -235,6 +240,37 @@ class TestRun:
             small_params.sigma * np.asarray(m["t"]) - np.asarray(m["X"]),
             rtol=1e-12,
         )
+
+
+    def test_monitoring_equals_fresh_evaluations(self, small_params):
+        # one shared evaluation per (state, shift) pair must give exactly
+        # what separate evaluations of that pair give
+        grid = Grid(-80.0, 80.0, 400)
+        cfg = SolverConfig(
+            params=small_params,
+            grid=grid,
+            t_end=1.0,
+            perturbation=bump_spec(0.4, 0.4),
+            report_stride=1,
+            keep_states=True,
+            delta1=0.2,
+        )
+        res = run(cfg)
+        m = res.monitor
+        assert len(res.states) == len(res.reports) == len(m["X"]) > 5
+        assert np.any(np.asarray(m["X"]) != 0.0)
+        for k, ((t, st), (t_rep, rep)) in enumerate(zip(res.states, res.reports)):
+            x = m["X"][k]
+            assert t == t_rep == m["t"][k]
+            assert rep == evaluate_report(small_params, st, cfg.delta0, cfg.delta1, shift=x)
+            assert m["eta_unweighted"][k] == eta_unweighted(small_params, st, shift=x)
+            assert m["eta_weighted"][k] == eta_weighted(small_params, st, shift=x)
+        rep0 = evaluate_report(small_params, res.initial_state, cfg.delta0, cfg.delta1)
+        assert res.e0 == rep0.eta_weighted and m["D0"] == rep0.D
+        assert res.eta0_unweighted == eta_unweighted(small_params, res.initial_state)
+        for k in range(1, len(res.reports)):
+            assert m["Y"][k] == res.reports[k - 1][1].Y
+            assert m["R_main"][k] == res.reports[k - 1][1].R_main
 
 
 class TestConcentration:
