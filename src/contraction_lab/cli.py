@@ -3,8 +3,6 @@ threshold scans.
 
 Exit codes: 0 success, 2 config error, 3 stability error, 4 verification
 failure (a failed check, or functionals that break an exact identity).
-The environment variable A_CONTRACTION_LAB_THREADS caps internal fan-out
-over independent samples.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, apply_override, load_config
 from .functionals import NumericsError, reference_arrays
-from .identities import check_identities, max_workers_from_env
+from .identities import check_identities
 from .poincare import scan_delta_star
 from .solver import StabilityError, run
 from .wave import rankine_hugoniot_residuals, y_of_xi
@@ -167,7 +165,6 @@ def cmd_identities(cfg: ExperimentConfig, out_dir: Path, n_random: int | None = 
         deltas=ident["deltas"],
         seed=seed if seed is not None else ident["seed"],
         tol=ident["tol"],
-        max_workers=max_workers_from_env(),
     )
     report["config"] = cfg.data
     _write_json(out_dir / "identities.json", report)
@@ -185,7 +182,6 @@ def cmd_poincare(cfg: ExperimentConfig, out_dir: Path, seed: int | None = None) 
         delta_grid=cfg.poincare_delta_grid(),
         seed=seed if seed is not None else p["seed"],
         n_cells=p["y_cells"],
-        max_workers=max_workers_from_env(),
     )
     payload = result.to_json_dict()
     payload["config"] = cfg.data

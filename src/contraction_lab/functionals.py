@@ -230,6 +230,21 @@ class _Split(NamedTuple):
     Y_l: float
     Y_s: float
 
+    @property
+    def B(self) -> float:
+        return self.B1 + self.B2_in + self.B2_out + self.B3
+
+    @property
+    def G(self) -> float:
+        return self.G1_in + self.G1_out + self.G2 + self.D
+
+    def parts(self) -> tuple[YParts, BParts, GParts]:
+        return (
+            YParts(self.Y_g, self.Y_b, self.Y_l, self.Y_s),
+            BParts(self.B1, self.B2_in, self.B2_out, self.B3),
+            GParts(self.G1_in, self.G1_out, self.G2, self.D),
+        )
+
 
 def _split(params: WaveParams, c: _Core, delta: float) -> _Split:
     r = c.refs
@@ -296,16 +311,14 @@ def B_delta(params: WaveParams, state: State, delta: float, shift: float = 0.0) 
     """Maximized bad part at tube threshold delta."""
     if not delta > 0.0:
         raise DomainError("delta must be positive")
-    s = _split(params, _core(params, state, shift), delta)
-    return s.B1 + s.B2_in + s.B2_out + s.B3
+    return _split(params, _core(params, state, shift), delta).B
 
 
 def G_delta(params: WaveParams, state: State, delta: float, shift: float = 0.0) -> float:
     """Maximized good part at tube threshold delta; nonnegative."""
     if not delta > 0.0:
         raise DomainError("delta must be positive")
-    s = _split(params, _core(params, state, shift), delta)
-    return s.G1_in + s.G1_out + s.G2 + s.D
+    return _split(params, _core(params, state, shift), delta).G
 
 
 def D(params: WaveParams, state: State, shift: float = 0.0) -> float:
@@ -402,12 +415,7 @@ def decompositions(
     """Split Y, B, G over the tube {|n/n~ - 1| <= delta1} and its complement."""
     if not 0.0 < delta1 < 0.5:
         raise DomainError("delta1 must lie in (0, 1/2)")
-    s = _split(params, _core(params, state, shift), delta1)
-    return (
-        YParts(s.Y_g, s.Y_b, s.Y_l, s.Y_s),
-        BParts(s.B1, s.B2_in, s.B2_out, s.B3),
-        GParts(s.G1_in, s.G1_out, s.G2, s.D),
-    )
+    return _split(params, _core(params, state, shift), delta1).parts()
 
 
 def R_main(
@@ -526,8 +534,8 @@ def _report(params: WaveParams, c: _Core, delta0: float, delta1: float) -> Funct
     y = _Y_value(params, c)
     ibad = _I_bad_value(params, c)
     igood = sum(_I_good_parts(params, c))
-    b = s.B1 + s.B2_in + s.B2_out + s.B3
-    g = s.G1_in + s.G1_out + s.G2 + s.D
+    b, g = s.B, s.G
+    y_parts, b_parts, g_parts = s.parts()
     r = -(y * y) / params.eps**4 + b + delta0 * (params.eps / params.lam) * abs(b) - g + delta0 * s.D
     return FunctionalReport(
         eta_weighted=integrate_values(c.refs.a * c.eta, c.dx),
@@ -537,9 +545,9 @@ def _report(params: WaveParams, c: _Core, delta0: float, delta1: float) -> Funct
         B_delta=b,
         G_delta=g,
         D=s.D,
-        Y_parts=YParts(s.Y_g, s.Y_b, s.Y_l, s.Y_s),
-        B_parts=BParts(s.B1, s.B2_in, s.B2_out, s.B3),
-        G_parts=GParts(s.G1_in, s.G1_out, s.G2, s.D),
+        Y_parts=y_parts,
+        B_parts=b_parts,
+        G_parts=g_parts,
         R_main=r,
         delta_used=delta1,
     )

@@ -11,6 +11,7 @@ module samples test functions and scans for the empirical one.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -45,10 +46,13 @@ def _moments(w: np.ndarray) -> tuple[float, float, float, float, float]:
     y = _y_nodes(m)
     dw = _ddx_central(w, dy)
     weight = y * (1.0 - y)  # vanishes at the endpoints, so endpoint dw is never weighted
-    i2 = float(np.trapezoid(w * w, dx=dy))
+    w2 = w * w
+    # products, not w**3: numpy's pow is far slower for negative bases
+    w3 = w2 * w
+    i2 = float(np.trapezoid(w2, dx=dy))
     i1 = float(np.trapezoid(w, dx=dy))
-    i3 = float(np.trapezoid(w**3, dx=dy))
-    iabs3 = float(np.trapezoid(np.abs(w) ** 3, dx=dy))
+    i3 = float(np.trapezoid(w3, dx=dy))
+    iabs3 = float(np.trapezoid(np.abs(w3), dx=dy))
     ih1 = float(np.trapezoid(weight * dw * dw, dx=dy))
     return i2, i1, i3, iabs3, ih1
 
@@ -88,13 +92,24 @@ class PoincareSample:
     seed: int | None = None
 
 
+@functools.lru_cache(maxsize=4)
+def _fourier_basis(n_cells: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(sin(pi k y), cos(pi k y)) for k = 1..8 on the nodes; read-only, shared."""
+    y = _y_nodes(n_cells)
+    basis = []
+    for k in range(1, 9):
+        pair = (np.sin(np.pi * k * y), np.cos(np.pi * k * y))
+        for a in pair:
+            a.flags.writeable = False
+        basis.append(pair)
+    return tuple(basis)
+
+
 def _raw_sample(rng: np.random.Generator, family: str, y: np.ndarray) -> np.ndarray:
     if family == "fourier":
         w = np.zeros_like(y)
-        for k in range(1, 9):
-            w += rng.normal() / k * np.sin(np.pi * k * y) + rng.normal() / k * np.cos(
-                np.pi * k * y
-            )
+        for k, (sin_k, cos_k) in enumerate(_fourier_basis(len(y) - 1), start=1):
+            w += rng.normal() / k * sin_k + rng.normal() / k * cos_k
         return w
     if family == "polynomial":
         degree = int(rng.integers(2, 7))
@@ -108,6 +123,17 @@ def _raw_sample(rng: np.random.Generator, family: str, y: np.ndarray) -> np.ndar
     raise ValueError(f"unknown family {family!r}")
 
 
+def _draw(seed: int, M: float, family: str, n_cells: int) -> tuple[np.ndarray, tuple]:
+    """Seeded test function rescaled into int W^2 in [M/2, M], with its moments."""
+    rng = np.random.default_rng(seed)
+    y = _y_nodes(n_cells)
+    w = _raw_sample(rng, family, y)
+    i2_raw = float(np.trapezoid(w * w, dx=1.0 / n_cells))
+    target = rng.uniform(0.5 * M, M)
+    w = w * np.sqrt(target / i2_raw)
+    return w, _moments(w)
+
+
 def sample_W(
     seed: int,
     M: float,
@@ -118,13 +144,7 @@ def sample_W(
     """Seeded random test function rescaled so that int W^2 lies in [M/2, M]."""
     if not M > 0.0:
         raise DomainError("M must be positive")
-    rng = np.random.default_rng(seed)
-    y = _y_nodes(n_cells)
-    w = _raw_sample(rng, family, y)
-    i2_raw = float(np.trapezoid(w * w, dx=1.0 / n_cells))
-    target = rng.uniform(0.5 * M, M)
-    w = w * np.sqrt(target / i2_raw)
-    moms = _moments(w)
+    w, moms = _draw(seed, M, family, n_cells)
     return PoincareSample(
         W=w,
         delta=delta,
@@ -174,7 +194,6 @@ def scan_delta_star(
     families=SAMPLE_FAMILIES,
     n_cells: int = DEFAULT_Y_CELLS,
     tol: float = 1e-10,
-    max_workers: int = 1,
 ) -> ScanResult:
     """Largest grid delta for which every sample satisfies R_delta(W) <= tol.
 
@@ -182,22 +201,15 @@ def scan_delta_star(
     increasing in delta, so the passing deltas form an initial segment of
     the grid.
     """
+    if not M > 0.0:
+        raise DomainError("M must be positive")
     deltas = sorted(float(d) for d in delta_grid)
     if not deltas:
         raise ValueError("delta_grid must be non-empty")
-
-    def _one(i: int):
-        fam = families[i % len(families)]
-        s = sample_W(seed + i, M, family=fam, n_cells=n_cells)
-        return seed + i, _moments(s.W)
-
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            sampled = list(pool.map(_one, range(n_samples)))
-    else:
-        sampled = [_one(i) for i in range(n_samples)]
+    sampled = [
+        (seed + i, _draw(seed + i, M, families[i % len(families)], n_cells)[1])
+        for i in range(n_samples)
+    ]
 
     pass_counts = []
     delta_star = 0.0

@@ -1,7 +1,18 @@
 import numpy as np
+import pytest
 
-from contraction_lab.identities import check_identities, max_workers_from_env, random_state
-from contraction_lab.functionals import reference_arrays
+from contraction_lab import identities
+from contraction_lab.functionals import (
+    B_delta,
+    G_delta,
+    I_bad,
+    I_good,
+    Y,
+    decompositions,
+    reference_arrays,
+)
+from contraction_lab.identities import _rel_err, check_identities, random_state
+from contraction_lab.wave import DomainError
 
 from conftest import lab_grid
 
@@ -35,24 +46,36 @@ class TestCheckIdentities:
         for entry in report["identities"]:
             assert entry["max_rel_err"] <= 1e-10
 
-    def test_threaded_matches_serial(self, params):
+    @pytest.mark.parametrize("deltas", [(0.05, 0.25, 0.49), (0.1, 0.6)])
+    def test_matches_wrapper_reference(self, params, monkeypatch, deltas):
+        # one core and one split per delta must give exactly what the
+        # per-functional wrappers give, each of which builds its own core;
+        # a delta above 0.4999 takes its decompositions at 0.4999
         grid = lab_grid(params, num_cells=256)
-        serial = check_identities(params, grid, n_states=8, seed=1, max_workers=1)
-        threaded = check_identities(params, grid, n_states=8, seed=1, max_workers=4)
-        assert serial == threaded
+        fast = check_identities(params, grid, n_states=8, deltas=deltas, seed=1)
+        monkeypatch.setattr(identities, "_check_one", _reference_check_one)
+        reference = check_identities(params, grid, n_states=8, deltas=deltas, seed=1)
+        assert fast == reference
+
+    def test_nonpositive_delta_rejected(self, params):
+        grid = lab_grid(params, num_cells=64)
+        with pytest.raises(DomainError):
+            check_identities(params, grid, n_states=2, deltas=(0.0,))
 
 
-class TestEnvThreads:
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("A_CONTRACTION_LAB_THREADS", raising=False)
-        assert max_workers_from_env() == 1
-
-    def test_reads_value(self, monkeypatch):
-        monkeypatch.setenv("A_CONTRACTION_LAB_THREADS", "6")
-        assert max_workers_from_env() == 6
-
-    def test_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv("A_CONTRACTION_LAB_THREADS", "many")
-        assert max_workers_from_env() == 1
-        monkeypatch.setenv("A_CONTRACTION_LAB_THREADS", "0")
-        assert max_workers_from_env() == 1
+def _reference_check_one(params, grid, seed, deltas):
+    state = random_state(params, grid, seed)
+    ibad = I_bad(params, state)
+    igood = I_good(params, state)
+    y = Y(params, state)
+    errors = {"max_split": 0.0, "sum_Y": 0.0, "sum_B": 0.0, "sum_G": 0.0}
+    for d in deltas:
+        b = B_delta(params, state, d)
+        g = G_delta(params, state, d)
+        scale = max(abs(ibad), igood, abs(b), g, 1.0)
+        errors["max_split"] = max(errors["max_split"], _rel_err(ibad - igood, b - g, scale))
+        y_parts, b_parts, g_parts = decompositions(params, state, min(d, 0.4999))
+        errors["sum_Y"] = max(errors["sum_Y"], _rel_err(y, sum(y_parts), max(abs(y), 1.0)))
+        errors["sum_B"] = max(errors["sum_B"], _rel_err(b, sum(b_parts), max(abs(b), 1.0)))
+        errors["sum_G"] = max(errors["sum_G"], _rel_err(g, sum(g_parts), max(abs(g), 1.0)))
+    return errors

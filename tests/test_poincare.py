@@ -3,7 +3,7 @@ import pytest
 
 import contraction_lab as cl
 from contraction_lab import GridField, R_poincare, W_from_state, sample_W, scan_delta_star
-from contraction_lab.poincare import SAMPLE_FAMILIES, _moments
+from contraction_lab.poincare import DEFAULT_Y_CELLS, SAMPLE_FAMILIES, _moments
 from contraction_lab.wave import DomainError, profile_n
 
 from conftest import lab_grid
@@ -50,6 +50,17 @@ class TestRPoincare:
             R_poincare(np.ones(33), 1.0)
 
 
+class TestMoments:
+    def test_cubes_exact_to_rounding(self):
+        for i in range(30):
+            w = sample_W(i, 6.0, family=SAMPLE_FAMILIES[i % 3]).W
+            _, _, i3, iabs3, _ = _moments(w)
+            dy = 1.0 / (len(w) - 1)
+            assert abs(i3 - np.trapezoid(w**3, dx=dy)) <= 1e-14 * iabs3
+            assert abs(iabs3 - np.trapezoid(np.abs(w) ** 3, dx=dy)) <= 1e-14 * iabs3
+            assert abs(i3) <= iabs3
+
+
 class TestSampleW:
     def test_deterministic(self):
         a = sample_W(17, 1.0, family="fourier")
@@ -76,6 +87,16 @@ class TestSampleW:
         for fam in SAMPLE_FAMILIES:
             s = sample_W(3, 2.0, family=fam)
             assert np.isfinite(s.weighted_h1)
+
+    def test_fourier_matches_uncached_evaluation(self):
+        seed, M, n_cells = 29, 3.0, DEFAULT_Y_CELLS
+        rng = np.random.default_rng(seed)
+        y = np.linspace(0.0, 1.0, n_cells + 1)
+        w = np.zeros_like(y)
+        for k in range(1, 9):
+            w += rng.normal() / k * np.sin(np.pi * k * y) + rng.normal() / k * np.cos(np.pi * k * y)
+        w = w * np.sqrt(rng.uniform(0.5 * M, M) / float(np.trapezoid(w * w, dx=1.0 / n_cells)))
+        np.testing.assert_array_equal(sample_W(seed, M, family="fourier").W, w)
 
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -114,11 +135,29 @@ class TestScan:
             "tol",
         }
 
-    def test_thread_fanout_matches_serial(self):
-        grid_d = np.geomspace(1e-3, 0.1, 6)
-        serial = scan_delta_star(1.0, 30, grid_d, seed=3, max_workers=1)
-        threaded = scan_delta_star(1.0, 30, grid_d, seed=3, max_workers=4)
-        assert serial.to_json_dict() == threaded.to_json_dict()
+    def test_matches_per_sample_reference(self):
+        # every sample drawn through the public sample_W and judged by R_poincare
+        M, n, seed, n_cells = 6.0, 60, 5, 1024
+        grid_d = np.geomspace(1e-4, 0.3, 12)
+        res = scan_delta_star(M, n, grid_d, seed=seed, n_cells=n_cells)
+        samples = [
+            sample_W(seed + i, M, family=SAMPLE_FAMILIES[i % 3], n_cells=n_cells).W
+            for i in range(n)
+        ]
+        counts, worst_seed, worst = [], None, -np.inf
+        for d in sorted(grid_d):
+            values = [R_poincare(W, d) for W in samples]
+            counts.append(sum(r <= 1e-10 for r in values))
+            for i, r in enumerate(values):
+                if r > 1e-10 and r > worst:
+                    worst, worst_seed = r, seed + i
+        assert res.pass_counts == counts
+        assert worst_seed is not None and res.worst_sample_seed == worst_seed
+        assert res.worst_value == worst
+
+    def test_nonpositive_budget_rejected(self):
+        with pytest.raises(DomainError):
+            scan_delta_star(-1.0, 10, [1e-3])
 
     def test_adversarial_kernel_family_stays_negative(self):
         # alpha (3y^2 - c) tuned so int W^2 + 2 int W = 0: the dominant
