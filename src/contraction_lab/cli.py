@@ -114,7 +114,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int | None = None) 
         solver_cfg = replace(solver_cfg, keep_states=True)
     result = run(solver_cfg)
     if "csv" in formats:
-        _write_csv(out_dir / "run.csv", result.csv_header(), result.report_rows)
+        _write_csv(out_dir / "run.csv", result.csv_header(), result.csv_rows())
     if want_snapshots:
         xi = solver_cfg.grid.nodes()
         stride = max(snapshot_stride, 1)

@@ -11,10 +11,11 @@ the right-hand side, which makes the sampled wave a bit-exact fixed point
 of the scheme: a zero perturbation stays identically zero, shift included.
 Disable `well_balanced` to measure the raw truncation drift instead.
 
-Monitoring evaluates each (state, shift) pair once.  One evaluation at
-(U_{k+1}, X_{k+1}) gives the entropies that close step k, its stride report,
-the report of step k + 1 and the first shift substep of step k + 1; only the
-later shift substeps, at new shifts, evaluate again.
+Monitoring evaluates each (state, shift) pair once, and stores it once.  The
+evaluation at time level j, (U_j, X_j), is row j of one preallocated table,
+`RunResult.evaluations`; it also gives the first shift substep of step j.
+Only the later shift substeps, at new shifts, evaluate again.  The per-step
+columns, the CSV rows and the verdict are derived from the table.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "PerturbationSpec",
     "SolverConfig",
     "RunResult",
+    "EVALUATION_COLUMNS",
     "initial_state",
     "step",
     "run",
@@ -287,22 +289,81 @@ def _check_state(n: np.ndarray, q: np.ndarray, t: float | None = None):
         raise StabilityError(f"density lost positivity (min {n[bad]:.3e})", t=t, node=bad)
 
 
+# Columns of RunResult.evaluations: row j is the evaluation at time level j.
+EVALUATION_COLUMNS = ("t", "X", *REPORT_COLUMNS, "eta_unweighted")
+
+
+def _reported_steps(n_steps: int, stride: int) -> list[int]:
+    """Steps k whose end is reported: every stride-th step and the last one."""
+    return [k for k in range(n_steps) if (k + 1) % stride == 0 or k == n_steps - 1]
+
+
 @dataclass
 class RunResult:
-    """Per-step diagnostics, stride reports, and final state of one run."""
+    """The evaluation table and final state of one run.
+
+    `evaluations` has one row per time level j = 0..n_steps: t_j, X_j, the
+    report of (U_j, X_j) in REPORT_COLUMNS order and its plain relative
+    entropy.  It is the run's one store of monitored numbers; `monitor`,
+    the CSV rows and the verdict are derived from it.
+    """
 
     config: SolverConfig
     dt: float
-    times: np.ndarray
-    monitor: dict  # per-step column -> array (regime is a list of str)
-    reports: list  # (t, FunctionalReport) every report_stride steps
-    report_rows: list  # full CSV rows matching csv_header()
+    evaluations: np.ndarray  # (n_steps + 1, len(EVALUATION_COLUMNS))
     initial_state: State
     final_state: State
     final_shift: ShiftState
-    states: Optional[list] = None
-    e0: float = 0.0
-    eta0_unweighted: float = 0.0
+    states: Optional[list] = None  # (t, State) at each reported step
+
+    def column(self, name: str) -> np.ndarray:
+        """One column of the evaluation table, over every time level."""
+        return self.evaluations[:, EVALUATION_COLUMNS.index(name)]
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.column("t")[1:]
+
+    @property
+    def e0(self) -> float:
+        return float(self.column("eta_weighted")[0])
+
+    @property
+    def eta0_unweighted(self) -> float:
+        return float(self.column("eta_unweighted")[0])
+
+    @property
+    def monitor(self) -> dict:
+        """Per-step columns (regime is a list of str).
+
+        Entry k describes step k, from t_k to t_{k+1}: t, X, lab_shift and
+        the entropies are taken at level k + 1; X_dot, regime, xdot_bound
+        and the functionals Y, I_bad, I_good, B_delta, G_delta, D, R_main
+        at level k, where the step starts; violation and balance_residual
+        compare the two.
+        """
+        params = self.config.params
+        col = self.column
+        t, x, e = col("t")[1:], col("X"), col("eta_weighted")
+        functionals = ("Y", "I_bad", "I_good", "B_delta", "G_delta", "D", "R_main")
+        at_start = {name: col(name)[:-1] for name in functionals}
+        y, ibad = at_start["Y"], at_start["I_bad"]
+        gain = 2.0 * np.abs(ibad) + 1.0
+        de = np.diff(e)
+        xdot_eff = np.diff(x) / self.dt
+        return {
+            "t": t,
+            "X": x[1:],
+            "X_dot": np.array([phi_eps(v, params.eps) for v in y.tolist()]) * gain,
+            "regime": [phi_regime(v, params.eps) for v in y.tolist()],
+            "lab_shift": params.sigma * t - x[1:],
+            "eta_weighted": e[1:],
+            **at_start,
+            "eta_unweighted": col("eta_unweighted")[1:],
+            "violation": np.maximum(de, 0.0),
+            "balance_residual": de / self.dt - (xdot_eff * y + ibad - at_start["I_good"]),
+            "xdot_bound": gain / params.eps**2,
+        }
 
     def csv_header(self) -> list[str]:
         return [
@@ -317,28 +378,36 @@ class RunResult:
             "balance_residual",
         ]
 
+    def csv_rows(self) -> list[list]:
+        """One row per reported step k, matching csv_header(): the step's
+        shift velocity and checks beside the evaluation at its end."""
+        m = self.monitor
+        rows = []
+        for k in _reported_steps(len(self.times), self.config.report_stride):
+            t, x, *report, eta_unw = self.evaluations[k + 1].tolist()
+            rows.append(
+                [t, x, float(m["X_dot"][k]), m["regime"][k], float(m["lab_shift"][k])]
+                + report
+                + [eta_unw, float(m["violation"][k]), float(m["balance_residual"][k])]
+            )
+        return rows
+
     def verdict(self) -> dict:
         m = self.monitor
         tol = self.config.violation_tol
-        e = np.asarray(m["eta_weighted"])
-        d = np.asarray(m["D"])
-        t = np.asarray(self.times)
-        grid_t = np.concatenate([[0.0], t])
-        grid_d = np.concatenate([[m["D0"]], d]) if "D0" in m else np.concatenate([[d[0]], d])
+        e = m["eta_weighted"]
+        d = self.column("D")
+        grid_t = self.column("t")
+        grid_d = np.concatenate([d[:1], d[:-1]])
         cum_d = cumulative_trapezoid(grid_d, grid_t)  # int_0^t D along the run
         dissipation_excess = float(
             np.max(e + self.config.delta0 * cum_d - self.e0, initial=0.0)
         )
-        violations = np.asarray(m["violation"])
-        eta_unw = np.asarray(m["eta_unweighted"])
-        y_vals = np.asarray(m["Y"])
-        r_vals = np.asarray(m["R_main"])
-        monitored = np.abs(y_vals) <= self.config.params.eps**2
-        r_monitored = r_vals[monitored]
-        xdot_ok = np.all(
-            np.abs(np.asarray(m["X_dot"]))
-            <= np.asarray(m["xdot_bound"]) * (1.0 + 1e-12)
-        )
+        violations = m["violation"]
+        eta_unw = m["eta_unweighted"]
+        monitored = np.abs(m["Y"]) <= self.config.params.eps**2
+        r_monitored = m["R_main"][monitored]
+        xdot_ok = np.all(np.abs(m["X_dot"]) <= m["xdot_bound"] * (1.0 + 1e-12))
         if self.eta0_unweighted > 0.0:
             max_eta_ratio = float(np.max(eta_unw, initial=0.0) / self.eta0_unweighted)
         else:
@@ -358,13 +427,17 @@ class RunResult:
             "shift_bound_held": bool(xdot_ok),
             "final_X": float(m["X"][-1]) if len(m["X"]) else 0.0,
             "violation_tol": tol,
-            "steps": int(len(t)),
+            "steps": int(len(self.times)),
             "dt": self.dt,
         }
 
 
+def _row(t: float, x: float, evaluation) -> list[float]:
+    return [t, x, *evaluation.report.to_row(), evaluation.eta_unweighted]
+
+
 def run(config: SolverConfig) -> RunResult:
-    """Integrate PDE and shift ODE in lockstep, monitoring every step."""
+    """Integrate PDE and shift ODE in lockstep, evaluating every time level."""
     params = config.params
     stepper = _Stepper(params, config.grid, config.diffusion_mode, config.well_balanced)
     state = initial_state(params, config.grid, config.perturbation)
@@ -376,93 +449,38 @@ def run(config: SolverConfig) -> RunResult:
     shift_state = ShiftState()
     current = state
     evaluation = evaluate_pair(params, current, config.delta0, config.delta1, shift=0.0)
-    rep0, eta0_unw = evaluation
-
-    columns = (
-        "t", "X", "X_dot", "regime", "lab_shift", "eta_weighted", "Y", "I_bad",
-        "I_good", "B_delta", "G_delta", "D", "R_main", "eta_unweighted",
-        "violation", "balance_residual", "xdot_bound",
-    )
-    monitor: dict[str, list] = {k: [] for k in columns}
-    reports: list = []
-    report_rows: list = []
+    evaluations = np.empty((n_steps + 1, len(EVALUATION_COLUMNS)))
+    evaluations[0] = _row(0.0, shift_state.X, evaluation)
+    reported = set(_reported_steps(n_steps, config.report_stride))
     states = [] if config.keep_states else None
 
     n = state.n.values.copy()
     q = state.q.values.copy()
-    e_prev = rep0.eta_weighted
-    t = 0.0
-
     for k in range(n_steps):
         rep = evaluation.report
-        xdot_now = phi_eps(rep.Y, params.eps) * (2.0 * abs(rep.I_bad) + 1.0)
-        regime = phi_regime(rep.Y, params.eps)
-        bound = (2.0 * abs(rep.I_bad) + 1.0) / params.eps**2
-
-        new_shift = advance(
+        shift_state = advance(
             shift_state, current, dt, params, substeps=config.shift_substeps,
             start=(rep.Y, rep.I_bad),
         )
         n, q = stepper.step(n, q, dt)
-        _check_state(n, q, t=t + dt)
-        current = State(n=GridField(config.grid, n), q=GridField(config.grid, q))
-
-        evaluation = evaluate_pair(
-            params, current, config.delta0, config.delta1, shift=new_shift.X
-        )
-        e_new = evaluation.report.eta_weighted
-        eta_unw = evaluation.eta_unweighted
-        xdot_eff = (new_shift.X - shift_state.X) / dt
-        residual = (e_new - e_prev) / dt - (xdot_eff * rep.Y + rep.I_bad - rep.I_good)
-        violation = max(e_new - e_prev, 0.0)
         t = (k + 1) * dt
+        _check_state(n, q, t=t)
+        current = State(n=GridField(config.grid, n), q=GridField(config.grid, q))
+        evaluation = evaluate_pair(
+            params, current, config.delta0, config.delta1, shift=shift_state.X
+        )
+        evaluations[k + 1] = _row(t, shift_state.X, evaluation)
+        if states is not None and k in reported:
+            states.append((t, current))
 
-        monitor["t"].append(t)
-        monitor["X"].append(new_shift.X)
-        monitor["X_dot"].append(xdot_now)
-        monitor["regime"].append(regime)
-        monitor["lab_shift"].append(params.sigma * t - new_shift.X)
-        monitor["eta_weighted"].append(e_new)
-        monitor["Y"].append(rep.Y)
-        monitor["I_bad"].append(rep.I_bad)
-        monitor["I_good"].append(rep.I_good)
-        monitor["B_delta"].append(rep.B_delta)
-        monitor["G_delta"].append(rep.G_delta)
-        monitor["D"].append(rep.D)
-        monitor["R_main"].append(rep.R_main)
-        monitor["eta_unweighted"].append(eta_unw)
-        monitor["violation"].append(violation)
-        monitor["balance_residual"].append(residual)
-        monitor["xdot_bound"].append(bound)
-
-        if (k + 1) % config.report_stride == 0 or k == n_steps - 1:
-            reports.append((t, evaluation.report))
-            report_rows.append(
-                [t, new_shift.X, xdot_now, regime, params.sigma * t - new_shift.X]
-                + evaluation.report.to_row()
-                + [eta_unw, violation, residual]
-            )
-            if states is not None:
-                states.append((t, current))
-
-        shift_state = new_shift
-        e_prev = e_new
-
-    out = {k: (np.asarray(v) if k != "regime" else list(v)) for k, v in monitor.items()}
-    out["D0"] = rep0.D
     return RunResult(
         config=config,
         dt=dt,
-        times=np.asarray(monitor["t"]),
-        monitor=out,
-        reports=reports,
-        report_rows=report_rows,
+        evaluations=evaluations,
         initial_state=state,
         final_state=current,
         final_shift=shift_state,
         states=states,
-        e0=rep0.eta_weighted,
-        eta0_unweighted=eta0_unw,
     )
 
 

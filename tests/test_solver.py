@@ -20,6 +20,8 @@ from contraction_lab.functionals import (
     reference_arrays,
 )
 from contraction_lab.grid import ddx_central, integrate
+from contraction_lab.shift import phi_eps, phi_regime
+from contraction_lab.solver import EVALUATION_COLUMNS
 
 from conftest import lab_grid
 
@@ -201,8 +203,17 @@ class TestRun:
         )
         res = run(cfg)
         header = res.csv_header()
-        assert all(len(row) == len(header) for row in res.report_rows)
-        assert len(res.reports) == len(res.report_rows)
+        rows = res.csv_rows()
+        n = len(res.times)
+        assert res.evaluations.shape == (n + 1, len(EVALUATION_COLUMNS))
+        assert all(len(row) == len(header) for row in rows)
+        # one row per stride-th step and one for the last, each carrying the
+        # table row of the time level that ends its step
+        ends = [k + 1 for k in range(n) if (k + 1) % 5 == 0 or k == n - 1]
+        assert len(rows) == len(ends) and ends[-1] == n
+        for row, j in zip(rows, ends):
+            table = dict(zip(EVALUATION_COLUMNS, res.evaluations[j].tolist()))
+            assert all(row[header.index(name)] == v for name, v in table.items())
 
     def test_explicit_mode_matches_implicit_at_small_dt(self, small_params):
         grid = lab_grid(small_params, num_cells=512)
@@ -257,20 +268,57 @@ class TestRun:
         )
         res = run(cfg)
         m = res.monitor
-        assert len(res.states) == len(res.reports) == len(m["X"]) > 5
-        assert np.any(np.asarray(m["X"]) != 0.0)
-        for k, ((t, st), (t_rep, rep)) in enumerate(zip(res.states, res.reports)):
-            x = m["X"][k]
-            assert t == t_rep == m["t"][k]
-            assert rep == evaluate_report(small_params, st, cfg.delta0, cfg.delta1, shift=x)
-            assert m["eta_unweighted"][k] == eta_unweighted(small_params, st, shift=x)
-            assert m["eta_weighted"][k] == eta_weighted(small_params, st, shift=x)
+        x = res.column("X")
+        assert len(res.states) == len(res.evaluations) - 1 == len(m["X"]) > 5
+        assert np.any(x != 0.0)
+        levels = [(0.0, res.initial_state)] + res.states
+        fresh = []
+        for j, (t, st) in enumerate(levels):
+            row = res.evaluations[j].tolist()
+            rep = evaluate_report(small_params, st, cfg.delta0, cfg.delta1, shift=x[j])
+            assert row[0] == t
+            assert row[2:-1] == rep.to_row()
+            assert row[-1] == eta_unweighted(small_params, st, shift=x[j])
+            assert rep.eta_weighted == eta_weighted(small_params, st, shift=x[j])
+            fresh.append(rep)
+        for k in range(len(res.states)):
+            # step k ends at level k + 1 and starts at level k
+            assert m["t"][k] == res.states[k][0]
+            assert m["X"][k] == x[k + 1]
+            assert m["eta_weighted"][k] == fresh[k + 1].eta_weighted
+            assert m["eta_unweighted"][k] == res.evaluations[k + 1, -1]
+            assert m["Y"][k] == fresh[k].Y
+            assert m["R_main"][k] == fresh[k].R_main
+            assert m["D"][k] == fresh[k].D
         rep0 = evaluate_report(small_params, res.initial_state, cfg.delta0, cfg.delta1)
-        assert res.e0 == rep0.eta_weighted and m["D0"] == rep0.D
+        assert res.e0 == rep0.eta_weighted and m["D"][0] == rep0.D
         assert res.eta0_unweighted == eta_unweighted(small_params, res.initial_state)
-        for k in range(1, len(res.reports)):
-            assert m["Y"][k] == res.reports[k - 1][1].Y
-            assert m["R_main"][k] == res.reports[k - 1][1].R_main
+
+    def test_step_checks_match_scalar_arithmetic(self, small_params):
+        # the per-step columns derived from the table, recomputed one step at
+        # a time with Python floats in the order the run loop used to apply
+        grid = lab_grid(small_params, num_cells=512)
+        cfg = SolverConfig(
+            params=small_params, grid=grid, t_end=1.0, dt=0.05, perturbation=bump_spec(0.3, 0.3)
+        )
+        res = run(cfg)
+        m = res.monitor
+        col = {name: res.column(name).tolist() for name in EVALUATION_COLUMNS}
+        eps, dt = small_params.eps, res.dt
+        assert len(m["X_dot"]) == len(col["t"]) - 1 > 5
+        assert any(v != 0.0 for v in m["balance_residual"])
+        for k in range(len(col["t"]) - 1):
+            y, ibad, igood = col["Y"][k], col["I_bad"][k], col["I_good"][k]
+            e_prev, e_new = col["eta_weighted"][k], col["eta_weighted"][k + 1]
+            xdot_eff = (col["X"][k + 1] - col["X"][k]) / dt
+            assert m["X_dot"][k] == phi_eps(y, eps) * (2.0 * abs(ibad) + 1.0)
+            assert m["regime"][k] == phi_regime(y, eps)
+            assert m["xdot_bound"][k] == (2.0 * abs(ibad) + 1.0) / eps**2
+            assert m["lab_shift"][k] == small_params.sigma * col["t"][k + 1] - col["X"][k + 1]
+            assert m["violation"][k] == max(e_new - e_prev, 0.0)
+            assert m["balance_residual"][k] == (e_new - e_prev) / dt - (
+                xdot_eff * y + ibad - igood
+            )
 
 
 class TestConcentration:
