@@ -395,13 +395,10 @@ class RunResult:
     def verdict(self) -> dict:
         m = self.monitor
         tol = self.config.violation_tol
-        e = m["eta_weighted"]
-        d = self.column("D")
-        grid_t = self.column("t")
-        grid_d = np.concatenate([d[:1], d[:-1]])
-        cum_d = cumulative_trapezoid(grid_d, grid_t)  # int_0^t D along the run
+        # int_0^{t_j} D, with D at each time level
+        cum_d = cumulative_trapezoid(self.column("D"), self.column("t"))
         dissipation_excess = float(
-            np.max(e + self.config.delta0 * cum_d - self.e0, initial=0.0)
+            np.max(m["eta_weighted"] + self.config.delta0 * cum_d - self.e0, initial=0.0)
         )
         violations = m["violation"]
         eta_unw = m["eta_unweighted"]

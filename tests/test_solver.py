@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -293,6 +295,25 @@ class TestRun:
         rep0 = evaluate_report(small_params, res.initial_state, cfg.delta0, cfg.delta1)
         assert res.e0 == rep0.eta_weighted and m["D"][0] == rep0.D
         assert res.eta0_unweighted == eta_unweighted(small_params, res.initial_state)
+
+    def test_dissipation_integral_pairs_D_with_its_time_level(self, small_params):
+        # with eta_weighted held at e0 the excess is delta0 times the whole
+        # integral of D, which must pair D_j with t_j; a lag by one level
+        # moves it whenever D changes
+        grid = lab_grid(small_params, num_cells=512)
+        cfg = SolverConfig(
+            params=small_params, grid=grid, t_end=1.0, dt=0.05, perturbation=bump_spec(0.3, 0.3)
+        )
+        res = run(cfg)
+        table = res.evaluations.copy()
+        table[:, EVALUATION_COLUMNS.index("eta_weighted")] = res.e0
+        flat = replace(res, evaluations=table)
+        d, t = res.column("D"), res.column("t")
+        assert np.any(np.diff(d) != 0.0)
+        lagged = np.trapezoid(np.concatenate([d[:1], d[:-1]]), t)
+        aligned = np.trapezoid(d, t)
+        assert aligned != lagged
+        assert flat.verdict()["dissipation_excess"] == pytest.approx(cfg.delta0 * aligned, rel=1e-12)
 
     def test_step_checks_match_scalar_arithmetic(self, small_params):
         # the per-step columns derived from the table, recomputed one step at
