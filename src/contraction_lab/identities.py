@@ -64,9 +64,7 @@ def _check_one(params: WaveParams, grid: Grid, seed: int, deltas) -> dict:
         b, g = s.B, s.G
         scale = max(abs(ibad), igood, abs(b), g, 1.0)
         errors["max_split"] = max(errors["max_split"], _rel_err(ibad - igood, b - g, scale))
-        # the decompositions need a tube threshold below 1/2
-        d1 = min(d, 0.4999)
-        y_parts, b_parts, g_parts = (s if d1 == d else _split(params, c, d1)).parts()
+        y_parts, b_parts, g_parts = s.parts()
         errors["sum_Y"] = max(errors["sum_Y"], _rel_err(y, sum(y_parts), max(abs(y), 1.0)))
         errors["sum_B"] = max(errors["sum_B"], _rel_err(b, sum(b_parts), max(abs(b), 1.0)))
         errors["sum_G"] = max(errors["sum_G"], _rel_err(g, sum(g_parts), max(abs(g), 1.0)))

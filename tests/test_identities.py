@@ -46,16 +46,23 @@ class TestCheckIdentities:
         for entry in report["identities"]:
             assert entry["max_rel_err"] <= 1e-10
 
-    @pytest.mark.parametrize("deltas", [(0.05, 0.25, 0.49), (0.1, 0.6)])
+    @pytest.mark.parametrize("deltas", [(0.05, 0.25, 0.49)])
     def test_matches_wrapper_reference(self, params, monkeypatch, deltas):
         # one core and one split per delta must give exactly what the
-        # per-functional wrappers give, each of which builds its own core;
-        # a delta above 0.4999 takes its decompositions at 0.4999
+        # per-functional wrappers give, each of which builds its own core
         grid = lab_grid(params, num_cells=256)
         fast = check_identities(params, grid, n_states=8, deltas=deltas, seed=1)
         monkeypatch.setattr(identities, "_check_one", _reference_check_one)
         reference = check_identities(params, grid, n_states=8, deltas=deltas, seed=1)
         assert fast == reference
+
+    def test_deltas_past_the_tube_limit_pass(self, params):
+        # the split is exact for any delta > 0, the decompositions included
+        grid = lab_grid(params, num_cells=256)
+        report = check_identities(params, grid, n_states=8, deltas=(0.1, 0.6), seed=1)
+        assert report["all_passed"]
+        for entry in report["identities"]:
+            assert entry["max_rel_err"] <= 1e-10
 
     def test_nonpositive_delta_rejected(self, params):
         grid = lab_grid(params, num_cells=64)
@@ -74,7 +81,7 @@ def _reference_check_one(params, grid, seed, deltas):
         g = G_delta(params, state, d)
         scale = max(abs(ibad), igood, abs(b), g, 1.0)
         errors["max_split"] = max(errors["max_split"], _rel_err(ibad - igood, b - g, scale))
-        y_parts, b_parts, g_parts = decompositions(params, state, min(d, 0.4999))
+        y_parts, b_parts, g_parts = decompositions(params, state, d)
         errors["sum_Y"] = max(errors["sum_Y"], _rel_err(y, sum(y_parts), max(abs(y), 1.0)))
         errors["sum_B"] = max(errors["sum_B"], _rel_err(b, sum(b_parts), max(abs(b), 1.0)))
         errors["sum_G"] = max(errors["sum_G"], _rel_err(g, sum(g_parts), max(abs(g), 1.0)))
