@@ -29,6 +29,7 @@ from .wave import (
     _n_second_of,
     _q_of,
     profile_n,
+    profile_q,
     weight_a,
 )
 
@@ -186,6 +187,10 @@ def _core(params: WaveParams, state: State, shift: float) -> _Core:
     return _Core(refs, state.grid.dx, n, q, u, pi, logratio, dlog, phi, eta)
 
 
+def _dissipation(c: _Core) -> float:
+    return integrate_values(c.refs.a * c.n * c.dlog * c.dlog, c.dx)
+
+
 def _Y_value(params: WaveParams, c: _Core) -> float:
     ratio = params.eps / params.lam
     integ = -c.refs.a_prime * c.eta - ratio * c.refs.a * c.refs.a_prime * (
@@ -210,8 +215,7 @@ def _I_good_parts(params: WaveParams, c: _Core) -> tuple[float, float, float]:
     r = c.refs
     g_q = params.sigma * integrate_values(0.5 * r.a_prime * c.u * c.u, c.dx)
     g_pi = params.sigma * integrate_values(r.a_prime * c.pi, c.dx)
-    g_d = integrate_values(r.a * c.n * c.dlog * c.dlog, c.dx)
-    return g_q, g_pi, g_d
+    return g_q, g_pi, _dissipation(c)
 
 
 class _Split(NamedTuple):
@@ -267,7 +271,7 @@ def _split(params: WaveParams, c: _Core, delta: float) -> _Split:
     )
     g1_out = 0.5 * params.sigma * integrate_values(r.a_prime * c.u * c.u * outside, c.dx)
     g2 = params.sigma * integrate_values(r.a_prime * c.pi, c.dx)
-    d = integrate_values(r.a * c.n * c.dlog * c.dlog, c.dx)
+    d = _dissipation(c)
 
     y_g = integrate_values(
         (-r.a_prime * (0.5 * c.phi * c.phi + c.pi)
@@ -323,8 +327,7 @@ def G_delta(params: WaveParams, state: State, delta: float, shift: float = 0.0) 
 
 def D(params: WaveParams, state: State, shift: float = 0.0) -> float:
     """Weighted Fisher-type dissipation int a n |d/dxi log(n/n~)|^2."""
-    c = _core(params, state, shift)
-    return integrate_values(c.refs.a * c.n * c.dlog * c.dlog, c.dx)
+    return _dissipation(_core(params, state, shift))
 
 
 def eta_weighted(params: WaveParams, state: State, shift: float = 0.0) -> float:
@@ -363,29 +366,14 @@ class ExpansionFunctionals(NamedTuple):
 def expansion_functionals(
     params: WaveParams, n: GridField, shift: float = 0.0
 ) -> ExpansionFunctionals:
-    """Evaluate (Y_g, I1, I2, G2, D) for a density field over the whole line."""
-    refs = reference_arrays(params, n.grid, shift)
-    dx = n.grid.dx
-    nv = n.values
-    if np.any(nv <= 0.0):
-        raise DomainError("density must be positive")
-    ratio = params.eps / params.lam
-    pi = np.maximum(nv * np.log(nv / refs.ntil) - (nv - refs.ntil), 0.0)
-    phi = (pi + (1.0 + ratio * refs.a / refs.ntil) * (nv - refs.ntil)) / params.sigma
-    dlog = _ddx_central(np.log(nv), dx) - refs.ntil_prime / refs.ntil
+    """Evaluate (Y_g, I1, I2, G2, D) for a density field over the whole line.
 
-    y_g = integrate_values(
-        -refs.a_prime * (0.5 * phi * phi + pi)
-        - ratio * refs.a * refs.a_prime * ((nv - refs.ntil) / refs.ntil + phi / params.sigma),
-        dx,
-    )
-    i1 = integrate_values(-refs.a_prime * refs.qtil * pi, dx) + integrate_values(
-        -ratio * refs.a_second * (refs.a / refs.ntil) * pi, dx
-    )
-    i2 = 0.5 * params.sigma * integrate_values(refs.a_prime * phi * phi, dx)
-    g2 = params.sigma * integrate_values(refs.a_prime * pi, dx)
-    d = integrate_values(refs.a * nv * dlog * dlog, dx)
-    return ExpansionFunctionals(y_g, i1, i2, g2, d)
+    They are the split of the state (n, q~), whose q-perturbation vanishes,
+    with the whole line inside the tube: Y_g, B1, B2_in, G2 and D.
+    """
+    q = n.with_values(np.asarray(profile_q(params, n.grid.nodes() - shift)))
+    s = _split(params, _core(params, State(n=n, q=q), shift), np.inf)
+    return ExpansionFunctionals(s.Y_g, s.B1, s.B2_in, s.G2, s.D)
 
 
 class YParts(NamedTuple):

@@ -28,7 +28,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_banded
 
 from .functionals import REPORT_COLUMNS, State, evaluate_pair, reference_arrays
-from .grid import Grid, GridField, _ddx_central, _ddx_upwind_biased
+from .grid import Grid, GridField, _d2dx2, _ddx_central, _ddx_upwind_biased
 from .shift import ShiftState, advance, phi_eps, phi_regime
 from .wave import WaveParams, characteristic_speeds
 
@@ -184,17 +184,12 @@ class _Stepper:
         if well_balanced:
             # hyperbolic and diffusive residuals of the sampled wave
             self.residual_n, self.residual_q = self._hyperbolic(self.refs.ntil, self.refs.qtil)
-            self.wave_diffusion = params.nu * self._laplacian(self.refs.ntil)
+            self.wave_diffusion = params.nu * _d2dx2(self.refs.ntil, self.dx)
         else:
             self.residual_n = np.zeros(grid.num_nodes)
             self.residual_q = np.zeros(grid.num_nodes)
             self.wave_diffusion = np.zeros(grid.num_nodes)
         self._banded_cache: dict[float, np.ndarray] = {}
-
-    def _laplacian(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (self.dx * self.dx)
-        return out
 
     def _hyperbolic(self, n: np.ndarray, q: np.ndarray):
         """First-order terms: sigma-advection upwinded, coupling central."""
@@ -208,7 +203,7 @@ class _Stepper:
         rn -= self.residual_n
         rq -= self.residual_q
         if self.diffusion_mode == "explicit":
-            rn += self.params.nu * self._laplacian(n) - self.wave_diffusion
+            rn += self.params.nu * _d2dx2(n, self.dx) - self.wave_diffusion
         rn[0] = rn[-1] = 0.0
         rq[0] = rq[-1] = 0.0
         return rn, rq
