@@ -417,7 +417,7 @@ class RunResult:
                 "max_R_main": float(np.max(r_monitored)) if r_monitored.size else None,
             },
             "shift_bound_held": bool(xdot_ok),
-            "final_X": float(m["X"][-1]) if len(m["X"]) else 0.0,
+            "final_X": float(m["X"][-1]),
             "violation_tol": tol,
             "steps": int(len(self.times)),
             "dt": self.dt,
