@@ -381,9 +381,9 @@ class RunResult:
         for k in _reported_steps(len(self.times), self.config.report_stride):
             t, x, *report, eta_unw = self.evaluations[k + 1].tolist()
             rows.append(
-                [t, x, float(m["X_dot"][k]), m["regime"][k], float(m["lab_shift"][k])]
+                [t, x, m["X_dot"][k], m["regime"][k], m["lab_shift"][k]]
                 + report
-                + [eta_unw, float(m["violation"][k]), float(m["balance_residual"][k])]
+                + [eta_unw, m["violation"][k], m["balance_residual"][k]]
             )
         return rows
 
