@@ -15,6 +15,7 @@ at machine precision on any grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -84,6 +85,14 @@ class State:
     def grid(self) -> Grid:
         return self.n.grid
 
+    @cached_property
+    def _dlog_n(self) -> np.ndarray:
+        """d/dxi log n by the central stencil: built on first use, then kept
+        (read-only) for the life of the state, whatever the shift."""
+        out = _ddx_central(np.log(self.n.values), self.grid.dx)
+        out.flags.writeable = False
+        return out
+
 
 @dataclass(frozen=True)
 class ReferenceArrays:
@@ -107,7 +116,7 @@ def reference_arrays(params: WaveParams, grid: Grid, shift: float = 0.0) -> Refe
     The profile is evaluated once; the other six arrays are algebraic in it,
     through the same expressions as the pointwise functions of `wave`.
     """
-    xi = grid.nodes() - shift
+    xi = grid._nodes - shift
     n = np.asarray(profile_n(params, xi))
     n_prime = _n_prime_of(params, n)
     n_second = _n_second_of(params, n, n_prime)
@@ -157,65 +166,167 @@ def phi_of_n(params: WaveParams, xi, n):
     return float(out) if out.ndim == 0 else out
 
 
-class _Core(NamedTuple):
-    """Shared nodewise arrays entering every functional."""
+class _Core:
+    """The nodewise arrays and shared integrals of one (state, shift) pair.
 
-    refs: ReferenceArrays
-    dx: float
-    n: np.ndarray
-    q: np.ndarray
-    u: np.ndarray        # q - q~
-    pi: np.ndarray       # Pi(n | n~)
-    logratio: np.ndarray  # log(n / n~)
-    dlog: np.ndarray     # d/dxi log(n/n~), analytic reference part
-    phi: np.ndarray
-    eta: np.ndarray
+    The references are built with the core; every other array and integral
+    is a cached property, filled on first use from the ones it reads and
+    kept for the life of the core (one evaluation: a report, or the
+    (Y, I_bad) of one shift substep).  So each is built at most once per
+    pair, and a core asked only for Y and I_bad never builds phi or the
+    split's arrays.  Each piece keeps the left-to-right operation order of
+    the formulas that read it, so every value is bit-identical to writing
+    those formulas out in full.  The one shift-independent array, d/dxi
+    log n, is kept on the State and shared by its cores at every shift.
+    """
+
+    def __init__(self, params: WaveParams, state: State, shift: float):
+        self.params = params
+        self.state = state
+        self.refs = reference_arrays(params, state.grid, shift)
+        self.dx = state.grid.dx
+        self.n = state.n.values
+        self.q = state.q.values
+        self.ratio = params.eps / params.lam
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        return self.q - self.refs.qtil
+
+    @cached_property
+    def dn(self) -> np.ndarray:
+        """n - n~"""
+        return self.n - self.refs.ntil
+
+    @cached_property
+    def dn_rel(self) -> np.ndarray:
+        """(n - n~) / n~"""
+        return self.dn / self.refs.ntil
+
+    @cached_property
+    def n_over_ntil(self) -> np.ndarray:
+        return self.n / self.refs.ntil
+
+    @cached_property
+    def logratio(self) -> np.ndarray:
+        """log(n / n~)"""
+        return np.log(self.n_over_ntil)
+
+    @cached_property
+    def pi(self) -> np.ndarray:
+        """Pi(n | n~)"""
+        return np.maximum(self.n * self.logratio - self.dn, 0.0)
+
+    @cached_property
+    def dlog(self) -> np.ndarray:
+        """d/dxi log(n/n~): only the solution part is differenced."""
+        # n~'/n~ analytic avoids cancellation
+        return self.state._dlog_n - self.refs.ntil_prime / self.refs.ntil
+
+    @cached_property
+    def eta(self) -> np.ndarray:
+        return 0.5 * self.u * self.u + self.pi
+
+    @cached_property
+    def neg_a_prime(self) -> np.ndarray:
+        return -self.refs.a_prime
+
+    @cached_property
+    def a_prime_pi(self) -> np.ndarray:
+        return self.refs.a_prime * self.pi
+
+    @cached_property
+    def ratio_a(self) -> np.ndarray:
+        """(eps/lam) a"""
+        return self.ratio * self.refs.a
+
+    @cached_property
+    def ratio_a_a_prime(self) -> np.ndarray:
+        """(eps/lam) a a'"""
+        return self.ratio_a * self.refs.a_prime
+
+    @cached_property
+    def a_ntil_prime(self) -> np.ndarray:
+        """a n~'/n~"""
+        return self.refs.a * self.refs.ntil_prime / self.refs.ntil
+
+    @cached_property
+    def coeff(self) -> np.ndarray:
+        """1 + (eps/lam) a / n~"""
+        return 1.0 + self.ratio_a / self.refs.ntil
+
+    @cached_property
+    def sigma_phi(self) -> np.ndarray:
+        """sigma phi = Pi(n|n~) + (1 + (eps/lam) a/n~)(n - n~)"""
+        return self.pi + self.coeff * self.dn
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return self.sigma_phi / self.params.sigma
+
+    @cached_property
+    def a_prime_phi(self) -> np.ndarray:
+        return self.refs.a_prime * self.phi
+
+    @cached_property
+    def u_plus_phi(self) -> np.ndarray:
+        return self.u + self.phi
+
+    @cached_property
+    def u_plus_phi_sq(self) -> np.ndarray:
+        return self.u_plus_phi**2
+
+    @cached_property
+    def y_integrand(self) -> np.ndarray:
+        """Integrand of Y; restricted to the tube's complement it is Y_s's."""
+        return self.neg_a_prime * self.eta - self.ratio_a_a_prime * (
+            self.dn_rel - self.u / self.params.sigma
+        )
+
+    @cached_property
+    def qtil_term(self) -> float:
+        """int -a' q~ Pi(n|n~): a term of I_bad and of B1."""
+        return integrate_values(self.neg_a_prime * self.refs.qtil * self.pi, self.dx)
+
+    @cached_property
+    def G_pi(self) -> float:
+        """sigma int a' Pi(n|n~): a term of I_good, and G2."""
+        return self.params.sigma * integrate_values(self.a_prime_pi, self.dx)
+
+    @cached_property
+    def D(self) -> float:
+        """The dissipation int a n |d/dxi log(n/n~)|^2."""
+        return integrate_values(self.refs.a * self.n * self.dlog * self.dlog, self.dx)
+
+    @cached_property
+    def eta_weighted(self) -> float:
+        return integrate_values(self.refs.a * self.eta, self.dx)
+
+    @cached_property
+    def eta_unweighted(self) -> float:
+        return integrate_values(self.eta, self.dx)
 
 
 def _core(params: WaveParams, state: State, shift: float) -> _Core:
-    refs = reference_arrays(params, state.grid, shift)
-    n = state.n.values
-    q = state.q.values
-    u = q - refs.qtil
-    pi = np.maximum(n * np.log(n / refs.ntil) - (n - refs.ntil), 0.0)
-    logratio = np.log(n / refs.ntil)
-    # difference only the solution part; n~'/n~ analytic avoids cancellation
-    dlog = _ddx_central(np.log(n), state.grid.dx) - refs.ntil_prime / refs.ntil
-    ratio = params.eps / params.lam
-    phi = (pi + (1.0 + ratio * refs.a / refs.ntil) * (n - refs.ntil)) / params.sigma
-    eta = 0.5 * u * u + pi
-    return _Core(refs, state.grid.dx, n, q, u, pi, logratio, dlog, phi, eta)
-
-
-def _dissipation(c: _Core) -> float:
-    return integrate_values(c.refs.a * c.n * c.dlog * c.dlog, c.dx)
+    return _Core(params, state, shift)
 
 
 def _Y_value(params: WaveParams, c: _Core) -> float:
-    ratio = params.eps / params.lam
-    integ = -c.refs.a_prime * c.eta - ratio * c.refs.a * c.refs.a_prime * (
-        (c.n - c.refs.ntil) / c.refs.ntil - c.u / params.sigma
-    )
-    return integrate_values(integ, c.dx)
+    return integrate_values(c.y_integrand, c.dx)
 
 
 def _I_bad_value(params: WaveParams, c: _Core) -> float:
     r = c.refs
-    coupling = r.a_prime * c.pi + (r.a_prime - r.a * r.ntil_prime / r.ntil) * (c.n - r.ntil)
+    coupling = c.a_prime_pi + (r.a_prime - c.a_ntil_prime) * c.dn
     t1 = integrate_values(-coupling * c.u, c.dx)
-    t2 = integrate_values(-r.a_prime * r.qtil * c.pi, c.dx)
-    t3 = integrate_values(
-        (r.a * r.ntil_prime / r.ntil - r.a_prime) * c.n * c.logratio * c.dlog, c.dx
-    )
+    t3 = integrate_values((c.a_ntil_prime - r.a_prime) * c.n * c.logratio * c.dlog, c.dx)
     t4 = integrate_values(r.a * (r.ntil_second / r.ntil) * c.pi, c.dx)
-    return t1 + t2 + t3 + t4
+    return t1 + c.qtil_term + t3 + t4
 
 
 def _I_good_parts(params: WaveParams, c: _Core) -> tuple[float, float, float]:
-    r = c.refs
-    g_q = params.sigma * integrate_values(0.5 * r.a_prime * c.u * c.u, c.dx)
-    g_pi = params.sigma * integrate_values(r.a_prime * c.pi, c.dx)
-    return g_q, g_pi, _dissipation(c)
+    g_q = params.sigma * integrate_values(0.5 * c.refs.a_prime * c.u * c.u, c.dx)
+    return g_q, c.G_pi, c.D
 
 
 class _Split(NamedTuple):
@@ -252,48 +363,31 @@ class _Split(NamedTuple):
 
 def _split(params: WaveParams, c: _Core, delta: float) -> _Split:
     r = c.refs
-    ratio = params.eps / params.lam
-    inside = (np.abs(c.n / r.ntil - 1.0) <= delta).astype(float)  # ties go inside
+    inside = (np.abs(c.n_over_ntil - 1.0) <= delta).astype(float)  # ties go inside
     outside = 1.0 - inside
-    coeff = 1.0 + ratio * r.a / r.ntil
 
-    b1 = integrate_values(-r.a_prime * r.qtil * c.pi, c.dx) + integrate_values(
-        -ratio * r.a_second * (r.a / r.ntil) * c.pi, c.dx
-    )
-    b2_in = 0.5 * params.sigma * integrate_values(r.a_prime * c.phi * c.phi * inside, c.dx)
-    b2_out = integrate_values(
-        -r.a_prime * (c.pi + coeff * (c.n - r.ntil)) * c.u * outside, c.dx
-    )
-    b3 = integrate_values(-r.a_prime * coeff * c.n * c.logratio * c.dlog, c.dx)
+    b1 = c.qtil_term + integrate_values(-c.ratio * r.a_second * (r.a / r.ntil) * c.pi, c.dx)
+    b2_in = 0.5 * params.sigma * integrate_values(c.a_prime_phi * c.phi * inside, c.dx)
+    b2_out = integrate_values(c.neg_a_prime * c.sigma_phi * c.u * outside, c.dx)
+    b3 = integrate_values(c.neg_a_prime * c.coeff * c.n * c.logratio * c.dlog, c.dx)
 
-    g1_in = 0.5 * params.sigma * integrate_values(
-        r.a_prime * (c.u + c.phi) ** 2 * inside, c.dx
-    )
+    g1_in = 0.5 * params.sigma * integrate_values(r.a_prime * c.u_plus_phi_sq * inside, c.dx)
     g1_out = 0.5 * params.sigma * integrate_values(r.a_prime * c.u * c.u * outside, c.dx)
-    g2 = params.sigma * integrate_values(r.a_prime * c.pi, c.dx)
-    d = _dissipation(c)
 
     y_g = integrate_values(
-        (-r.a_prime * (0.5 * c.phi * c.phi + c.pi)
-         - ratio * r.a * r.a_prime * ((c.n - r.ntil) / r.ntil + c.phi / params.sigma))
+        (c.neg_a_prime * (0.5 * c.phi * c.phi + c.pi)
+         - c.ratio_a_a_prime * (c.dn_rel + c.phi / params.sigma))
         * inside,
         c.dx,
     )
     y_b = integrate_values(
-        (-0.5 * r.a_prime * (c.u + c.phi) ** 2 + r.a_prime * c.phi * (c.u + c.phi))
-        * inside,
-        c.dx,
+        (-0.5 * r.a_prime * c.u_plus_phi_sq + c.a_prime_phi * c.u_plus_phi) * inside, c.dx
     )
-    y_l = (ratio / params.sigma) * integrate_values(
-        r.a * r.a_prime * (c.u + c.phi) * inside, c.dx
+    y_l = (c.ratio / params.sigma) * integrate_values(
+        r.a * r.a_prime * c.u_plus_phi * inside, c.dx
     )
-    y_s = integrate_values(
-        (-r.a_prime * c.eta
-         - ratio * r.a * r.a_prime * ((c.n - r.ntil) / r.ntil - c.u / params.sigma))
-        * outside,
-        c.dx,
-    )
-    return _Split(b1, b2_in, b2_out, b3, g1_in, g1_out, g2, d, y_g, y_b, y_l, y_s)
+    y_s = integrate_values(c.y_integrand * outside, c.dx)
+    return _Split(b1, b2_in, b2_out, b3, g1_in, g1_out, c.G_pi, c.D, y_g, y_b, y_l, y_s)
 
 
 def Y(params: WaveParams, state: State, shift: float = 0.0) -> float:
@@ -327,19 +421,17 @@ def G_delta(params: WaveParams, state: State, delta: float, shift: float = 0.0) 
 
 def D(params: WaveParams, state: State, shift: float = 0.0) -> float:
     """Weighted Fisher-type dissipation int a n |d/dxi log(n/n~)|^2."""
-    return _dissipation(_core(params, state, shift))
+    return _core(params, state, shift).D
 
 
 def eta_weighted(params: WaveParams, state: State, shift: float = 0.0) -> float:
     """Weighted relative entropy int a eta(U^X | U~) via translated references."""
-    c = _core(params, state, shift)
-    return integrate_values(c.refs.a * c.eta, c.dx)
+    return _core(params, state, shift).eta_weighted
 
 
 def eta_unweighted(params: WaveParams, state: State, shift: float = 0.0) -> float:
     """Plain relative entropy int eta(U^X | U~)."""
-    c = _core(params, state, shift)
-    return integrate_values(c.eta, c.dx)
+    return _core(params, state, shift).eta_unweighted
 
 
 def truncate(params: WaveParams, n: GridField, theta: float, shift: float = 0.0) -> GridField:
@@ -371,7 +463,7 @@ def expansion_functionals(
     They are the split of the state (n, q~), whose q-perturbation vanishes,
     with the whole line inside the tube: Y_g, B1, B2_in, G2 and D.
     """
-    q = n.with_values(np.asarray(profile_q(params, n.grid.nodes() - shift)))
+    q = n.with_values(np.asarray(profile_q(params, n.grid._nodes - shift)))
     s = _split(params, _core(params, State(n=n, q=q), shift), np.inf)
     return ExpansionFunctionals(s.Y_g, s.B1, s.B2_in, s.G2, s.D)
 
@@ -526,7 +618,7 @@ def _report(params: WaveParams, c: _Core, delta0: float, delta1: float) -> Funct
     y_parts, b_parts, g_parts = s.parts()
     r = -(y * y) / params.eps**4 + b + delta0 * (params.eps / params.lam) * abs(b) - g + delta0 * s.D
     return FunctionalReport(
-        eta_weighted=integrate_values(c.refs.a * c.eta, c.dx),
+        eta_weighted=c.eta_weighted,
         Y=y,
         I_bad=ibad,
         I_good=igood,
@@ -568,7 +660,7 @@ def evaluate_pair(
 ) -> PairEvaluation:
     """The report and the plain relative entropy, from one shared core."""
     c = _core(params, state, shift)
-    return PairEvaluation(_report(params, c, delta0, delta1), integrate_values(c.eta, c.dx))
+    return PairEvaluation(_report(params, c, delta0, delta1), c.eta_unweighted)
 
 
 def y_and_ibad(params: WaveParams, state: State, shift: float = 0.0) -> tuple[float, float]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,8 +42,15 @@ class Grid:
     def num_nodes(self) -> int:
         return self.num_cells + 1
 
+    @cached_property
+    def _nodes(self) -> np.ndarray:
+        """The node coordinates, built once per grid and read-only."""
+        xi = np.linspace(self.xi_min, self.xi_max, self.num_cells + 1)
+        xi.flags.writeable = False
+        return xi
+
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.xi_min, self.xi_max, self.num_cells + 1)
+        return self._nodes.copy()
 
 
 @dataclass

@@ -26,7 +26,7 @@ from contraction_lab import (
     truncate,
 )
 from contraction_lab.functionals import reference_arrays
-from contraction_lab.grid import integrate_values
+from contraction_lab.grid import _ddx_central, integrate_values
 from contraction_lab.identities import random_state
 from contraction_lab.wave import (
     EXP_CLAMP,
@@ -643,3 +643,173 @@ class TestReferenceArrays:
         if shift_kind.startswith("past_clamp"):
             z = params.eps * xi / (params.nu * params.sigma)
             assert np.all(np.abs(z) > EXP_CLAMP)
+
+
+# The eager core, split and report as they were before the core filled its
+# arrays lazily: every array of the core built up front, every formula
+# written out in full.  The oracle for the bit-identity of the lazy core.
+def _eager_core(params, state, shift):
+    refs = reference_arrays(params, state.grid, shift)
+    n = state.n.values
+    q = state.q.values
+    u = q - refs.qtil
+    pi = np.maximum(n * np.log(n / refs.ntil) - (n - refs.ntil), 0.0)
+    logratio = np.log(n / refs.ntil)
+    dlog = _ddx_central(np.log(n), state.grid.dx) - refs.ntil_prime / refs.ntil
+    ratio = params.eps / params.lam
+    phi = (pi + (1.0 + ratio * refs.a / refs.ntil) * (n - refs.ntil)) / params.sigma
+    eta = 0.5 * u * u + pi
+    return dict(refs=refs, dx=state.grid.dx, n=n, q=q, u=u, pi=pi, logratio=logratio,
+                dlog=dlog, phi=phi, eta=eta)
+
+
+def _eager_dissipation(c):
+    return integrate_values(c["refs"].a * c["n"] * c["dlog"] * c["dlog"], c["dx"])
+
+
+def _eager_Y(params, c):
+    r = c["refs"]
+    ratio = params.eps / params.lam
+    integ = -r.a_prime * c["eta"] - ratio * r.a * r.a_prime * (
+        (c["n"] - r.ntil) / r.ntil - c["u"] / params.sigma
+    )
+    return integrate_values(integ, c["dx"])
+
+
+def _eager_I_bad(params, c):
+    r, n, u, pi, dx = c["refs"], c["n"], c["u"], c["pi"], c["dx"]
+    coupling = r.a_prime * pi + (r.a_prime - r.a * r.ntil_prime / r.ntil) * (n - r.ntil)
+    t1 = integrate_values(-coupling * u, dx)
+    t2 = integrate_values(-r.a_prime * r.qtil * pi, dx)
+    t3 = integrate_values(
+        (r.a * r.ntil_prime / r.ntil - r.a_prime) * n * c["logratio"] * c["dlog"], dx
+    )
+    t4 = integrate_values(r.a * (r.ntil_second / r.ntil) * pi, dx)
+    return t1 + t2 + t3 + t4
+
+
+def _eager_I_good(params, c):
+    r, dx = c["refs"], c["dx"]
+    g_q = params.sigma * integrate_values(0.5 * r.a_prime * c["u"] * c["u"], dx)
+    g_pi = params.sigma * integrate_values(r.a_prime * c["pi"], dx)
+    return g_q + g_pi + _eager_dissipation(c)
+
+
+def _eager_split(params, c, delta):
+    r, n, u, pi, phi, eta, dx = (c[k] for k in ("refs", "n", "u", "pi", "phi", "eta", "dx"))
+    ratio = params.eps / params.lam
+    inside = (np.abs(n / r.ntil - 1.0) <= delta).astype(float)
+    outside = 1.0 - inside
+    coeff = 1.0 + ratio * r.a / r.ntil
+    b1 = integrate_values(-r.a_prime * r.qtil * pi, dx) + integrate_values(
+        -ratio * r.a_second * (r.a / r.ntil) * pi, dx
+    )
+    b2_in = 0.5 * params.sigma * integrate_values(r.a_prime * phi * phi * inside, dx)
+    b2_out = integrate_values(-r.a_prime * (pi + coeff * (n - r.ntil)) * u * outside, dx)
+    b3 = integrate_values(-r.a_prime * coeff * n * c["logratio"] * c["dlog"], dx)
+    g1_in = 0.5 * params.sigma * integrate_values(r.a_prime * (u + phi) ** 2 * inside, dx)
+    g1_out = 0.5 * params.sigma * integrate_values(r.a_prime * u * u * outside, dx)
+    g2 = params.sigma * integrate_values(r.a_prime * pi, dx)
+    d = _eager_dissipation(c)
+    y_g = integrate_values(
+        (-r.a_prime * (0.5 * phi * phi + pi)
+         - ratio * r.a * r.a_prime * ((n - r.ntil) / r.ntil + phi / params.sigma))
+        * inside,
+        dx,
+    )
+    y_b = integrate_values(
+        (-0.5 * r.a_prime * (u + phi) ** 2 + r.a_prime * phi * (u + phi)) * inside, dx
+    )
+    y_l = (ratio / params.sigma) * integrate_values(r.a * r.a_prime * (u + phi) * inside, dx)
+    y_s = integrate_values(
+        (-r.a_prime * eta
+         - ratio * r.a * r.a_prime * ((n - r.ntil) / r.ntil - u / params.sigma))
+        * outside,
+        dx,
+    )
+    return (b1, b2_in, b2_out, b3), (g1_in, g1_out, g2, d), (y_g, y_b, y_l, y_s)
+
+
+def _eager_report(params, c, delta0, delta1):
+    b_parts, g_parts, y_parts = _eager_split(params, c, delta1)
+    y = _eager_Y(params, c)
+    g = g_parts[0] + g_parts[1] + g_parts[2] + g_parts[3]
+    b = b_parts[0] + b_parts[1] + b_parts[2] + b_parts[3]
+    r = -(y * y) / params.eps**4 + b + delta0 * (params.eps / params.lam) * abs(b) - g + delta0 * g_parts[3]
+    return {
+        "eta_weighted": integrate_values(c["refs"].a * c["eta"], c["dx"]),
+        "Y": y,
+        "I_bad": _eager_I_bad(params, c),
+        "I_good": _eager_I_good(params, c),
+        "B_delta": b,
+        "G_delta": g,
+        "D": g_parts[3],
+        "Y_parts": y_parts,
+        "B_parts": b_parts,
+        "G_parts": g_parts,
+        "R_main": r,
+        "delta_used": delta1,
+    }
+
+
+class TestLazyCore:
+    SHIFTS = ("zero", "plus", "minus", "past_clamp_plus", "past_clamp_minus")
+
+    @staticmethod
+    def shift_of(params, grid, kind):
+        beyond = 2.0 * EXP_CLAMP * params.nu * params.sigma / params.eps + grid.xi_max
+        return {"zero": 0.0, "plus": 3.7, "minus": -3.7,
+                "past_clamp_plus": beyond, "past_clamp_minus": -beyond}[kind]
+
+    @pytest.mark.parametrize("shift_kind", SHIFTS)
+    @pytest.mark.parametrize("delta1", [0.05, 0.25, 0.49, np.inf])
+    def test_report_equals_eager_oracle(self, params, grid, shift_kind, delta1):
+        shift = self.shift_of(params, grid, shift_kind)
+        for seed in (3, 17, 40):
+            state = random_state(params, grid, seed)
+            pair = cl.functionals.evaluate_pair(params, state, 0.01, delta1, shift)
+            want = _eager_report(params, _eager_core(params, state, shift), 0.01, delta1)
+            for name, value in want.items():
+                got = getattr(pair.report, name)
+                assert (tuple(got) if isinstance(value, tuple) else got) == value, name
+            c = _eager_core(params, state, shift)
+            assert pair.eta_unweighted == integrate_values(c["eta"], c["dx"])
+            assert cl.functionals.y_and_ibad(params, state, shift) == (
+                _eager_Y(params, c), _eager_I_bad(params, c)
+            )
+
+    def test_shift_substep_core_builds_no_split_arrays(self, params, grid):
+        state = random_state(params, grid, 5)
+        c = cl.functionals._core(params, state, 1.5)
+        cl.functionals._Y_value(params, c)
+        cl.functionals._I_bad_value(params, c)
+        built = set(vars(c))
+        assert {"eta", "pi", "dlog", "y_integrand"} <= built
+        assert not built & {
+            "phi", "sigma_phi", "a_prime_phi", "u_plus_phi", "u_plus_phi_sq", "coeff",
+            "G_pi", "D", "eta_weighted", "eta_unweighted",
+        }
+
+    def test_log_n_slope_is_per_state(self, params, grid):
+        a = random_state(params, grid, 5)
+        b = random_state(params, grid, 6)
+        fresh = _ddx_central(np.log(a.n.values), grid.dx)
+        cl.functionals._core(params, a, 0.0).dlog
+        cl.functionals._core(params, b, 0.0).dlog
+        kept = a._dlog_n
+        assert np.array_equal(kept, fresh)
+        assert cl.functionals._core(params, a, 2.0).state._dlog_n is kept
+        assert b._dlog_n is not kept
+        assert np.array_equal(b._dlog_n, _ddx_central(np.log(b.n.values), grid.dx))
+        copy = State(n=GridField(grid, a.n.values.copy()), q=a.q)
+        assert "_dlog_n" not in vars(copy)
+        assert not kept.flags.writeable
+
+    def test_nodes_built_once_per_grid(self, grid):
+        assert grid._nodes is grid._nodes
+        assert not grid._nodes.flags.writeable
+        fresh = grid.nodes()
+        assert fresh is not grid._nodes and fresh.flags.writeable
+        assert np.array_equal(
+            fresh, np.linspace(grid.xi_min, grid.xi_max, grid.num_cells + 1)
+        )
