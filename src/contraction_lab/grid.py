@@ -145,13 +145,19 @@ def ddx_upwind(f: GridField, speed: GridField) -> GridField:
     return f.with_values(_ddx_upwind(f.values, speed.values, f.grid.dx))
 
 
+def _ddx_forward_biased(v: np.ndarray, dx: float) -> np.ndarray:
+    """Second-order three-point forward stencil; central where it does not fit."""
+    out = np.empty_like(v)
+    out[:-2] = (-3.0 * v[:-2] + 4.0 * v[1:-1] - v[2:]) / (2.0 * dx)
+    # the last two nodes of the central stencil, from the last three values
+    out[-2:] = _ddx_central(v[-3:], dx)[1:]
+    return out
+
+
 def _ddx_upwind_biased(v: np.ndarray, speed: np.ndarray, dx: float) -> np.ndarray:
-    central = _ddx_central(v, dx)
-    backward = central.copy()
+    backward = _ddx_central(v, dx)
     backward[2:] = (3.0 * v[2:] - 4.0 * v[1:-1] + v[:-2]) / (2.0 * dx)
-    forward = central.copy()
-    forward[:-2] = (-3.0 * v[:-2] + 4.0 * v[1:-1] - v[2:]) / (2.0 * dx)
-    return np.where(np.asarray(speed) > 0.0, backward, forward)
+    return np.where(np.asarray(speed) > 0.0, backward, _ddx_forward_biased(v, dx))
 
 
 def ddx_upwind_biased(f: GridField, speed: GridField) -> GridField:

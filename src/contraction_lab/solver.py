@@ -27,8 +27,14 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_banded
 
-from .functionals import REPORT_COLUMNS, State, evaluate_pair, reference_arrays
-from .grid import Grid, GridField, _d2dx2, _ddx_central, _ddx_upwind_biased
+from .functionals import (
+    REPORT_COLUMNS,
+    ReferenceArrays,
+    State,
+    evaluate_pair,
+    reference_arrays,
+)
+from .grid import Grid, GridField, _d2dx2, _ddx_central, _ddx_forward_biased
 from .shift import ShiftState, advance, phi_eps, phi_regime
 from .wave import WaveParams, characteristic_speeds
 
@@ -149,7 +155,12 @@ def _perturbation_arrays(spec: PerturbationSpec, grid: Grid, params: WaveParams)
 
 def initial_state(params: WaveParams, grid: Grid, spec: PerturbationSpec) -> State:
     """Sampled wave plus perturbation, validated for positivity and decay."""
-    refs = reference_arrays(params, grid)
+    return _initial_state(params, grid, spec, reference_arrays(params, grid))
+
+
+def _initial_state(
+    params: WaveParams, grid: Grid, spec: PerturbationSpec, refs: ReferenceArrays
+) -> State:
     dn, dq = _perturbation_arrays(spec, grid, params)
     n0 = refs.ntil + dn
     q0 = refs.qtil + dq
@@ -180,7 +191,6 @@ class _Stepper:
         self.diffusion_mode = diffusion_mode
         self.well_balanced = well_balanced
         self.refs = reference_arrays(params, grid)
-        self.speed = np.full(grid.num_nodes, -params.sigma)  # frame advection velocity
         if well_balanced:
             # hyperbolic and diffusive residuals of the sampled wave
             self.residual_n, self.residual_q = self._hyperbolic(self.refs.ntil, self.refs.qtil)
@@ -192,10 +202,14 @@ class _Stepper:
         self._banded_cache: dict[float, np.ndarray] = {}
 
     def _hyperbolic(self, n: np.ndarray, q: np.ndarray):
-        """First-order terms: sigma-advection upwinded, coupling central."""
+        """First-order terms: sigma-advection upwinded, coupling central.
+
+        The frame advects at -sigma < 0 at every node, so upwinding is the
+        forward-biased stencil throughout.
+        """
         sig = self.params.sigma
-        rn = sig * _ddx_upwind_biased(n, self.speed, self.dx) + _ddx_central(n * q, self.dx)
-        rq = sig * _ddx_upwind_biased(q, self.speed, self.dx) + _ddx_central(n, self.dx)
+        rn = sig * _ddx_forward_biased(n, self.dx) + _ddx_central(n * q, self.dx)
+        rq = sig * _ddx_forward_biased(q, self.dx) + _ddx_central(n, self.dx)
         return rn, rq
 
     def _explicit_rhs(self, n: np.ndarray, q: np.ndarray):
@@ -432,7 +446,7 @@ def run(config: SolverConfig) -> RunResult:
     """Integrate PDE and shift ODE in lockstep, evaluating every time level."""
     params = config.params
     stepper = _Stepper(params, config.grid, config.diffusion_mode, config.well_balanced)
-    state = initial_state(params, config.grid, config.perturbation)
+    state = _initial_state(params, config.grid, config.perturbation, stepper.refs)
 
     dt = config.dt if config.dt is not None else stepper.stable_dt(state, config.cfl)
     n_steps = max(1, int(np.ceil(config.t_end / dt - 1e-12)))

@@ -7,6 +7,9 @@ from scipy.integrate import quad
 from contraction_lab.grid import (
     Grid,
     GridField,
+    _ddx_central,
+    _ddx_forward_biased,
+    _ddx_upwind_biased,
     d2dx2,
     ddx_central,
     ddx_upwind,
@@ -154,3 +157,14 @@ class TestStencils:
             errs.append(np.max(np.abs(ddx_upwind_biased(f, speed).values - np.cos(g.nodes()))))
         slope = np.log2(errs[0] / errs[1])
         assert slope >= 1.9
+
+    @pytest.mark.parametrize("cells", [4, 5, 64])
+    def test_forward_biased_is_upwind_biased_at_negative_speed(self, cells):
+        g = Grid(-1.0, 1.0, cells)
+        v = np.random.default_rng(cells).normal(size=g.num_nodes)
+        # the three-point forward stencil over the central one, written out
+        want = _ddx_central(v, g.dx).copy()
+        want[:-2] = (-3.0 * v[:-2] + 4.0 * v[1:-1] - v[2:]) / (2.0 * g.dx)
+        got = _ddx_forward_biased(v, g.dx)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, _ddx_upwind_biased(v, np.full(g.num_nodes, -0.7), g.dx))

@@ -341,6 +341,45 @@ class TestRun:
                 xdot_eff * y + ibad - igood
             )
 
+    def test_repeat_runs_are_identical(self, small_params):
+        # what a run keeps on its grid (the nodes) and states (d/dxi log n)
+        # must not leak into a later run on the same grid
+        grid = lab_grid(small_params, num_cells=512)
+        cfg = SolverConfig(
+            params=small_params, grid=grid, t_end=1.0, perturbation=bump_spec(0.3, 0.3)
+        )
+        first = run(cfg)
+        run(replace(cfg, perturbation=bump_spec(0.5, -0.2, width=3.0), delta1=0.1))
+        second = run(cfg)
+        assert np.array_equal(first.evaluations, second.evaluations)
+        assert np.array_equal(first.final_state.n.values, second.final_state.n.values)
+        assert np.array_equal(first.final_state.q.values, second.final_state.q.values)
+
+    def test_references_built_once_per_evaluation(self, small_params, monkeypatch):
+        # one set-up build shared by the stepper and the initial state, then
+        # one per evaluated (state, shift) pair: t = 0, and per step the
+        # evaluation at its end and shift substeps 2..4
+        import contraction_lab.functionals as fn
+        import contraction_lab.solver as solver_mod
+
+        calls = []
+        original = fn.reference_arrays
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fn, "reference_arrays", counting)
+        monkeypatch.setattr(solver_mod, "reference_arrays", counting)
+        grid = lab_grid(small_params, num_cells=512)
+        spec = bump_spec(0.3, 0.3)
+        cfg = SolverConfig(params=small_params, grid=grid, t_end=1.0, dt=0.05, perturbation=spec)
+        res = run(cfg)
+        assert len(calls) == 2 + 4 * len(res.times)
+        fresh = initial_state(small_params, grid, spec)
+        assert np.array_equal(res.initial_state.n.values, fresh.n.values)
+        assert np.array_equal(res.initial_state.q.values, fresh.q.values)
+
 
 class TestConcentration:
     def test_zero_velocity_gives_reference(self):
