@@ -10,6 +10,12 @@ form at arbitrary points, optionally translated by a shift; only solution
 fields are ever differenced.  Every integral is the same composite
 trapezoid rule, so the algebraic identities between these functionals hold
 at machine precision on any grid.
+
+Every functional of one (state, shift) pair reads one `_Core`, which builds
+each nodewise array and each shared integral at most once, on first use, and
+keeps it for as long as the core lives (one evaluation).  Two arrays outlive
+a core: d/dxi log n is kept on its State for the state's life, and the node
+coordinates on their Grid.
 """
 
 from __future__ import annotations
@@ -246,11 +252,6 @@ class _Core:
         return self.ratio_a * self.refs.a_prime
 
     @cached_property
-    def a_ntil_prime(self) -> np.ndarray:
-        """a n~'/n~"""
-        return self.refs.a * self.refs.ntil_prime / self.refs.ntil
-
-    @cached_property
     def coeff(self) -> np.ndarray:
         """1 + (eps/lam) a / n~"""
         return 1.0 + self.ratio_a / self.refs.ntil
@@ -317,9 +318,10 @@ def _Y_value(params: WaveParams, c: _Core) -> float:
 
 def _I_bad_value(params: WaveParams, c: _Core) -> float:
     r = c.refs
-    coupling = c.a_prime_pi + (r.a_prime - c.a_ntil_prime) * c.dn
+    a_ntil_prime = r.a * r.ntil_prime / r.ntil
+    coupling = c.a_prime_pi + (r.a_prime - a_ntil_prime) * c.dn
     t1 = integrate_values(-coupling * c.u, c.dx)
-    t3 = integrate_values((c.a_ntil_prime - r.a_prime) * c.n * c.logratio * c.dlog, c.dx)
+    t3 = integrate_values((a_ntil_prime - r.a_prime) * c.n * c.logratio * c.dlog, c.dx)
     t4 = integrate_values(r.a * (r.ntil_second / r.ntil) * c.pi, c.dx)
     return t1 + c.qtil_term + t3 + t4
 
