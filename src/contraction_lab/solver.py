@@ -4,7 +4,9 @@ The frame travels with the shock, so the reference wave is stationary and
 only the shift X translates analytic objects.  One step is a two-stage
 explicit update of the first-order terms (second-order upwind-biased
 advection, central coupling) followed by an implicit backward-Euler
-diffusion solve; boundary nodes stay pinned to the analytic wave.
+diffusion solve; boundary nodes stay pinned to the analytic wave.  The
+frame advects at -sigma < 0 at every node, so the upwind-biased stencil is
+the three-point forward one throughout (`grid._ddx_forward_biased`).
 
 By default the discrete residual of the sampled wave is subtracted from
 the right-hand side, which makes the sampled wave a bit-exact fixed point
@@ -202,11 +204,7 @@ class _Stepper:
         self._banded_cache: dict[float, np.ndarray] = {}
 
     def _hyperbolic(self, n: np.ndarray, q: np.ndarray):
-        """First-order terms: sigma-advection upwinded, coupling central.
-
-        The frame advects at -sigma < 0 at every node, so upwinding is the
-        forward-biased stencil throughout.
-        """
+        """First-order terms: sigma-advection upwinded (forward), coupling central."""
         sig = self.params.sigma
         rn = sig * _ddx_forward_biased(n, self.dx) + _ddx_central(n * q, self.dx)
         rq = sig * _ddx_forward_biased(q, self.dx) + _ddx_central(n, self.dx)
