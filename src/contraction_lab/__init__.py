@@ -24,9 +24,9 @@ from .functionals import (
     reference_arrays,
     truncate,
 )
-from .grid import Grid, GridField, d2dx2, ddx_central, ddx_upwind, ddx_upwind_biased, integrate
+from .grid import Grid, GridField, d2dx2, ddx_central, integrate
 from .poincare import R_poincare, W_from_state, sample_W, scan_delta_star
-from .shift import ShiftState, advance, phi_eps, xdot
+from .shift import advance, phi_eps, xdot
 from .solver import (
     PerturbationSpec,
     RunResult,

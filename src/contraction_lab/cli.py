@@ -153,11 +153,7 @@ def cmd_identities(cfg: ExperimentConfig, out_dir: Path, n_random: int | None = 
                    seed: int | None = None) -> int:
     params = cfg.wave_params()
     ident = cfg.data["identities"]
-    grid_cfg = cfg.data["grid"]
-    from .grid import Grid
-
-    half_width = grid_cfg["half_width_factor"] * params.nu * params.sigma / params.eps
-    grid = Grid(-half_width, half_width, ident["num_cells"])
+    grid = replace(cfg.grid(params), num_cells=ident["num_cells"])
     report = check_identities(
         params,
         grid,
@@ -199,7 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for weighted-entropy contraction of viscous shocks.",
     )
     parser.add_argument("--config", type=str, default=None, help="JSON config file")
-    parser.add_argument("--out", type=str, default="out", help="output directory")
+    parser.add_argument(
+        "--out", type=str, default=None, help="output directory (default: the config's output.dir)"
+    )
     parser.add_argument("--seed", type=int, default=None, help="override random seeds")
     parser.add_argument(
         "--override",
@@ -238,7 +236,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_dir = Path(args.out)
+    out_dir = Path(args.out if args.out is not None else cfg.data["output"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     try:

@@ -111,7 +111,6 @@ class ReferenceArrays:
     qtil: np.ndarray
     a: np.ndarray
     a_prime: np.ndarray
-    a_second: np.ndarray
 
 
 def reference_arrays(params: WaveParams, grid: Grid, shift: float = 0.0) -> ReferenceArrays:
@@ -119,8 +118,9 @@ def reference_arrays(params: WaveParams, grid: Grid, shift: float = 0.0) -> Refe
 
     Functionals of the shifted state U^X use references translated by X;
     translating the analytic objects is exact and never interpolates U.
-    The profile is evaluated once; the other six arrays are algebraic in it,
-    through the same expressions as the pointwise functions of `wave`.
+    The profile is evaluated once; the other five arrays are algebraic in it,
+    through the same expressions as the pointwise functions of `wave`.  a''
+    is not among them: the split's B1, its only reader, builds it.
     """
     xi = grid._nodes - shift
     n = np.asarray(profile_n(params, xi))
@@ -134,7 +134,6 @@ def reference_arrays(params: WaveParams, grid: Grid, shift: float = 0.0) -> Refe
         qtil=_q_of(params, n),
         a=_a_of(params, n),
         a_prime=_a_derivative_of(params, n_prime),
-        a_second=_a_derivative_of(params, n_second),
     )
 
 
@@ -368,7 +367,8 @@ def _split(params: WaveParams, c: _Core, delta: float) -> _Split:
     inside = (np.abs(c.n_over_ntil - 1.0) <= delta).astype(float)  # ties go inside
     outside = 1.0 - inside
 
-    b1 = c.qtil_term + integrate_values(-c.ratio * r.a_second * (r.a / r.ntil) * c.pi, c.dx)
+    a_second = _a_derivative_of(params, r.ntil_second)
+    b1 = c.qtil_term + integrate_values(-c.ratio * a_second * (r.a / r.ntil) * c.pi, c.dx)
     b2_in = 0.5 * params.sigma * integrate_values(c.a_prime_phi * c.phi * inside, c.dx)
     b2_out = integrate_values(c.neg_a_prime * c.sigma_phi * c.u * outside, c.dx)
     b3 = integrate_values(c.neg_a_prime * c.coeff * c.n * c.logratio * c.dlog, c.dx)

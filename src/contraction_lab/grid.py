@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -14,8 +13,6 @@ __all__ = [
     "integrate",
     "integrate_values",
     "ddx_central",
-    "ddx_upwind",
-    "ddx_upwind_biased",
     "d2dx2",
 ]
 
@@ -77,31 +74,6 @@ class GridField:
     def with_values(self, values: np.ndarray) -> "GridField":
         return GridField(self.grid, values)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["xi", "value"])
-            for x, v in zip(self.grid.nodes(), self.values):
-                writer.writerow([f"{x:.17g}", f"{v:.17g}"])
-
-    @classmethod
-    def from_csv(cls, path) -> "GridField":
-        xs, vs = [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header[:2] != ["xi", "value"]:
-                raise ValueError(f"unexpected CSV header {header!r}")
-            for row in reader:
-                xs.append(float(row[0]))
-                vs.append(float(row[1]))
-        xs = np.asarray(xs)
-        dxs = np.diff(xs)
-        if not np.allclose(dxs, dxs[0], rtol=1e-10, atol=0.0):
-            raise ValueError("CSV nodes are not uniformly spaced")
-        grid = Grid(xi_min=xs[0], xi_max=xs[-1], num_cells=len(xs) - 1)
-        return cls(grid, np.asarray(vs))
-
 
 def integrate_values(values: np.ndarray, dx: float) -> float:
     """Composite trapezoid rule on raw node values."""
@@ -126,25 +98,6 @@ def ddx_central(f: GridField) -> GridField:
     return f.with_values(_ddx_central(f.values, f.grid.dx))
 
 
-def _ddx_upwind(v: np.ndarray, speed: np.ndarray, dx: float) -> np.ndarray:
-    backward = np.empty_like(v)
-    backward[1:] = (v[1:] - v[:-1]) / dx
-    backward[0] = (v[1] - v[0]) / dx
-    forward = np.empty_like(v)
-    forward[:-1] = (v[1:] - v[:-1]) / dx
-    forward[-1] = (v[-1] - v[-2]) / dx
-    return np.where(np.asarray(speed) > 0.0, backward, forward)
-
-
-def ddx_upwind(f: GridField, speed: GridField) -> GridField:
-    """First-order derivative biased against the local advection speed.
-
-    For a term c * df/dxi with c = speed: backward difference where
-    speed > 0, forward difference otherwise.
-    """
-    return f.with_values(_ddx_upwind(f.values, speed.values, f.grid.dx))
-
-
 def _ddx_forward_biased(v: np.ndarray, dx: float) -> np.ndarray:
     """Second-order three-point forward stencil; central where it does not fit."""
     out = np.empty_like(v)
@@ -152,21 +105,6 @@ def _ddx_forward_biased(v: np.ndarray, dx: float) -> np.ndarray:
     # the last two nodes of the central stencil, from the last three values
     out[-2:] = _ddx_central(v[-3:], dx)[1:]
     return out
-
-
-def _ddx_upwind_biased(v: np.ndarray, speed: np.ndarray, dx: float) -> np.ndarray:
-    backward = _ddx_central(v, dx)
-    backward[2:] = (3.0 * v[2:] - 4.0 * v[1:-1] + v[:-2]) / (2.0 * dx)
-    return np.where(np.asarray(speed) > 0.0, backward, _ddx_forward_biased(v, dx))
-
-
-def ddx_upwind_biased(f: GridField, speed: GridField) -> GridField:
-    """Second-order upwind-biased derivative (three-point one-sided stencils).
-
-    Dissipative for the advection it is biased against; falls back to the
-    central stencil at nodes where the one-sided stencil does not fit.
-    """
-    return f.with_values(_ddx_upwind_biased(f.values, speed.values, f.grid.dx))
 
 
 def _d2dx2(v: np.ndarray, dx: float) -> np.ndarray:

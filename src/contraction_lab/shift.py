@@ -7,14 +7,10 @@ X(0) = 0, with Phi_eps saturating at +-1/eps^2 outside |Y| <= eps^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .functionals import State, y_and_ibad
 from .wave import WaveParams
 
-__all__ = ["ShiftState", "phi_eps", "phi_regime", "xdot", "advance", "REGIMES"]
-
-REGIMES = ("saturated_plus", "linear", "saturated_minus")
+__all__ = ["phi_eps", "phi_regime", "xdot", "advance"]
 
 
 def phi_eps(y: float, eps: float) -> float:
@@ -39,57 +35,43 @@ def phi_regime(y: float, eps: float) -> str:
     return "linear"
 
 
-@dataclass(frozen=True)
-class ShiftState:
-    """Current shift, last velocity, and the active branch of the gain."""
-
-    X: float = 0.0
-    X_dot: float = 0.0
-    regime: str = "linear"
-
-
-def xdot(params: WaveParams, state: State, eps: float | None = None, shift: float = 0.0) -> float:
+def xdot(params: WaveParams, state: State, shift: float = 0.0) -> float:
     """Shift velocity Phi_eps(Y) (2 |I_bad| + 1) of the state seen at `shift`.
 
-    Always bounded by (1/eps^2)(2 |I_bad| + 1) since |Phi_eps| <= 1/eps^2.
+    Always bounded by (1/eps^2)(2 |I_bad| + 1) since |Phi_eps| <= 1/eps^2,
+    with eps = params.eps.
     """
-    e = params.eps if eps is None else eps
     y, ibad = y_and_ibad(params, state, shift=shift)
-    return phi_eps(y, e) * (2.0 * abs(ibad) + 1.0)
+    return phi_eps(y, params.eps) * (2.0 * abs(ibad) + 1.0)
 
 
 def advance(
-    shift: ShiftState,
+    x: float,
     state: State,
     dt: float,
     params: WaveParams,
     substeps: int = 4,
-    eps: float | None = None,
     *,
     start: tuple[float, float] | None = None,
-) -> ShiftState:
-    """Advance the shift ODE across one PDE step with the state frozen.
+) -> float:
+    """Advance the shift X across one PDE step with the state frozen; return
+    the new X.
 
-    Forward-Euler substeps; Y and I_bad are re-evaluated with the
-    references translated by each intermediate X, so the right-hand side
-    stays smooth in X through the analytic profiles.  Each (state, X) pair
-    is evaluated once: a caller that already holds (Y, I_bad) at
-    (state, shift.X) passes it as `start`, and only the later substeps
-    evaluate; without it the first substep evaluates as well.
+    Forward-Euler substeps of Xdot = Phi_eps(Y) (2 |I_bad| + 1), with
+    eps = params.eps; Y and I_bad are re-evaluated with the references
+    translated by each intermediate X, so the right-hand side stays smooth
+    in X through the analytic profiles.  Each (state, X) pair is evaluated
+    once: a caller that already holds (Y, I_bad) at (state, x) passes it as
+    `start`, and only the later substeps evaluate; without it the first
+    substep evaluates as well.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    e = params.eps if eps is None else eps
-    x = shift.X
     h = dt / substeps
-    last_xdot = shift.X_dot
-    last_regime = shift.regime
     for i in range(substeps):
         if i == 0 and start is not None:
             y, ibad = start
         else:
             y, ibad = y_and_ibad(params, state, shift=x)
-        last_xdot = phi_eps(y, e) * (2.0 * abs(ibad) + 1.0)
-        last_regime = phi_regime(y, e)
-        x += h * last_xdot
-    return ShiftState(X=x, X_dot=last_xdot, regime=last_regime)
+        x += h * (phi_eps(y, params.eps) * (2.0 * abs(ibad) + 1.0))
+    return x

@@ -37,7 +37,7 @@ from .functionals import (
     reference_arrays,
 )
 from .grid import Grid, GridField, _d2dx2, _ddx_central, _ddx_forward_biased
-from .shift import ShiftState, advance, phi_eps, phi_regime
+from .shift import advance, phi_eps, phi_regime
 from .wave import WaveParams, characteristic_speeds
 
 __all__ = [
@@ -320,7 +320,6 @@ class RunResult:
     evaluations: np.ndarray  # (n_steps + 1, len(EVALUATION_COLUMNS))
     initial_state: State
     final_state: State
-    final_shift: ShiftState
     states: Optional[list] = None  # (t, State) at each reported step
 
     def column(self, name: str) -> np.ndarray:
@@ -450,11 +449,11 @@ def run(config: SolverConfig) -> RunResult:
     n_steps = max(1, int(np.ceil(config.t_end / dt - 1e-12)))
     dt = config.t_end / n_steps
 
-    shift_state = ShiftState()
+    x = 0.0
     current = state
     evaluation = evaluate_pair(params, current, config.delta0, config.delta1, shift=0.0)
     evaluations = np.empty((n_steps + 1, len(EVALUATION_COLUMNS)))
-    evaluations[0] = _row(0.0, shift_state.X, evaluation)
+    evaluations[0] = _row(0.0, x, evaluation)
     reported = set(_reported_steps(n_steps, config.report_stride))
     states = [] if config.keep_states else None
 
@@ -462,18 +461,15 @@ def run(config: SolverConfig) -> RunResult:
     q = state.q.values.copy()
     for k in range(n_steps):
         rep = evaluation.report
-        shift_state = advance(
-            shift_state, current, dt, params, substeps=config.shift_substeps,
-            start=(rep.Y, rep.I_bad),
+        x = advance(
+            x, current, dt, params, substeps=config.shift_substeps, start=(rep.Y, rep.I_bad)
         )
         n, q = stepper.step(n, q, dt)
         t = (k + 1) * dt
         _check_state(n, q, t=t)
         current = State(n=GridField(config.grid, n), q=GridField(config.grid, q))
-        evaluation = evaluate_pair(
-            params, current, config.delta0, config.delta1, shift=shift_state.X
-        )
-        evaluations[k + 1] = _row(t, shift_state.X, evaluation)
+        evaluation = evaluate_pair(params, current, config.delta0, config.delta1, shift=x)
+        evaluations[k + 1] = _row(t, x, evaluation)
         if states is not None and k in reported:
             states.append((t, current))
 
@@ -483,7 +479,6 @@ def run(config: SolverConfig) -> RunResult:
         evaluations=evaluations,
         initial_state=state,
         final_state=current,
-        final_shift=shift_state,
         states=states,
     )
 

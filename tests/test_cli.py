@@ -89,6 +89,20 @@ class TestCommands:
         assert summary["decay_lower_bound_holds"] is True
         assert (out / "wave_profile.csv").exists()
 
+    def test_output_dir_from_config(self, tmp_path):
+        out = tmp_path / "from_config"
+        cfg_path = write_config(tmp_path, {"output": {"dir": str(out)}})
+        assert main(["--config", str(cfg_path), "wave"]) == 0
+        assert (out / "wave_profile.csv").exists()
+        assert (out / "wave_summary.json").exists()
+
+    def test_out_flag_overrides_output_dir(self, tmp_path):
+        cfg_path = write_config(tmp_path, {"output": {"dir": str(tmp_path / "unused")}})
+        out = tmp_path / "flag"
+        assert main(["--config", str(cfg_path), "--out", str(out), "wave"]) == 0
+        assert (out / "wave_summary.json").exists()
+        assert not (tmp_path / "unused").exists()
+
     def test_simulate_zero_perturbation(self, tmp_path):
         cfg_path = write_config(tmp_path, {"solver": {"t_end": 1.0}})
         out = tmp_path / "out"

@@ -1,0 +1,41 @@
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import contraction_lab
+
+# every module but the entry point, which runs the CLI on import
+MODULES = sorted(
+    m.name for m in pkgutil.iter_modules(contraction_lab.__path__) if m.name != "__main__"
+)
+
+
+def _package_imports():
+    """(module, name) for each `from .module import name` of the package __init__."""
+    tree = ast.parse(Path(contraction_lab.__file__).read_text())
+    return [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    mod = importlib.import_module(f"contraction_lab.{module}")
+    assert mod.__all__, module
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, missing
+
+
+def test_package_imports_resolve():
+    pairs = _package_imports()
+    assert pairs
+    for module, name in pairs:
+        mod = importlib.import_module(f"contraction_lab.{module}")
+        assert hasattr(mod, name), (module, name)
+        assert getattr(contraction_lab, name) is getattr(mod, name), (module, name)

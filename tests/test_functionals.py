@@ -637,7 +637,6 @@ class TestReferenceArrays:
             ("qtil", profile_q),
             ("a", weight_a),
             ("a_prime", weight_a_prime),
-            ("a_second", weight_a_second),
         ):
             assert np.array_equal(getattr(refs, field), np.asarray(fn(params, xi))), field
         if shift_kind.startswith("past_clamp"):
@@ -702,7 +701,7 @@ def _eager_split(params, c, delta):
     outside = 1.0 - inside
     coeff = 1.0 + ratio * r.a / r.ntil
     b1 = integrate_values(-r.a_prime * r.qtil * pi, dx) + integrate_values(
-        -ratio * r.a_second * (r.a / r.ntil) * pi, dx
+        -ratio * weight_a_second(params, r.xi) * (r.a / r.ntil) * pi, dx
     )
     b2_in = 0.5 * params.sigma * integrate_values(r.a_prime * phi * phi * inside, dx)
     b2_out = integrate_values(-r.a_prime * (pi + coeff * (n - r.ntil)) * u * outside, dx)

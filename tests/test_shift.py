@@ -7,7 +7,6 @@ import contraction_lab.shift as shift_mod
 from contraction_lab import (
     GridField,
     PerturbationSpec,
-    ShiftState,
     SolverConfig,
     State,
     advance,
@@ -85,34 +84,29 @@ class TestAdvance:
         c = -3.7
         # phi_eps(y)*(2|ibad|+1) == c for y = -c*eps^4, ibad = 0
         monkeypatch.setattr(shift_mod, "y_and_ibad", lambda *a, **k: (c * params.eps**4, 0.0))
-        out = advance(ShiftState(), state, dt=0.25, params=params, substeps=4)
-        assert out.X == pytest.approx(-c * 0.25, rel=1e-15)
+        out = advance(0.0, state, dt=0.25, params=params, substeps=4)
+        assert out == pytest.approx(-c * 0.25, rel=1e-15)
 
     def test_zero_perturbation_keeps_zero(self, params, grid):
         refs = reference_arrays(params, grid)
         state = State(n=GridField(grid, refs.ntil.copy()), q=GridField(grid, refs.qtil.copy()))
-        s = ShiftState()
+        x = 0.0
         for _ in range(20):
-            s = advance(s, state, 0.05, params)
-        assert s.X == 0.0 and s.X_dot == 0.0
+            x = advance(x, state, 0.05, params)
+        assert x == 0.0 and xdot(params, state, shift=x) == 0.0
 
     def test_substep_refinement_changes_x_at_order_dt(self, small_params):
         grid = lab_grid(small_params, num_cells=512)
         state = random_state(small_params, grid, 4)
 
         def final_x(dt):
-            coarse = advance(ShiftState(), state, dt, small_params, substeps=4)
-            fine = advance(ShiftState(), state, dt, small_params, substeps=16)
-            return abs(coarse.X - fine.X)
+            coarse = advance(0.0, state, dt, small_params, substeps=4)
+            fine = advance(0.0, state, dt, small_params, substeps=16)
+            return abs(coarse - fine)
 
         gap_1, gap_2 = final_x(0.04), final_x(0.02)
         assert gap_2 <= 0.75 * gap_1  # shrinks with dt
         assert gap_1 <= 10.0 * 0.04  # O(dt) with a moderate constant
-
-    def test_regime_recorded(self, params, grid):
-        state = random_state(params, grid, 2)
-        out = advance(ShiftState(), state, 1e-6, params)
-        assert out.regime in ("saturated_plus", "linear", "saturated_minus")
 
 
 class TestShiftedFunctionalConsistency:
@@ -182,11 +176,10 @@ class TestAdvanceStart:
     @pytest.mark.parametrize("seed,x0", [(0, 0.0), (3, 1.25), (5, -2.0)])
     def test_known_first_values_change_nothing(self, params, grid, seed, x0):
         state = random_state(params, grid, seed)
-        shift = ShiftState(X=x0)
         start = y_and_ibad(params, state, shift=x0)
         for substeps in (1, 4):
-            plain = advance(shift, state, 0.05, params, substeps=substeps)
-            known = advance(shift, state, 0.05, params, substeps=substeps, start=start)
+            plain = advance(x0, state, 0.05, params, substeps=substeps)
+            known = advance(x0, state, 0.05, params, substeps=substeps, start=start)
             assert known == plain
 
     def test_known_first_values_skip_one_evaluation(self, params, grid, monkeypatch):
@@ -199,5 +192,5 @@ class TestAdvanceStart:
 
         monkeypatch.setattr(shift_mod, "y_and_ibad", counting)
         start = y_and_ibad(params, state, shift=0.0)
-        advance(ShiftState(), state, 0.05, params, substeps=4, start=start)
+        advance(0.0, state, 0.05, params, substeps=4, start=start)
         assert len(shifts) == 3 and 0.0 not in shifts
