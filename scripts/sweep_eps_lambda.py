@@ -14,7 +14,7 @@ import json
 import warnings
 from pathlib import Path
 
-from contraction_lab import Grid, PerturbationSpec, SolverConfig, run
+from contraction_lab import Grid, NumericsError, PerturbationSpec, SolverConfig, run
 from contraction_lab.solver import StabilityError
 from contraction_lab.wave import make_wave_params
 
@@ -44,6 +44,8 @@ def sweep(t_end: float, num_cells: int, tol: float) -> list[dict]:
                 verdict = run(cfg).verdict()
             except StabilityError as exc:
                 entry.update(status="unstable", detail=str(exc))
+            except NumericsError as exc:
+                entry.update(status="numerics_error", detail=str(exc))
             else:
                 entry.update(
                     status="ok",
@@ -59,7 +61,7 @@ def sweep(t_end: float, num_cells: int, tol: float) -> list[dict]:
                     f"max_violation={entry.get('max_violation', float('nan')):.2e} "
                     f"R+steps={entry.get('rmain_positive_steps')}"
                     if entry["status"] == "ok"
-                    else "UNSTABLE"
+                    else entry["status"].upper()
                 )
             )
     return rows

@@ -26,7 +26,7 @@ from .functionals import (
 )
 from .grid import Grid, GridField, d2dx2, ddx_central, integrate
 from .poincare import R_poincare, W_from_state, sample_W, scan_delta_star
-from .shift import advance, phi_eps, xdot
+from .shift import advance, phi_eps
 from .solver import (
     PerturbationSpec,
     RunResult,

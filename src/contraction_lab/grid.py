@@ -67,10 +67,6 @@ class GridField:
             raise ValueError("field values must be finite")
         self.values = vals
 
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "GridField":
-        return cls(grid, np.asarray(fn(grid.nodes()), dtype=float))
-
     def with_values(self, values: np.ndarray) -> "GridField":
         return GridField(self.grid, values)
 
@@ -83,6 +79,16 @@ def integrate_values(values: np.ndarray, dx: float) -> float:
 def integrate(f: GridField) -> float:
     """Composite trapezoid rule over the field's grid."""
     return integrate_values(f.values, f.grid.dx)
+
+
+def _cumulative_trapezoid(values: np.ndarray, d) -> np.ndarray:
+    """Running trapezoid integrals over [x_0, x_j], j = 1..m-1, with spacing
+    `d`: a scalar dx or the m-1 steps np.diff(x).
+
+    The expression of `scipy.integrate.cumulative_trapezoid` without
+    `initial`, so the two agree bit for bit.
+    """
+    return np.cumsum(d * (values[1:] + values[:-1]) / 2.0)
 
 
 def _ddx_central(v: np.ndarray, dx: float) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .functionals import State, y_and_ibad
 from .wave import WaveParams
 
-__all__ = ["phi_eps", "phi_regime", "xdot", "advance"]
+__all__ = ["phi_eps", "phi_regime", "advance"]
 
 
 def phi_eps(y: float, eps: float) -> float:
@@ -33,16 +33,6 @@ def phi_regime(y: float, eps: float) -> str:
     if y >= e2:
         return "saturated_minus"
     return "linear"
-
-
-def xdot(params: WaveParams, state: State, shift: float = 0.0) -> float:
-    """Shift velocity Phi_eps(Y) (2 |I_bad| + 1) of the state seen at `shift`.
-
-    Always bounded by (1/eps^2)(2 |I_bad| + 1) since |Phi_eps| <= 1/eps^2,
-    with eps = params.eps.
-    """
-    y, ibad = y_and_ibad(params, state, shift=shift)
-    return phi_eps(y, params.eps) * (2.0 * abs(ibad) + 1.0)
 
 
 def advance(

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_banded
 
 from .functionals import (
@@ -36,7 +35,14 @@ from .functionals import (
     evaluate_pair,
     reference_arrays,
 )
-from .grid import Grid, GridField, _d2dx2, _ddx_central, _ddx_forward_biased
+from .grid import (
+    Grid,
+    GridField,
+    _cumulative_trapezoid,
+    _d2dx2,
+    _ddx_central,
+    _ddx_forward_biased,
+)
 from .shift import advance, phi_eps, phi_regime
 from .wave import WaveParams, characteristic_speeds
 
@@ -402,7 +408,7 @@ class RunResult:
         m = self.monitor
         tol = self.config.violation_tol
         # int_0^{t_j} D, with D at each time level
-        cum_d = cumulative_trapezoid(self.column("D"), self.column("t"))
+        cum_d = _cumulative_trapezoid(self.column("D"), np.diff(self.column("t")))
         dissipation_excess = float(
             np.max(m["eta_weighted"] + self.config.delta0 * cum_d - self.e0, initial=0.0)
         )
@@ -490,5 +496,5 @@ def reconstruct_concentration(q: GridField, c_ref: float) -> GridField:
     """
     if not c_ref > 0.0:
         raise ValueError("c_ref must be positive")
-    antideriv = cumulative_trapezoid(q.values, dx=q.grid.dx, initial=0.0)
+    antideriv = np.concatenate(([0.0], _cumulative_trapezoid(q.values, q.grid.dx)))
     return q.with_values(c_ref * np.exp(-antideriv))

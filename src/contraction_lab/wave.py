@@ -27,7 +27,6 @@ __all__ = [
     "profile_q",
     "weight_a",
     "weight_a_prime",
-    "weight_a_second",
     "y_of_xi",
     "xi_of_y",
     "characteristic_speeds",
@@ -261,11 +260,6 @@ def weight_a(params: WaveParams, xi):
 def weight_a_prime(params: WaveParams, xi):
     """a'(xi) = -(lam/eps) n~'(xi) > 0."""
     return _maybe_scalar(xi, _a_derivative_of(params, np.asarray(profile_n_prime(params, xi))))
-
-
-def weight_a_second(params: WaveParams, xi):
-    """a''(xi) = -(lam/eps) n~''(xi)."""
-    return _maybe_scalar(xi, _a_derivative_of(params, np.asarray(profile_n_second(params, xi))))
 
 
 def y_of_xi(params: WaveParams, xi):

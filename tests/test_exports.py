@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,19 @@ def test_package_imports_resolve():
         mod = importlib.import_module(f"contraction_lab.{module}")
         assert hasattr(mod, name), (module, name)
         assert getattr(contraction_lab, name) is getattr(mod, name), (module, name)
+
+
+def test_import_loads_no_scipy_integrate():
+    # scipy.integrate is the largest part of a fresh import; the package's
+    # running integrals are grid._cumulative_trapezoid
+    code = (
+        "import sys, contraction_lab, contraction_lab.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n"
+        "print(callable(contraction_lab.solver.solve_banded))\n"
+    )
+    src = str(Path(contraction_lab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]

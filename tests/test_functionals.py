@@ -30,6 +30,7 @@ from contraction_lab.grid import _ddx_central, integrate_values
 from contraction_lab.identities import random_state
 from contraction_lab.wave import (
     EXP_CLAMP,
+    _a_derivative_of,
     make_wave_params,
     profile_n,
     profile_n_prime,
@@ -37,7 +38,6 @@ from contraction_lab.wave import (
     profile_q,
     weight_a,
     weight_a_prime,
-    weight_a_second,
 )
 
 from conftest import lab_grid
@@ -700,8 +700,9 @@ def _eager_split(params, c, delta):
     inside = (np.abs(n / r.ntil - 1.0) <= delta).astype(float)
     outside = 1.0 - inside
     coeff = 1.0 + ratio * r.a / r.ntil
+    a_second = _a_derivative_of(params, profile_n_second(params, r.xi))
     b1 = integrate_values(-r.a_prime * r.qtil * pi, dx) + integrate_values(
-        -ratio * weight_a_second(params, r.xi) * (r.a / r.ntil) * pi, dx
+        -ratio * a_second * (r.a / r.ntil) * pi, dx
     )
     b2_in = 0.5 * params.sigma * integrate_values(r.a_prime * phi * phi * inside, dx)
     b2_out = integrate_values(-r.a_prime * (pi + coeff * (n - r.ntil)) * u * outside, dx)

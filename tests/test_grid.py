@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
 
 from contraction_lab.grid import (
     Grid,
     GridField,
+    _cumulative_trapezoid,
     _ddx_central,
     _ddx_forward_biased,
     d2dx2,
@@ -16,7 +17,8 @@ from contraction_lab.grid import (
 
 
 def make_field(fn, xi_min=-1.0, xi_max=1.0, num_cells=64):
-    return GridField.from_function(Grid(xi_min, xi_max, num_cells), fn)
+    g = Grid(xi_min, xi_max, num_cells)
+    return GridField(g, fn(g.nodes()))
 
 
 class TestGridBasics:
@@ -82,6 +84,32 @@ class TestIntegrate:
         )
 
 
+class TestCumulativeTrapezoid:
+    """The private running trapezoid is scipy's, bit for bit."""
+
+    SIZES = [2, 3, 4097, 8193]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_scalar_dx(self, size):
+        y = np.random.default_rng(size).normal(size=size)
+        dx = 0.0137
+        assert np.array_equal(_cumulative_trapezoid(y, dx), cumulative_trapezoid(y, dx=dx))
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_non_uniform_abscissae(self, size):
+        rng = np.random.default_rng(size + 1)
+        y = rng.normal(size=size)
+        x = np.cumsum(rng.uniform(0.01, 1.0, size=size)) - 3.0
+        assert np.array_equal(_cumulative_trapezoid(y, np.diff(x)), cumulative_trapezoid(y, x))
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_initial_zero(self, size):
+        y = np.random.default_rng(size + 2).normal(size=size)
+        dx = 0.25
+        got = np.concatenate(([0.0], _cumulative_trapezoid(y, dx)))
+        assert np.array_equal(got, cumulative_trapezoid(y, dx=dx, initial=0.0))
+
+
 class TestStencils:
     def test_central_exact_on_linear(self):
         f = make_field(lambda x: 3.0 * x - 2.0)
@@ -100,7 +128,7 @@ class TestStencils:
         errs = []
         for cells in cells_list:
             g = Grid(-1.0, 1.0, cells)
-            f = GridField.from_function(g, fn)
+            f = GridField(g, fn(g.nodes()))
             approx = op(f, **kwargs).values if kwargs else op(f).values
             errs.append(np.max(np.abs(approx - dfn(g.nodes()))))
         return np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from contraction_lab import (
     Grid,
@@ -184,6 +185,27 @@ class TestRun:
         assert e[-1] < res.e0
         assert res.verdict()["contraction_held"]
         assert res.verdict()["shift_bound_held"]
+
+    def test_dissipation_excess_matches_scipy(self, small_params):
+        grid = lab_grid(small_params, num_cells=512)
+        cfg = SolverConfig(
+            params=small_params, grid=grid, t_end=2.0, perturbation=bump_spec(0.3, 0.3)
+        )
+        res = run(cfg)
+
+        def scipy_excess(r):
+            cum_d = cumulative_trapezoid(r.column("D"), r.column("t"))
+            excess = r.monitor["eta_weighted"] + cfg.delta0 * cum_d - r.e0
+            return float(np.max(excess, initial=0.0))
+
+        assert res.verdict()["dissipation_excess"] == scipy_excess(res) == 0.0
+        # lower E_0 so that the excess is positive and reads the running integral
+        table = res.evaluations.copy()
+        table[0, EVALUATION_COLUMNS.index("eta_weighted")] = -1.0
+        lowered = replace(res, evaluations=table)
+        want = scipy_excess(lowered)
+        assert want > 1.0
+        assert lowered.verdict()["dissipation_excess"] == want
 
     def test_grid_must_bracket_center(self, small_params):
         with pytest.raises(ValueError, match="bracket"):
@@ -396,14 +418,14 @@ class TestConcentration:
 
     def test_round_trip_inverts_transform(self):
         g = Grid(-4.0, 4.0, 2048)
-        q = GridField.from_function(g, lambda x: 0.3 * np.tanh(x) + 0.1)
+        q = GridField(g, 0.3 * np.tanh(g.nodes()) + 0.1)
         c = reconstruct_concentration(q, c_ref=1.0)
         back = -ddx_central(GridField(g, np.log(c.values))).values
         assert np.max(np.abs(back[1:-1] - q.values[1:-1])) < 5e-5  # O(dx^2)
 
     def test_positive_everywhere(self):
         g = Grid(-2.0, 2.0, 128)
-        q = GridField.from_function(g, lambda x: 3.0 * np.sin(5 * x))
+        q = GridField(g, 3.0 * np.sin(5 * g.nodes()))
         c = reconstruct_concentration(q, c_ref=1e-3)
         assert np.all(c.values > 0)
 
