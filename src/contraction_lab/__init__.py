@@ -24,7 +24,7 @@ from .functionals import (
     reference_arrays,
     truncate,
 )
-from .grid import Grid, GridField, d2dx2, ddx_central, integrate
+from .grid import Grid, GridField, ddx_central, integrate
 from .poincare import R_poincare, W_from_state, sample_W, scan_delta_star
 from .shift import advance, phi_eps
 from .solver import (
@@ -35,7 +35,6 @@ from .solver import (
     initial_state,
     reconstruct_concentration,
     run,
-    step,
 )
 from .wave import (
     DomainError,

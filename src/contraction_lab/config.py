@@ -98,7 +98,6 @@ class ExperimentConfig:
             t_end=s["t_end"],
             perturbation=self.perturbation(seed),
             cfl=s["cfl"],
-            diffusion_mode=s["diffusion_mode"],
             dt=s["dt"],
             report_stride=f["report_stride"],
             shift_substeps=self.data["shift"]["substeps"],

@@ -1,4 +1,4 @@
-"""Uniform 1-D grid, trapezoid quadrature, and finite-difference stencils."""
+"""Uniform 1-D grid, trapezoid quadrature, and first-derivative stencils."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ __all__ = [
     "integrate",
     "integrate_values",
     "ddx_central",
-    "d2dx2",
 ]
 
 
@@ -111,16 +110,3 @@ def _ddx_forward_biased(v: np.ndarray, dx: float) -> np.ndarray:
     # the last two nodes of the central stencil, from the last three values
     out[-2:] = _ddx_central(v[-3:], dx)[1:]
     return out
-
-
-def _d2dx2(v: np.ndarray, dx: float) -> np.ndarray:
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
-    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (dx * dx)
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (dx * dx)
-    return out
-
-
-def d2dx2(f: GridField) -> GridField:
-    """Second-order Laplacian; second-order one-sided at boundary nodes."""
-    return f.with_values(_d2dx2(f.values, f.grid.dx))

@@ -8,6 +8,11 @@ diffusion solve; boundary nodes stay pinned to the analytic wave.  The
 frame advects at -sigma < 0 at every node, so the upwind-biased stencil is
 the three-point forward one throughout (`grid._ddx_forward_biased`).
 
+The implicit solve is the one diffusion path, so dt follows from the CFL
+limit of the first-order terms alone and does not shrink as nu grows.
+`run()` builds one `_Stepper` per run, once dt is known, and the stepper
+builds the banded matrix of the solve once.
+
 By default the discrete residual of the sampled wave is subtracted from
 the right-hand side, which makes the sampled wave a bit-exact fixed point
 of the scheme: a zero perturbation stays identically zero, shift included.
@@ -39,7 +44,6 @@ from .grid import (
     Grid,
     GridField,
     _cumulative_trapezoid,
-    _d2dx2,
     _ddx_central,
     _ddx_forward_biased,
 )
@@ -53,7 +57,6 @@ __all__ = [
     "RunResult",
     "EVALUATION_COLUMNS",
     "initial_state",
-    "step",
     "run",
     "reconstruct_concentration",
 ]
@@ -100,7 +103,6 @@ class SolverConfig:
     t_end: float
     perturbation: PerturbationSpec
     cfl: float = 0.4
-    diffusion_mode: str = "implicit"
     dt: Optional[float] = None
     report_stride: int = 1
     shift_substeps: int = 4
@@ -113,8 +115,6 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError("cfl must lie in (0, 1]")
-        if self.diffusion_mode not in ("implicit", "explicit"):
-            raise ValueError("diffusion_mode must be 'implicit' or 'explicit'")
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
         if self.report_stride < 1 or self.shift_substeps < 1:
@@ -190,79 +190,71 @@ def _initial_state(
 
 
 class _Stepper:
-    """Precomputed machinery for repeated steps on one grid."""
+    """The step of one run: its grid, references and dt are fixed when it is
+    built, and so is the banded matrix of the implicit diffusion solve."""
 
-    def __init__(self, params: WaveParams, grid: Grid, diffusion_mode: str, well_balanced: bool):
-        self.params = params
-        self.grid = grid
+    def __init__(
+        self,
+        params: WaveParams,
+        grid: Grid,
+        refs: ReferenceArrays,
+        dt: float,
+        well_balanced: bool,
+    ):
+        self.sigma = params.sigma
         self.dx = grid.dx
-        self.diffusion_mode = diffusion_mode
+        self.refs = refs
+        self.dt = dt
         self.well_balanced = well_balanced
-        self.refs = reference_arrays(params, grid)
         if well_balanced:
-            # hyperbolic and diffusive residuals of the sampled wave
-            self.residual_n, self.residual_q = self._hyperbolic(self.refs.ntil, self.refs.qtil)
-            self.wave_diffusion = params.nu * _d2dx2(self.refs.ntil, self.dx)
+            # hyperbolic residuals of the sampled wave
+            self.residual_n, self.residual_q = self._hyperbolic(refs.ntil, refs.qtil)
         else:
-            self.residual_n = np.zeros(grid.num_nodes)
-            self.residual_q = np.zeros(grid.num_nodes)
-            self.wave_diffusion = np.zeros(grid.num_nodes)
-        self._banded_cache: dict[float, np.ndarray] = {}
+            self.residual_n = self.residual_q = 0.0
+        r = params.nu * dt / (self.dx * self.dx)
+        ab = np.zeros((3, grid.num_nodes))
+        ab[0, 2:] = -r
+        ab[1, :] = 1.0 + 2.0 * r
+        ab[2, :-2] = -r
+        # Dirichlet rows at both ends
+        ab[1, 0] = ab[1, -1] = 1.0
+        ab[0, 1] = 0.0
+        ab[2, -2] = 0.0
+        self.ab = ab
 
     def _hyperbolic(self, n: np.ndarray, q: np.ndarray):
         """First-order terms: sigma-advection upwinded (forward), coupling central."""
-        sig = self.params.sigma
-        rn = sig * _ddx_forward_biased(n, self.dx) + _ddx_central(n * q, self.dx)
-        rq = sig * _ddx_forward_biased(q, self.dx) + _ddx_central(n, self.dx)
+        rn = self.sigma * _ddx_forward_biased(n, self.dx) + _ddx_central(n * q, self.dx)
+        rq = self.sigma * _ddx_forward_biased(q, self.dx) + _ddx_central(n, self.dx)
         return rn, rq
 
-    def _explicit_rhs(self, n: np.ndarray, q: np.ndarray):
+    def _rhs(self, n: np.ndarray, q: np.ndarray):
         rn, rq = self._hyperbolic(n, q)
         rn -= self.residual_n
         rq -= self.residual_q
-        if self.diffusion_mode == "explicit":
-            rn += self.params.nu * _d2dx2(n, self.dx) - self.wave_diffusion
         rn[0] = rn[-1] = 0.0
         rq[0] = rq[-1] = 0.0
         return rn, rq
 
-    def _banded(self, dt: float) -> np.ndarray:
-        ab = self._banded_cache.get(dt)
-        if ab is None:
-            m = self.grid.num_nodes
-            r = self.params.nu * dt / (self.dx * self.dx)
-            ab = np.zeros((3, m))
-            ab[0, 2:] = -r
-            ab[1, :] = 1.0 + 2.0 * r
-            ab[2, :-2] = -r
-            # Dirichlet rows at both ends
-            ab[1, 0] = ab[1, -1] = 1.0
-            ab[0, 1] = 0.0
-            ab[2, -2] = 0.0
-            self._banded_cache[dt] = ab
-        return ab
-
-    def step(self, n: np.ndarray, q: np.ndarray, dt: float):
-        # two-stage (Heun) update of the explicit terms
-        rn1, rq1 = self._explicit_rhs(n, q)
-        rn2, rq2 = self._explicit_rhs(n + dt * rn1, q + dt * rq1)
+    def step(self, n: np.ndarray, q: np.ndarray):
+        dt = self.dt
+        # two-stage (Heun) update of the first-order terms
+        rn1, rq1 = self._rhs(n, q)
+        rn2, rq2 = self._rhs(n + dt * rn1, q + dt * rq1)
         n_star = n + 0.5 * dt * (rn1 + rn2)
         q_new = q + 0.5 * dt * (rq1 + rq2)
 
-        if self.diffusion_mode == "implicit":
-            if self.well_balanced:
-                # delta form around the sampled wave: exact fixed point
-                rhs = n_star - self.refs.ntil
-                rhs[0] = rhs[-1] = 0.0
-                delta = solve_banded((1, 1), self._banded(dt), rhs)
-                n_new = self.refs.ntil + delta
-            else:
-                rhs = n_star.copy()
-                rhs[0] = self.refs.ntil[0]
-                rhs[-1] = self.refs.ntil[-1]
-                n_new = solve_banded((1, 1), self._banded(dt), rhs)
+        # backward-Euler diffusion
+        if self.well_balanced:
+            # delta form around the sampled wave: exact fixed point
+            rhs = n_star - self.refs.ntil
+            rhs[0] = rhs[-1] = 0.0
+            n_new = self.refs.ntil + solve_banded((1, 1), self.ab, rhs)
         else:
-            n_new = n_star
+            rhs = n_star
+            rhs[0] = self.refs.ntil[0]
+            rhs[-1] = self.refs.ntil[-1]
+            n_new = solve_banded((1, 1), self.ab, rhs)
 
         n_new[0] = self.refs.ntil[0]
         n_new[-1] = self.refs.ntil[-1]
@@ -270,27 +262,12 @@ class _Stepper:
         q_new[-1] = self.refs.qtil[-1]
         return n_new, q_new
 
-    def stable_dt(self, state: State, cfl: float) -> float:
-        lo, hi = characteristic_speeds(state.n.values, state.q.values, self.params.sigma)
-        max_speed = max(np.max(np.abs(lo)), np.max(np.abs(hi)), 1e-12)
-        dt = cfl * self.dx / max_speed
-        if self.diffusion_mode == "explicit":
-            dt = min(dt, cfl * self.dx * self.dx / (2.0 * self.params.nu))
-        return dt
 
-
-def step(
-    state: State,
-    dt: float,
-    params: WaveParams,
-    diffusion_mode: str = "implicit",
-    well_balanced: bool = False,
-) -> State:
-    """One IMEX step; convenience wrapper building the machinery each call."""
-    stepper = _Stepper(params, state.grid, diffusion_mode, well_balanced)
-    n_new, q_new = stepper.step(state.n.values.copy(), state.q.values.copy(), dt)
-    _check_state(n_new, q_new)
-    return State(n=GridField(state.grid, n_new), q=GridField(state.grid, q_new))
+def _stable_dt(params: WaveParams, grid: Grid, state: State, cfl: float) -> float:
+    """The CFL step of the first-order terms at `state`."""
+    lo, hi = characteristic_speeds(state.n.values, state.q.values, params.sigma)
+    max_speed = max(np.max(np.abs(lo)), np.max(np.abs(hi)), 1e-12)
+    return cfl * grid.dx / max_speed
 
 
 def _check_state(n: np.ndarray, q: np.ndarray, t: float | None = None):
@@ -448,12 +425,13 @@ def _row(t: float, x: float, evaluation) -> list[float]:
 def run(config: SolverConfig) -> RunResult:
     """Integrate PDE and shift ODE in lockstep, evaluating every time level."""
     params = config.params
-    stepper = _Stepper(params, config.grid, config.diffusion_mode, config.well_balanced)
-    state = _initial_state(params, config.grid, config.perturbation, stepper.refs)
+    refs = reference_arrays(params, config.grid)
+    state = _initial_state(params, config.grid, config.perturbation, refs)
 
-    dt = config.dt if config.dt is not None else stepper.stable_dt(state, config.cfl)
+    dt = config.dt if config.dt is not None else _stable_dt(params, config.grid, state, config.cfl)
     n_steps = max(1, int(np.ceil(config.t_end / dt - 1e-12)))
     dt = config.t_end / n_steps
+    stepper = _Stepper(params, config.grid, refs, dt, config.well_balanced)
 
     x = 0.0
     current = state
@@ -470,7 +448,7 @@ def run(config: SolverConfig) -> RunResult:
         x = advance(
             x, current, dt, params, substeps=config.shift_substeps, start=(rep.Y, rep.I_bad)
         )
-        n, q = stepper.step(n, q, dt)
+        n, q = stepper.step(n, q)
         t = (k + 1) * dt
         _check_state(n, q, t=t)
         current = State(n=GridField(config.grid, n), q=GridField(config.grid, q))

@@ -176,7 +176,6 @@ class TestCommands:
                 "solver": {
                     "t_end": 50.0,
                     "dt": 25.0,
-                    "diffusion_mode": "explicit",
                     "perturbation": {"amplitude_n": 0.8, "amplitude_q": 0.8, "width": 10.0},
                 }
             },
@@ -227,6 +226,14 @@ class TestCommands:
             main(["--config", str(cfg_path), "--out", str(tmp_path / "o"), "--override", "oops", "wave"])
             == 2
         )
+
+    def test_explicit_diffusion_is_a_config_error(self, tmp_path, capsys):
+        # the implicit solve is the solver's only diffusion path
+        cfg_path = write_config(tmp_path)
+        override = 'solver.diffusion_mode="explicit"'
+        args = ["--config", str(cfg_path), "--out", str(tmp_path / "o"), "--override", override]
+        assert main([*args, "simulate"]) == 2
+        assert "solver.diffusion_mode" in capsys.readouterr().err
 
     def test_run_csv_matches_documented_schema(self, tmp_path):
         import csv

@@ -10,7 +10,6 @@ from contraction_lab.grid import (
     _cumulative_trapezoid,
     _ddx_central,
     _ddx_forward_biased,
-    d2dx2,
     ddx_central,
     integrate,
 )
@@ -115,14 +114,6 @@ class TestStencils:
         f = make_field(lambda x: 3.0 * x - 2.0)
         np.testing.assert_allclose(ddx_central(f).values, 3.0, rtol=1e-12)
 
-    def test_laplacian_exact_on_quadratic_interior(self):
-        f = make_field(lambda x: x**2)
-        np.testing.assert_allclose(d2dx2(f).values[1:-1], 2.0, rtol=1e-10)
-
-    def test_laplacian_boundary_second_order(self):
-        f = make_field(lambda x: x**2)
-        np.testing.assert_allclose(d2dx2(f).values, 2.0, rtol=1e-9)
-
     @staticmethod
     def _order(op, fn, dfn, cells_list, **kwargs):
         errs = []
@@ -136,10 +127,6 @@ class TestStencils:
     def test_central_second_order(self):
         s1, s2 = self._order(ddx_central, np.sin, np.cos, (64, 128, 256))
         assert s1 >= 1.95 and s2 >= 1.95
-
-    def test_laplacian_second_order(self):
-        s1, s2 = self._order(d2dx2, np.sin, lambda x: -np.sin(x), (64, 128, 256))
-        assert s1 >= 1.9 and s2 >= 1.9
 
     def test_upwind_biased_second_order(self):
         # the frame speed is negative at every node, so upwind-biased is forward

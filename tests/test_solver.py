@@ -14,7 +14,6 @@ from contraction_lab import (
     initial_state,
     reconstruct_concentration,
     run,
-    step,
 )
 from contraction_lab.functionals import (
     eta_unweighted,
@@ -24,7 +23,7 @@ from contraction_lab.functionals import (
 )
 from contraction_lab.grid import ddx_central, integrate
 from contraction_lab.shift import phi_eps, phi_regime
-from contraction_lab.solver import EVALUATION_COLUMNS
+from contraction_lab.solver import EVALUATION_COLUMNS, _check_state, _Stepper
 
 from conftest import lab_grid
 
@@ -85,6 +84,19 @@ class TestInitialState:
             PerturbationSpec(kind="sawtooth")
 
 
+def make_stepper(params, grid, dt, well_balanced):
+    return _Stepper(params, grid, reference_arrays(params, grid), dt, well_balanced)
+
+
+def take_steps(stepper, state, steps):
+    """`steps` steps from `state`, each checked as run() checks it."""
+    n, q = state.n.values.copy(), state.q.values.copy()
+    for _ in range(steps):
+        n, q = stepper.step(n, q)
+        _check_state(n, q)
+    return n, q
+
+
 class TestStep:
     def test_constant_state_exactly_preserved(self, params):
         # far-left window: the wave is bitwise constant there, so a constant
@@ -94,13 +106,10 @@ class TestStep:
         n0 = np.full(far.num_nodes, params.n_minus)
         q0 = np.full(far.num_nodes, params.q_minus)
         state = State(n=GridField(far, n0), q=GridField(far, q0))
-        out = step(state, 1e-3, params, diffusion_mode="explicit")
-        np.testing.assert_array_equal(out.n.values, n0)
-        np.testing.assert_array_equal(out.q.values, q0)
+        n, q = take_steps(make_stepper(params, far, 1e-3, well_balanced=False), state, 1)
         # the implicit solve round-trips a constant only to rounding
-        out = step(state, 1e-3, params, diffusion_mode="implicit")
-        np.testing.assert_allclose(out.n.values, n0, rtol=0, atol=2e-15)
-        np.testing.assert_array_equal(out.q.values, q0)
+        np.testing.assert_allclose(n, n0, rtol=0, atol=2e-15)
+        np.testing.assert_array_equal(q, q0)
 
     def test_steady_wave_drift_refines_at_order(self, small_params):
         # raw truncation: the sampled wave drifts at O(dx^2) for fixed dt
@@ -109,15 +118,10 @@ class TestStep:
         for cells in (512, 1024, 2048):
             grid = lab_grid(small_params, num_cells=cells)
             refs = reference_arrays(small_params, grid)
-            state = State(n=GridField(grid, refs.ntil.copy()), q=GridField(grid, refs.qtil.copy()))
-            for _ in range(200):
-                state = step(state, dt, small_params, well_balanced=False)
-            drifts.append(
-                max(
-                    np.max(np.abs(state.n.values - refs.ntil)),
-                    np.max(np.abs(state.q.values - refs.qtil)),
-                )
-            )
+            state = State(n=GridField(grid, refs.ntil), q=GridField(grid, refs.qtil))
+            stepper = make_stepper(small_params, grid, dt, well_balanced=False)
+            n, q = take_steps(stepper, state, 200)
+            drifts.append(max(np.max(np.abs(n - refs.ntil)), np.max(np.abs(q - refs.qtil))))
         order1 = np.log2(drifts[0] / drifts[1])
         order2 = np.log2(drifts[1] / drifts[2])
         assert drifts[2] < drifts[0]
@@ -126,10 +130,10 @@ class TestStep:
     def test_well_balanced_wave_is_fixed_point(self, small_params):
         grid = lab_grid(small_params, num_cells=512)
         refs = reference_arrays(small_params, grid)
-        state = State(n=GridField(grid, refs.ntil.copy()), q=GridField(grid, refs.qtil.copy()))
-        out = step(state, 0.05, small_params, well_balanced=True)
-        np.testing.assert_array_equal(out.n.values, refs.ntil)
-        np.testing.assert_array_equal(out.q.values, refs.qtil)
+        state = State(n=GridField(grid, refs.ntil), q=GridField(grid, refs.qtil))
+        n, q = take_steps(make_stepper(small_params, grid, 0.05, well_balanced=True), state, 1)
+        np.testing.assert_array_equal(n, refs.ntil)
+        np.testing.assert_array_equal(q, refs.qtil)
 
     def test_perturbation_mass_is_conserved(self, small_params):
         # divergence form: interior stencils telescope, boundary strips stay
@@ -139,22 +143,18 @@ class TestStep:
         refs = reference_arrays(small_params, grid)
         mass_n0 = integrate(GridField(grid, state.n.values - refs.ntil))
         mass_q0 = integrate(GridField(grid, state.q.values - refs.qtil))
-        t, dt = 0.0, 0.02
-        while t < 1.0:
-            state = step(state, dt, small_params)
-            t += dt
-        mass_n = integrate(GridField(grid, state.n.values - refs.ntil))
-        mass_q = integrate(GridField(grid, state.q.values - refs.qtil))
+        n, q = take_steps(make_stepper(small_params, grid, 0.02, well_balanced=False), state, 50)
+        mass_n = integrate(GridField(grid, n - refs.ntil))
+        mass_q = integrate(GridField(grid, q - refs.qtil))
         assert abs(mass_n - mass_n0) < 1e-8
         assert abs(mass_q - mass_q0) < 1e-8
 
     def test_blowup_raises_stability_error(self, small_params):
         grid = lab_grid(small_params, num_cells=256)
         state = initial_state(small_params, grid, bump_spec(amp_n=1.5, amp_q=1.5, width=3.0))
+        stepper = make_stepper(small_params, grid, 5.0, well_balanced=False)
         with pytest.raises(StabilityError):
-            out = state
-            for _ in range(50):
-                out = step(out, 5.0, small_params, diffusion_mode="explicit")
+            take_steps(stepper, state, 50)
 
 
 class TestRun:
@@ -238,14 +238,6 @@ class TestRun:
         for row, j in zip(rows, ends):
             table = dict(zip(EVALUATION_COLUMNS, res.evaluations[j].tolist()))
             assert all(row[header.index(name)] == v for name, v in table.items())
-
-    def test_explicit_mode_matches_implicit_at_small_dt(self, small_params):
-        grid = lab_grid(small_params, num_cells=512)
-        kw = dict(params=small_params, grid=grid, t_end=0.2, perturbation=bump_spec(0.1, 0.1))
-        res_im = run(SolverConfig(dt=1e-3, diffusion_mode="implicit", **kw))
-        res_ex = run(SolverConfig(dt=1e-3, diffusion_mode="explicit", **kw))
-        gap = np.max(np.abs(res_im.final_state.n.values - res_ex.final_state.n.values))
-        assert gap < 1e-4
 
     def test_shifted_wave_is_tracked_by_the_shift(self, small_params):
         # initial data = the wave translated by 8: the weighted entropy must
