@@ -386,9 +386,8 @@ class RunResult:
         tol = self.config.violation_tol
         # int_0^{t_j} D, with D at each time level
         cum_d = _cumulative_trapezoid(self.column("D"), np.diff(self.column("t")))
-        dissipation_excess = float(
-            np.max(m["eta_weighted"] + self.config.delta0 * cum_d - self.e0, initial=0.0)
-        )
+        # signed: <= 0 is the margin by which the inequality held
+        dissipation_excess = float(np.max(m["eta_weighted"] + self.config.delta0 * cum_d - self.e0))
         violations = m["violation"]
         eta_unw = m["eta_unweighted"]
         monitored = np.abs(m["Y"]) <= self.config.params.eps**2

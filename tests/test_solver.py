@@ -196,9 +196,9 @@ class TestRun:
         def scipy_excess(r):
             cum_d = cumulative_trapezoid(r.column("D"), r.column("t"))
             excess = r.monitor["eta_weighted"] + cfg.delta0 * cum_d - r.e0
-            return float(np.max(excess, initial=0.0))
+            return float(np.max(excess))
 
-        assert res.verdict()["dissipation_excess"] == scipy_excess(res) == 0.0
+        assert res.verdict()["dissipation_excess"] == scipy_excess(res) < 0
         # lower E_0 so that the excess is positive and reads the running integral
         table = res.evaluations.copy()
         table[0, EVALUATION_COLUMNS.index("eta_weighted")] = -1.0
