@@ -111,9 +111,6 @@ class ExperimentConfig:
         p = self.data["poincare"]
         return np.geomspace(p["delta_min"], p["delta_max"], p["delta_points"])
 
-    def to_json(self) -> str:
-        return json.dumps(self.data, indent=2, sort_keys=True)
-
 
 def load_config(path: str | Path) -> ExperimentConfig:
     try:

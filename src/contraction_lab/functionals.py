@@ -606,9 +606,6 @@ class FunctionalReport:
             self.delta_used,
         ]
 
-    def to_json_dict(self) -> dict:
-        return dict(zip(REPORT_COLUMNS, self.to_row()))
-
 
 def _report(params: WaveParams, c: _Core, delta0: float, delta1: float) -> FunctionalReport:
     """Every functional of one core; the one definition of R_main."""

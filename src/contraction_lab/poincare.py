@@ -12,7 +12,6 @@ module samples test functions and scans for the empirical one.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,9 +180,6 @@ class ScanResult:
             "n_samples": self.n_samples,
             "tol": self.tol,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def scan_delta_star(

@@ -585,7 +585,7 @@ class TestReport:
         assert rep.delta_used == 0.25
         row = rep.to_row()
         assert len(row) == len(cl.functionals.REPORT_COLUMNS)
-        assert rep.to_json_dict()["Y"] == rep.Y
+        assert dict(zip(cl.functionals.REPORT_COLUMNS, row))["Y"] == rep.Y
 
     def test_state_checks(self, grid):
         with pytest.raises(DomainError):

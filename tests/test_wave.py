@@ -18,7 +18,7 @@ from contraction_lab import (
     y_of_xi,
 )
 from contraction_lab.grid import GridField, integrate
-from contraction_lab.wave import rankine_hugoniot_residuals
+from contraction_lab.wave import characteristic_speeds, rankine_hugoniot_residuals
 
 from conftest import lab_grid
 
@@ -247,6 +247,20 @@ class TestCoordinateMap:
         lhs = -np.asarray(profile_n_prime(params, xi)) / params.eps
         rhs = np.asarray(weight_a_prime(params, xi)) / params.lam
         np.testing.assert_allclose(lhs, rhs, rtol=1e-13)
+
+
+class TestCharacteristicSpeeds:
+    def test_eigenvalues_of_frame_jacobian(self, params):
+        # every run's dt comes from these speeds: the eigenvalues of the
+        # Jacobian of the moving-frame flux (-sigma n - n q, -sigma q - n)
+        rng = np.random.default_rng(8)
+        n = rng.uniform(1e-3, 10.0, 50)
+        q = rng.uniform(-5.0, 5.0, 50)
+        lo, hi = characteristic_speeds(n, q, params.sigma)
+        for k in range(n.size):
+            jac = [[-params.sigma - q[k], -n[k]], [-1.0, -params.sigma]]
+            want = np.sort(np.linalg.eigvals(jac).real)
+            np.testing.assert_allclose([lo[k], hi[k]], want, rtol=1e-12, atol=1e-12)
 
 
 class TestWarnings:
