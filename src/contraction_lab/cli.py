@@ -11,7 +11,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -151,13 +151,15 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int | None = None) 
 
 def cmd_identities(cfg: ExperimentConfig, out_dir: Path, n_random: int | None = None,
                    seed: int | None = None) -> int:
+    if n_random is not None and n_random < 1:
+        raise ConfigError(f"--samples must be at least 1, got {n_random}")
     params = cfg.wave_params()
     ident = cfg.data["identities"]
     grid = replace(cfg.grid(params), num_cells=ident["num_cells"])
     report = check_identities(
         params,
         grid,
-        n_states=n_random or ident["n_states"],
+        n_states=n_random if n_random is not None else ident["n_states"],
         deltas=ident["deltas"],
         seed=seed if seed is not None else ident["seed"],
         tol=ident["tol"],
@@ -179,7 +181,7 @@ def cmd_poincare(cfg: ExperimentConfig, out_dir: Path, seed: int | None = None) 
         seed=seed if seed is not None else p["seed"],
         n_cells=p["y_cells"],
     )
-    payload = result.to_json_dict()
+    payload = asdict(result)
     payload["config"] = cfg.data
     _write_json(out_dir / "poincare_scan.json", payload)
     print(

@@ -100,10 +100,8 @@ class ExperimentConfig:
             cfl=s["cfl"],
             dt=s["dt"],
             report_stride=f["report_stride"],
-            shift_substeps=self.data["shift"]["substeps"],
             delta0=f["delta0"],
             delta1=f["delta1"],
-            well_balanced=s["well_balanced"],
             violation_tol=f["violation_tol"],
         )
 

@@ -32,6 +32,8 @@ __all__ = [
 
 DEFAULT_Y_CELLS = 4096
 SAMPLE_FAMILIES = ("fourier", "polynomial", "bump")
+# A sample passes at delta when R_delta(W) <= SCAN_TOL.
+SCAN_TOL = 1e-10
 
 
 def _y_nodes(n_cells: int) -> np.ndarray:
@@ -169,29 +171,17 @@ class ScanResult:
     n_samples: int
     tol: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "M": self.M,
-            "delta_grid": list(map(float, self.delta_grid)),
-            "pass_counts": list(map(int, self.pass_counts)),
-            "delta_star_empirical": self.delta_star_empirical,
-            "worst_sample_seed": self.worst_sample_seed,
-            "worst_value": self.worst_value,
-            "n_samples": self.n_samples,
-            "tol": self.tol,
-        }
-
 
 def scan_delta_star(
     M: float,
     n_samples: int,
     delta_grid,
     seed: int = 0,
-    families=SAMPLE_FAMILIES,
     n_cells: int = DEFAULT_Y_CELLS,
-    tol: float = 1e-10,
 ) -> ScanResult:
-    """Largest grid delta for which every sample satisfies R_delta(W) <= tol.
+    """Largest grid delta for which every sample satisfies R_delta(W) <= SCAN_TOL.
+
+    Sample i has seed `seed + i` and cycles through SAMPLE_FAMILIES.
 
     A lower bound on the true threshold; the functional is monotone
     increasing in delta, so the passing deltas form an initial segment of
@@ -203,7 +193,7 @@ def scan_delta_star(
     if not deltas:
         raise ValueError("delta_grid must be non-empty")
     sampled = [
-        (seed + i, _draw(seed + i, M, families[i % len(families)], n_cells)[1])
+        (seed + i, _draw(seed + i, M, SAMPLE_FAMILIES[i % len(SAMPLE_FAMILIES)], n_cells)[1])
         for i in range(n_samples)
     ]
 
@@ -216,7 +206,7 @@ def scan_delta_star(
         count = 0
         for s_seed, moms in sampled:
             r = _r_from_moments(moms, d)
-            if r <= tol:
+            if r <= SCAN_TOL:
                 count += 1
             elif r > worst_value:
                 worst_value = r
@@ -234,7 +224,7 @@ def scan_delta_star(
         worst_sample_seed=worst_seed,
         worst_value=float(worst_value) if np.isfinite(worst_value) else 0.0,
         n_samples=n_samples,
-        tol=tol,
+        tol=SCAN_TOL,
     )
 
 

@@ -13,10 +13,11 @@ limit of the first-order terms alone and does not shrink as nu grows.
 `run()` builds one `_Stepper` per run, once dt is known, and the stepper
 builds the banded matrix of the solve once.
 
-By default the discrete residual of the sampled wave is subtracted from
-the right-hand side, which makes the sampled wave a bit-exact fixed point
-of the scheme: a zero perturbation stays identically zero, shift included.
-Disable `well_balanced` to measure the raw truncation drift instead.
+The step works in delta form around the sampled wave: the discrete
+residual of the wave is subtracted from the right-hand side, and the
+diffusion solve acts on the difference from the wave.  This makes the
+sampled wave a bit-exact fixed point of the scheme: a zero perturbation
+stays identically zero, shift included.
 
 Monitoring evaluates each (state, shift) pair once, and stores it once.  The
 evaluation at time level j, (U_j, X_j), is row j of one preallocated table,
@@ -92,6 +93,8 @@ class PerturbationSpec:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
         if self.width <= 0.0:
             raise ValueError("width must be positive")
+        if self.kind == "custom_file" and self.path is None:
+            raise ValueError("perturbation kind 'custom_file' needs perturbation.path")
 
 
 @dataclass(frozen=True)
@@ -105,10 +108,8 @@ class SolverConfig:
     cfl: float = 0.4
     dt: Optional[float] = None
     report_stride: int = 1
-    shift_substeps: int = 4
     delta0: float = 0.01
     delta1: float = 0.25
-    well_balanced: bool = True
     keep_states: bool = False
     violation_tol: float = 1e-7
 
@@ -117,8 +118,8 @@ class SolverConfig:
             raise ValueError("cfl must lie in (0, 1]")
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
-        if self.report_stride < 1 or self.shift_substeps < 1:
-            raise ValueError("strides must be >= 1")
+        if self.report_stride < 1:
+            raise ValueError("report_stride must be >= 1")
         if self.dt is not None and self.dt <= 0.0:
             raise ValueError("dt must be positive when given")
         if not (self.grid.xi_min < 0.0 < self.grid.xi_max):
@@ -155,7 +156,10 @@ def _perturbation_arrays(spec: PerturbationSpec, grid: Grid, params: WaveParams)
         return dn, dq
 
     # custom_file: CSV columns xi, dn, dq interpolated onto the grid
-    data = np.genfromtxt(spec.path, delimiter=",", names=True)
+    try:
+        data = np.genfromtxt(spec.path, delimiter=",", names=True)
+    except OSError as exc:
+        raise ValueError(f"cannot read perturbation file {spec.path!r}: {exc}") from exc
     dn = np.interp(xi, data["xi"], data["dn"], left=0.0, right=0.0)
     dq = np.interp(xi, data["xi"], data["dq"], left=0.0, right=0.0)
     return dn, dq
@@ -193,24 +197,13 @@ class _Stepper:
     """The step of one run: its grid, references and dt are fixed when it is
     built, and so is the banded matrix of the implicit diffusion solve."""
 
-    def __init__(
-        self,
-        params: WaveParams,
-        grid: Grid,
-        refs: ReferenceArrays,
-        dt: float,
-        well_balanced: bool,
-    ):
+    def __init__(self, params: WaveParams, grid: Grid, refs: ReferenceArrays, dt: float):
         self.sigma = params.sigma
         self.dx = grid.dx
         self.refs = refs
         self.dt = dt
-        self.well_balanced = well_balanced
-        if well_balanced:
-            # hyperbolic residuals of the sampled wave
-            self.residual_n, self.residual_q = self._hyperbolic(refs.ntil, refs.qtil)
-        else:
-            self.residual_n = self.residual_q = 0.0
+        # hyperbolic residuals of the sampled wave
+        self.residual_n, self.residual_q = self._hyperbolic(refs.ntil, refs.qtil)
         r = params.nu * dt / (self.dx * self.dx)
         ab = np.zeros((3, grid.num_nodes))
         ab[0, 2:] = -r
@@ -244,18 +237,10 @@ class _Stepper:
         n_star = n + 0.5 * dt * (rn1 + rn2)
         q_new = q + 0.5 * dt * (rq1 + rq2)
 
-        # backward-Euler diffusion
-        if self.well_balanced:
-            # delta form around the sampled wave: exact fixed point
-            rhs = n_star - self.refs.ntil
-            rhs[0] = rhs[-1] = 0.0
-            n_new = self.refs.ntil + solve_banded((1, 1), self.ab, rhs)
-        else:
-            rhs = n_star
-            rhs[0] = self.refs.ntil[0]
-            rhs[-1] = self.refs.ntil[-1]
-            n_new = solve_banded((1, 1), self.ab, rhs)
-
+        # backward-Euler diffusion in delta form around the sampled wave
+        rhs = n_star - self.refs.ntil
+        rhs[0] = rhs[-1] = 0.0
+        n_new = self.refs.ntil + solve_banded((1, 1), self.ab, rhs)
         n_new[0] = self.refs.ntil[0]
         n_new[-1] = self.refs.ntil[-1]
         q_new[0] = self.refs.qtil[0]
@@ -430,7 +415,7 @@ def run(config: SolverConfig) -> RunResult:
     dt = config.dt if config.dt is not None else _stable_dt(params, config.grid, state, config.cfl)
     n_steps = max(1, int(np.ceil(config.t_end / dt - 1e-12)))
     dt = config.t_end / n_steps
-    stepper = _Stepper(params, config.grid, refs, dt, config.well_balanced)
+    stepper = _Stepper(params, config.grid, refs, dt)
 
     x = 0.0
     current = state
@@ -444,9 +429,7 @@ def run(config: SolverConfig) -> RunResult:
     q = state.q.values.copy()
     for k in range(n_steps):
         rep = evaluation.report
-        x = advance(
-            x, current, dt, params, substeps=config.shift_substeps, start=(rep.Y, rep.I_bad)
-        )
+        x = advance(x, current, dt, params, start=(rep.Y, rep.I_bad))
         n, q = stepper.step(n, q)
         t = (k + 1) * dt
         _check_state(n, q, t=t)

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -5,8 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+from contraction_lab import PerturbationSpec, SolverConfig
 from contraction_lab.cli import main
-from contraction_lab.config import ConfigError, apply_override, load_config
+from contraction_lab.config import ConfigError, _schema, apply_override, load_config
+from contraction_lab.identities import check_identities
+from contraction_lab.poincare import DEFAULT_Y_CELLS
 
 
 def write_config(tmp_path, extra=None):
@@ -73,6 +78,40 @@ class TestConfig:
         )
         with pytest.raises(ConfigError, match="n_minus"):
             load_config(path)
+
+
+def _field_default(cls, name):
+    return {f.name: f.default for f in dataclasses.fields(cls)}[name]
+
+
+def _param_default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+# (schema path, the Python API default it shadows)
+SHADOWED_DEFAULTS = [
+    ("solver.cfl", _field_default(SolverConfig, "cfl")),
+    ("functionals.report_stride", _field_default(SolverConfig, "report_stride")),
+    ("functionals.delta0", _field_default(SolverConfig, "delta0")),
+    ("functionals.delta1", _field_default(SolverConfig, "delta1")),
+    ("functionals.violation_tol", _field_default(SolverConfig, "violation_tol")),
+    *[(f"solver.perturbation.{f.name}", f.default) for f in dataclasses.fields(PerturbationSpec)],
+    ("identities.n_states", _param_default(check_identities, "n_states")),
+    ("identities.deltas", list(_param_default(check_identities, "deltas"))),
+    ("identities.seed", _param_default(check_identities, "seed")),
+    ("identities.tol", _param_default(check_identities, "tol")),
+    ("poincare.y_cells", DEFAULT_Y_CELLS),
+]
+
+
+@pytest.mark.parametrize(
+    "schema_path, api_default", SHADOWED_DEFAULTS, ids=[path for path, _ in SHADOWED_DEFAULTS]
+)
+def test_schema_default_matches_api_default(schema_path, api_default):
+    node = _schema()
+    for key in schema_path.split("."):
+        node = node["properties"][key]
+    assert node["default"] == api_default
 
 
 class TestCommands:
@@ -234,6 +273,38 @@ class TestCommands:
         args = ["--config", str(cfg_path), "--out", str(tmp_path / "o"), "--override", override]
         assert main([*args, "simulate"]) == 2
         assert "solver.diffusion_mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [("solver.well_balanced=false", "well_balanced"), ("shift.substeps=8", "shift")],
+    )
+    def test_deleted_option_is_a_config_error(self, tmp_path, capsys, override, key):
+        # the delta-form step is the solver's only step, with 4 shift substeps
+        cfg_path = write_config(tmp_path)
+        args = ["--config", str(cfg_path), "--out", str(tmp_path / "o"), "--override", override]
+        assert main([*args, "simulate"]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+    def test_custom_file_without_path_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {"solver": {"perturbation": {"kind": "custom_file"}}})
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o"), "simulate"]) == 2
+        assert "perturbation.path" in capsys.readouterr().err
+
+    def test_unreadable_custom_file_is_a_config_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        cfg_path = write_config(
+            tmp_path, {"solver": {"perturbation": {"kind": "custom_file", "path": str(missing)}}}
+        )
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o"), "simulate"]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_samples_below_one_is_a_config_error(self, tmp_path, capsys, samples):
+        cfg_path = write_config(tmp_path, {"identities": {"n_states": 2, "num_cells": 64}})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out), "identities", "--samples", samples]) == 2
+        assert "--samples" in capsys.readouterr().err
+        assert not (out / "identities.json").exists()
 
     def test_run_csv_matches_documented_schema(self, tmp_path):
         import csv

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -123,7 +125,7 @@ class TestScan:
 
     def test_json_payload_shape(self):
         res = scan_delta_star(1.0, 20, [1e-3, 1e-2], seed=1)
-        payload = res.to_json_dict()
+        payload = asdict(res)
         assert set(payload) == {
             "M",
             "delta_grid",

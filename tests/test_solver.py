@@ -24,6 +24,7 @@ from contraction_lab.functionals import (
 from contraction_lab.grid import ddx_central, integrate
 from contraction_lab.shift import phi_eps, phi_regime
 from contraction_lab.solver import EVALUATION_COLUMNS, _check_state, _Stepper
+from contraction_lab.wave import profile_n_second
 
 from conftest import lab_grid
 
@@ -84,8 +85,8 @@ class TestInitialState:
             PerturbationSpec(kind="sawtooth")
 
 
-def make_stepper(params, grid, dt, well_balanced):
-    return _Stepper(params, grid, reference_arrays(params, grid), dt, well_balanced)
+def make_stepper(params, grid, dt):
+    return _Stepper(params, grid, reference_arrays(params, grid), dt)
 
 
 def take_steps(stepper, state, steps):
@@ -106,32 +107,31 @@ class TestStep:
         n0 = np.full(far.num_nodes, params.n_minus)
         q0 = np.full(far.num_nodes, params.q_minus)
         state = State(n=GridField(far, n0), q=GridField(far, q0))
-        n, q = take_steps(make_stepper(params, far, 1e-3, well_balanced=False), state, 1)
-        # the implicit solve round-trips a constant only to rounding
-        np.testing.assert_allclose(n, n0, rtol=0, atol=2e-15)
+        n, q = take_steps(make_stepper(params, far, 1e-3), state, 1)
+        np.testing.assert_array_equal(n, n0)
         np.testing.assert_array_equal(q, q0)
 
-    def test_steady_wave_drift_refines_at_order(self, small_params):
-        # raw truncation: the sampled wave drifts at O(dx^2) for fixed dt
-        drifts = []
-        dt = 2e-3
-        for cells in (512, 1024, 2048):
+    def test_wave_residuals_refine_at_order(self, small_params):
+        # the stored residuals of the sampled wave are the first-order terms'
+        # truncation error: exactly sigma n~' + (n~ q~)' = -nu n~'' and
+        # sigma q~' + n~' = 0 on the wave
+        errors_n, errors_q = [], []
+        for cells in (512, 1024, 2048, 4096):
             grid = lab_grid(small_params, num_cells=cells)
-            refs = reference_arrays(small_params, grid)
-            state = State(n=GridField(grid, refs.ntil), q=GridField(grid, refs.qtil))
-            stepper = make_stepper(small_params, grid, dt, well_balanced=False)
-            n, q = take_steps(stepper, state, 200)
-            drifts.append(max(np.max(np.abs(n - refs.ntil)), np.max(np.abs(q - refs.qtil))))
-        order1 = np.log2(drifts[0] / drifts[1])
-        order2 = np.log2(drifts[1] / drifts[2])
-        assert drifts[2] < drifts[0]
-        assert order1 >= 1.8 and order2 >= 1.8
+            stepper = make_stepper(small_params, grid, 0.01)
+            exact_n = -small_params.nu * np.asarray(profile_n_second(small_params, grid.nodes()))
+            errors_n.append(np.max(np.abs(stepper.residual_n - exact_n)))
+            errors_q.append(np.max(np.abs(stepper.residual_q)))
+        order_n = np.log2(np.array(errors_n[:-1]) / errors_n[1:])
+        order_q = np.log2(np.array(errors_q[:-1]) / errors_q[1:])
+        assert np.all(order_n >= 1.8), order_n
+        assert np.all(order_q >= 1.8), order_q
 
     def test_well_balanced_wave_is_fixed_point(self, small_params):
         grid = lab_grid(small_params, num_cells=512)
         refs = reference_arrays(small_params, grid)
         state = State(n=GridField(grid, refs.ntil), q=GridField(grid, refs.qtil))
-        n, q = take_steps(make_stepper(small_params, grid, 0.05, well_balanced=True), state, 1)
+        n, q = take_steps(make_stepper(small_params, grid, 0.05), state, 1)
         np.testing.assert_array_equal(n, refs.ntil)
         np.testing.assert_array_equal(q, refs.qtil)
 
@@ -143,7 +143,7 @@ class TestStep:
         refs = reference_arrays(small_params, grid)
         mass_n0 = integrate(GridField(grid, state.n.values - refs.ntil))
         mass_q0 = integrate(GridField(grid, state.q.values - refs.qtil))
-        n, q = take_steps(make_stepper(small_params, grid, 0.02, well_balanced=False), state, 50)
+        n, q = take_steps(make_stepper(small_params, grid, 0.02), state, 50)
         mass_n = integrate(GridField(grid, n - refs.ntil))
         mass_q = integrate(GridField(grid, q - refs.qtil))
         assert abs(mass_n - mass_n0) < 1e-8
@@ -152,7 +152,7 @@ class TestStep:
     def test_blowup_raises_stability_error(self, small_params):
         grid = lab_grid(small_params, num_cells=256)
         state = initial_state(small_params, grid, bump_spec(amp_n=1.5, amp_q=1.5, width=3.0))
-        stepper = make_stepper(small_params, grid, 5.0, well_balanced=False)
+        stepper = make_stepper(small_params, grid, 5.0)
         with pytest.raises(StabilityError):
             take_steps(stepper, state, 50)
 
