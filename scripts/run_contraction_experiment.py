@@ -11,20 +11,20 @@ directory.  Any CLI flag can be appended, e.g.
 import sys
 from pathlib import Path
 
-from contraction_lab.cli import main
+from contraction_lab.cli import build_parser, main
 
 CONFIG = Path(__file__).parent / "configs" / "contraction_demo.json"
 
 
 def run(argv):
-    out = "out/contraction_demo"
-    extra = list(argv)
-    base = ["--config", str(CONFIG), "--out", out]
+    base = ["--config", str(CONFIG), "--out", "out/contraction_demo", *argv]
     for command in ("wave", "identities", "poincare", "simulate"):
-        code = main(base + extra + [command])
+        code = main(base + [command])
         if code != 0:
             print(f"{command} exited with {code}", file=sys.stderr)
             return code
+    # an --out among argv overrides the default; the CLI writes to the last one
+    out = build_parser().parse_args(base + ["simulate"]).out
     print(f"all outputs in {out}/")
     return 0
 

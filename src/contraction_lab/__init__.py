@@ -2,21 +2,11 @@
 in a 1-D hyperbolic-parabolic chemotaxis system."""
 
 from .functionals import (
-    B_delta,
-    D,
     FunctionalReport,
-    G_delta,
-    I_bad,
-    I_good,
     NumericsError,
     R_eps_delta,
-    R_main,
     State,
-    Y,
-    decompositions,
     eta_rel,
-    eta_unweighted,
-    eta_weighted,
     evaluate_report,
     expansion_functionals,
     phi_of_n,

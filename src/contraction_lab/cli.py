@@ -62,17 +62,16 @@ def cmd_wave(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     r1, r2 = rankine_hugoniot_residuals(params.end_states)
     xi_dense = np.linspace(grid.xi_min, grid.xi_max, 10001)
-    from .wave import profile_n, profile_n_prime, profile_n_second
+    from .wave import _logistic_arg, profile_n_prime, profile_n_second
 
-    n_dense = np.asarray(profile_n(params, xi_dense))
+    # the profile ODE's right-hand side at profile_n, against the closed-form
+    # derivative of the logistic profile
     np_dense = np.asarray(profile_n_prime(params, xi_dense))
     npp_dense = np.asarray(profile_n_second(params, xi_dense))
-    ode_residual = np.max(
-        np.abs(
-            np_dense
-            - (n_dense - params.n_minus) * (n_dense - params.n_plus) / (params.nu * params.sigma)
-        )
-    )
+    z = _logistic_arg(params, xi_dense)
+    rate = params.eps**2 / (params.nu * params.sigma)
+    closed_form = -rate / ((1.0 + np.exp(z)) * (1.0 + np.exp(-z)))
+    ode_residual = np.max(np.abs(np_dense - closed_form))
     decay_env = params.eps**2 / params.sigma_minus * np.exp(
         -params.eps * np.abs(xi_dense) / params.sigma_minus
     )

@@ -2,8 +2,8 @@
 
 Relative entropies, the entropy-evolution pieces Y / I_bad / I_good, their
 maximized split B_delta / G_delta, the dissipation D, the wave-strength
-expansion functionals, the tube truncation, and the decompositions of Y, B,
-and G over the tube {|n/n~ - 1| <= delta_1} and its complement.
+expansion functionals, the tube truncation, and the parts of Y, B and G
+over the tube {|n/n~ - 1| <= delta_1} and its complement.
 
 All reference objects (n~, q~, a and derivatives) are evaluated in closed
 form at arbitrary points, optionally translated by a shift; only solution
@@ -16,11 +16,16 @@ each nodewise array and each shared integral at most once, on first use, and
 keeps it for as long as the core lives (one evaluation).  Two arrays outlive
 a core: d/dxi log n is kept on its State for the state's life, and the node
 coordinates on their Grid.
+
+`evaluate_report` is the one way to read the functionals of a pair: it
+returns one flat `FunctionalReport` whose field order is the column order of
+the run table.  The shift substeps need only Y and I_bad, and read them with
+`y_and_ibad`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -44,33 +49,18 @@ __all__ = [
     "State",
     "NumericsError",
     "FunctionalReport",
+    "REPORT_COLUMNS",
+    "evaluate_report",
+    "y_and_ibad",
     "ReferenceArrays",
     "reference_arrays",
     "pi_rel",
     "eta_rel",
     "phi_of_n",
-    "Y",
-    "I_bad",
-    "I_good",
-    "B_delta",
-    "G_delta",
-    "D",
-    "eta_weighted",
-    "eta_unweighted",
     "truncate",
     "ExpansionFunctionals",
     "expansion_functionals",
-    "YParts",
-    "BParts",
-    "GParts",
-    "decompositions",
-    "R_main",
     "R_eps_delta",
-    "evaluate_report",
-    "PairEvaluation",
-    "evaluate_pair",
-    "y_and_ibad",
-    "REPORT_COLUMNS",
 ]
 
 
@@ -306,33 +296,44 @@ class _Core:
     def eta_unweighted(self) -> float:
         return integrate_values(self.eta, self.dx)
 
+    @cached_property
+    def Y(self) -> float:
+        """Shift-sensitivity functional Y(U) in its explicit rewritten form."""
+        return integrate_values(self.y_integrand, self.dx)
+
+    @cached_property
+    def I_bad(self) -> float:
+        """Sign-indefinite terms of the entropy-evolution identity."""
+        r = self.refs
+        a_ntil_prime = r.a * r.ntil_prime / r.ntil
+        coupling = self.a_prime_pi + (r.a_prime - a_ntil_prime) * self.dn
+        t1 = integrate_values(-coupling * self.u, self.dx)
+        t3 = integrate_values(
+            (a_ntil_prime - r.a_prime) * self.n * self.logratio * self.dlog, self.dx
+        )
+        t4 = integrate_values(r.a * (r.ntil_second / r.ntil) * self.pi, self.dx)
+        return t1 + self.qtil_term + t3 + t4
+
+    @cached_property
+    def I_good(self) -> float:
+        """Sum of the three nonnegative dissipative terms."""
+        u = self.u
+        g_q = self.params.sigma * integrate_values(0.5 * self.refs.a_prime * u * u, self.dx)
+        return g_q + self.G_pi + self.D
+
 
 def _core(params: WaveParams, state: State, shift: float) -> _Core:
     return _Core(params, state, shift)
 
 
-def _Y_value(params: WaveParams, c: _Core) -> float:
-    return integrate_values(c.y_integrand, c.dx)
-
-
-def _I_bad_value(params: WaveParams, c: _Core) -> float:
-    r = c.refs
-    a_ntil_prime = r.a * r.ntil_prime / r.ntil
-    coupling = c.a_prime_pi + (r.a_prime - a_ntil_prime) * c.dn
-    t1 = integrate_values(-coupling * c.u, c.dx)
-    t3 = integrate_values((a_ntil_prime - r.a_prime) * c.n * c.logratio * c.dlog, c.dx)
-    t4 = integrate_values(r.a * (r.ntil_second / r.ntil) * c.pi, c.dx)
-    return t1 + c.qtil_term + t3 + t4
-
-
-def _I_good_parts(params: WaveParams, c: _Core) -> tuple[float, float, float]:
-    g_q = params.sigma * integrate_values(0.5 * c.refs.a_prime * c.u * c.u, c.dx)
-    return g_q, c.G_pi, c.D
-
-
 class _Split(NamedTuple):
-    """B/G pieces for a fixed tube threshold delta."""
+    """The tube parts of Y, B and G at one threshold delta, in the column
+    order of the report."""
 
+    Y_g: float
+    Y_b: float
+    Y_l: float
+    Y_s: float
     B1: float
     B2_in: float
     B2_out: float
@@ -340,11 +341,7 @@ class _Split(NamedTuple):
     G1_in: float
     G1_out: float
     G2: float
-    D: float
-    Y_g: float
-    Y_b: float
-    Y_l: float
-    Y_s: float
+    G_D: float
 
     @property
     def B(self) -> float:
@@ -352,14 +349,7 @@ class _Split(NamedTuple):
 
     @property
     def G(self) -> float:
-        return self.G1_in + self.G1_out + self.G2 + self.D
-
-    def parts(self) -> tuple[YParts, BParts, GParts]:
-        return (
-            YParts(self.Y_g, self.Y_b, self.Y_l, self.Y_s),
-            BParts(self.B1, self.B2_in, self.B2_out, self.B3),
-            GParts(self.G1_in, self.G1_out, self.G2, self.D),
-        )
+        return self.G1_in + self.G1_out + self.G2 + self.G_D
 
 
 def _split(params: WaveParams, c: _Core, delta: float) -> _Split:
@@ -389,51 +379,7 @@ def _split(params: WaveParams, c: _Core, delta: float) -> _Split:
         r.a * r.a_prime * c.u_plus_phi * inside, c.dx
     )
     y_s = integrate_values(c.y_integrand * outside, c.dx)
-    return _Split(b1, b2_in, b2_out, b3, g1_in, g1_out, c.G_pi, c.D, y_g, y_b, y_l, y_s)
-
-
-def Y(params: WaveParams, state: State, shift: float = 0.0) -> float:
-    """Shift-sensitivity functional Y(U) in its explicit rewritten form."""
-    return _Y_value(params, _core(params, state, shift))
-
-
-def I_bad(params: WaveParams, state: State, shift: float = 0.0) -> float:
-    """Sign-indefinite terms of the entropy-evolution identity."""
-    return _I_bad_value(params, _core(params, state, shift))
-
-
-def I_good(params: WaveParams, state: State, shift: float = 0.0) -> float:
-    """Sum of the three nonnegative dissipative terms."""
-    return sum(_I_good_parts(params, _core(params, state, shift)))
-
-
-def B_delta(params: WaveParams, state: State, delta: float, shift: float = 0.0) -> float:
-    """Maximized bad part at tube threshold delta."""
-    if not delta > 0.0:
-        raise DomainError("delta must be positive")
-    return _split(params, _core(params, state, shift), delta).B
-
-
-def G_delta(params: WaveParams, state: State, delta: float, shift: float = 0.0) -> float:
-    """Maximized good part at tube threshold delta; nonnegative."""
-    if not delta > 0.0:
-        raise DomainError("delta must be positive")
-    return _split(params, _core(params, state, shift), delta).G
-
-
-def D(params: WaveParams, state: State, shift: float = 0.0) -> float:
-    """Weighted Fisher-type dissipation int a n |d/dxi log(n/n~)|^2."""
-    return _core(params, state, shift).D
-
-
-def eta_weighted(params: WaveParams, state: State, shift: float = 0.0) -> float:
-    """Weighted relative entropy int a eta(U^X | U~) via translated references."""
-    return _core(params, state, shift).eta_weighted
-
-
-def eta_unweighted(params: WaveParams, state: State, shift: float = 0.0) -> float:
-    """Plain relative entropy int eta(U^X | U~)."""
-    return _core(params, state, shift).eta_unweighted
+    return _Split(y_g, y_b, y_l, y_s, b1, b2_in, b2_out, b3, g1_in, g1_out, c.G_pi, c.D)
 
 
 def truncate(params: WaveParams, n: GridField, theta: float, shift: float = 0.0) -> GridField:
@@ -467,54 +413,7 @@ def expansion_functionals(
     """
     q = n.with_values(np.asarray(profile_q(params, n.grid._nodes - shift)))
     s = _split(params, _core(params, State(n=n, q=q), shift), np.inf)
-    return ExpansionFunctionals(s.Y_g, s.B1, s.B2_in, s.G2, s.D)
-
-
-class YParts(NamedTuple):
-    Y_g: float
-    Y_b: float
-    Y_l: float
-    Y_s: float
-
-
-class BParts(NamedTuple):
-    B1: float
-    B2_in: float
-    B2_out: float
-    B3: float
-
-
-class GParts(NamedTuple):
-    G1_in: float
-    G1_out: float
-    G2: float
-    D: float
-
-
-def decompositions(
-    params: WaveParams, state: State, delta1: float, shift: float = 0.0
-) -> tuple[YParts, BParts, GParts]:
-    """Split Y, B, G over the tube {|n/n~ - 1| <= delta1} and its complement."""
-    if not 0.0 < delta1 < 0.5:
-        raise DomainError("delta1 must lie in (0, 1/2)")
-    return _split(params, _core(params, state, shift), delta1).parts()
-
-
-def R_main(
-    params: WaveParams,
-    state: State,
-    delta0: float,
-    delta1: float,
-    shift: float = 0.0,
-) -> float:
-    """Sign functional -(1/eps^4) Y^2 + B + delta0 (eps/lam) |B| - G + delta0 D.
-
-    Negative whenever the contraction machinery has margin; monitored, not
-    assumed.
-    """
-    if not (0.0 < delta0 < 0.5 and 0.0 < delta1 < 0.5):
-        raise DomainError("delta0 and delta1 must lie in (0, 1/2)")
-    return _report(params, _core(params, state, shift), delta0, delta1).R_main
+    return ExpansionFunctionals(s.Y_g, s.B1, s.B2_in, s.G2, s.G_D)
 
 
 def R_eps_delta(params: WaveParams, n: GridField, delta: float, shift: float = 0.0) -> float:
@@ -532,38 +431,14 @@ def R_eps_delta(params: WaveParams, n: GridField, delta: float, shift: float = 0
     )
 
 
-REPORT_COLUMNS = (
-    "eta_weighted",
-    "Y",
-    "I_bad",
-    "I_good",
-    "B_delta",
-    "G_delta",
-    "D",
-    "Y_g",
-    "Y_b",
-    "Y_l",
-    "Y_s",
-    "B1",
-    "B2_in",
-    "B2_out",
-    "B3",
-    "G1_in",
-    "G1_out",
-    "G2",
-    "G_D",
-    "R_main",
-    "delta_used",
-)
-
-
 class NumericsError(RuntimeError):
     """Computed functionals break a sign or an identity that holds exactly."""
 
 
 @dataclass(frozen=True)
 class FunctionalReport:
-    """All functional values at one time, with consistency baked in."""
+    """Every functional of one (state, shift) pair, in the column order of
+    the run table; building one checks the signs and the tube sums."""
 
     eta_weighted: float
     Y: float
@@ -572,64 +447,36 @@ class FunctionalReport:
     B_delta: float
     G_delta: float
     D: float
-    Y_parts: YParts
-    B_parts: BParts
-    G_parts: GParts
+    Y_g: float
+    Y_b: float
+    Y_l: float
+    Y_s: float
+    B1: float
+    B2_in: float
+    B2_out: float
+    B3: float
+    G1_in: float
+    G1_out: float
+    G2: float
+    G_D: float
     R_main: float
     delta_used: float
+    eta_unweighted: float
 
     def __post_init__(self):
         if self.I_good < 0 or self.G_delta < -1e-15 or self.D < 0:
             raise NumericsError("good terms must be nonnegative")
         for total, parts in (
-            (self.Y, self.Y_parts),
-            (self.B_delta, self.B_parts),
-            (self.G_delta, self.G_parts),
+            (self.Y, (self.Y_g, self.Y_b, self.Y_l, self.Y_s)),
+            (self.B_delta, (self.B1, self.B2_in, self.B2_out, self.B3)),
+            (self.G_delta, (self.G1_in, self.G1_out, self.G2, self.G_D)),
         ):
             gap = abs(total - sum(parts))
             if gap > 1e-10 * max(1.0, abs(total)):
                 raise NumericsError(f"decomposition does not reproduce total: gap={gap:.3e}")
 
-    def to_row(self) -> list[float]:
-        return [
-            self.eta_weighted,
-            self.Y,
-            self.I_bad,
-            self.I_good,
-            self.B_delta,
-            self.G_delta,
-            self.D,
-            *self.Y_parts,
-            *self.B_parts,
-            *self.G_parts,
-            self.R_main,
-            self.delta_used,
-        ]
 
-
-def _report(params: WaveParams, c: _Core, delta0: float, delta1: float) -> FunctionalReport:
-    """Every functional of one core; the one definition of R_main."""
-    s = _split(params, c, delta1)
-    y = _Y_value(params, c)
-    ibad = _I_bad_value(params, c)
-    igood = sum(_I_good_parts(params, c))
-    b, g = s.B, s.G
-    y_parts, b_parts, g_parts = s.parts()
-    r = -(y * y) / params.eps**4 + b + delta0 * (params.eps / params.lam) * abs(b) - g + delta0 * s.D
-    return FunctionalReport(
-        eta_weighted=c.eta_weighted,
-        Y=y,
-        I_bad=ibad,
-        I_good=igood,
-        B_delta=b,
-        G_delta=g,
-        D=s.D,
-        Y_parts=y_parts,
-        B_parts=b_parts,
-        G_parts=g_parts,
-        R_main=r,
-        delta_used=delta1,
-    )
+REPORT_COLUMNS = tuple(f.name for f in fields(FunctionalReport))
 
 
 def evaluate_report(
@@ -639,30 +486,27 @@ def evaluate_report(
     delta1: float = 0.25,
     shift: float = 0.0,
 ) -> FunctionalReport:
-    """Compute every functional once, sharing all intermediate arrays."""
-    return _report(params, _core(params, state, shift), delta0, delta1)
+    """Every functional of (state, shift), from one core and one split at the
+    tube threshold delta1 (inf puts the whole line inside the tube).
 
-
-class PairEvaluation(NamedTuple):
-    """Everything the run loop monitors at one (state, shift) pair."""
-
-    report: FunctionalReport
-    eta_unweighted: float
-
-
-def evaluate_pair(
-    params: WaveParams,
-    state: State,
-    delta0: float,
-    delta1: float,
-    shift: float,
-) -> PairEvaluation:
-    """The report and the plain relative entropy, from one shared core."""
+    Its R_main is the one definition of the sign functional
+    -(1/eps^4) Y^2 + B + delta0 (eps/lam) |B| - G + delta0 D: negative
+    whenever the contraction machinery has margin; monitored, not assumed.
+    """
+    if not 0.0 < delta0 < 0.5:
+        raise DomainError("delta0 must lie in (0, 1/2)")
+    if not delta1 > 0.0:
+        raise DomainError("delta1 must be positive")
     c = _core(params, state, shift)
-    return PairEvaluation(_report(params, c, delta0, delta1), c.eta_unweighted)
+    s = _split(params, c, delta1)
+    y, b, g = c.Y, s.B, s.G
+    r = -(y * y) / params.eps**4 + b + delta0 * (params.eps / params.lam) * abs(b) - g + delta0 * s.G_D
+    return FunctionalReport(
+        c.eta_weighted, y, c.I_bad, c.I_good, b, g, c.D, *s, r, delta1, c.eta_unweighted
+    )
 
 
 def y_and_ibad(params: WaveParams, state: State, shift: float = 0.0) -> tuple[float, float]:
     """Just Y and I_bad: the shift ODE right-hand side inputs."""
     c = _core(params, state, shift)
-    return _Y_value(params, c), _I_bad_value(params, c)
+    return c.Y, c.I_bad

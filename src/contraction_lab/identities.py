@@ -1,6 +1,6 @@
 """Quadrature-exact identity checks on randomly perturbed states.
 
-The maximized split and the tube decompositions are algebraic rearrangements
+The maximized split and the tube parts are algebraic rearrangements
 of the same nodewise integrands, so on any grid the identities
 
     I_bad - I_good = B_delta - G_delta          (any delta > 0)
@@ -12,6 +12,11 @@ hold to rounding.  This module samples large rough states and measures the
 worst relative error of each identity.  Each state is evaluated once (one
 nodewise core at shift 0) and split once per delta; every functional of the
 suite is read off that core and those splits.
+
+Only the split identity and the Y sum test the quadrature.  B_delta and
+G_delta are defined as the sums of their parts (B_delta = B1 + B2_in +
+B2_out + B3), so the B and G sums hold by definition and always report
+exactly 0.0.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import functionals
-from .functionals import State, _I_bad_value, _I_good_parts, _split, _Y_value
+from .functionals import State, _split
 from .grid import Grid, GridField
 from .wave import DomainError, WaveParams, profile_n, profile_q
 
@@ -55,19 +60,19 @@ def _check_one(params: WaveParams, grid: Grid, seed: int, deltas) -> dict:
     state = random_state(params, grid, seed)
     # looked up at call time, so a wrapper installed on the module sees every build
     c = functionals._core(params, state, 0.0)
-    ibad = _I_bad_value(params, c)
-    igood = sum(_I_good_parts(params, c))
-    y = _Y_value(params, c)
+    ibad, igood, y = c.I_bad, c.I_good, c.Y
     errors = {"max_split": 0.0, "sum_Y": 0.0, "sum_B": 0.0, "sum_G": 0.0}
     for d in deltas:
         s = _split(params, c, d)
         b, g = s.B, s.G
         scale = max(abs(ibad), igood, abs(b), g, 1.0)
         errors["max_split"] = max(errors["max_split"], _rel_err(ibad - igood, b - g, scale))
-        y_parts, b_parts, g_parts = s.parts()
-        errors["sum_Y"] = max(errors["sum_Y"], _rel_err(y, sum(y_parts), max(abs(y), 1.0)))
-        errors["sum_B"] = max(errors["sum_B"], _rel_err(b, sum(b_parts), max(abs(b), 1.0)))
-        errors["sum_G"] = max(errors["sum_G"], _rel_err(g, sum(g_parts), max(abs(g), 1.0)))
+        y_sum = s.Y_g + s.Y_b + s.Y_l + s.Y_s
+        b_sum = s.B1 + s.B2_in + s.B2_out + s.B3
+        g_sum = s.G1_in + s.G1_out + s.G2 + s.G_D
+        errors["sum_Y"] = max(errors["sum_Y"], _rel_err(y, y_sum, max(abs(y), 1.0)))
+        errors["sum_B"] = max(errors["sum_B"], _rel_err(b, b_sum, max(abs(b), 1.0)))
+        errors["sum_G"] = max(errors["sum_G"], _rel_err(g, g_sum, max(abs(g), 1.0)))
     return errors
 
 

@@ -38,7 +38,7 @@ from .functionals import (
     REPORT_COLUMNS,
     ReferenceArrays,
     State,
-    evaluate_pair,
+    evaluate_report,
     reference_arrays,
 )
 from .grid import (
@@ -265,7 +265,7 @@ def _check_state(n: np.ndarray, q: np.ndarray, t: float | None = None):
 
 
 # Columns of RunResult.evaluations: row j is the evaluation at time level j.
-EVALUATION_COLUMNS = ("t", "X", *REPORT_COLUMNS, "eta_unweighted")
+EVALUATION_COLUMNS = ("t", "X", *REPORT_COLUMNS)
 
 
 def _reported_steps(n_steps: int, stride: int) -> list[int]:
@@ -277,10 +277,10 @@ def _reported_steps(n_steps: int, stride: int) -> list[int]:
 class RunResult:
     """The evaluation table and final state of one run.
 
-    `evaluations` has one row per time level j = 0..n_steps: t_j, X_j, the
-    report of (U_j, X_j) in REPORT_COLUMNS order and its plain relative
-    entropy.  It is the run's one store of monitored numbers; `monitor`,
-    the CSV rows and the verdict are derived from it.
+    `evaluations` has one row per time level j = 0..n_steps: t_j, X_j and
+    the report of (U_j, X_j) in REPORT_COLUMNS order.  It is the run's one
+    store of monitored numbers; `monitor`, the CSV rows and the verdict are
+    derived from it.
     """
 
     config: SolverConfig
@@ -347,7 +347,6 @@ class RunResult:
             "regime",
             "lab_shift",
             *REPORT_COLUMNS,
-            "eta_unweighted",
             "violation",
             "balance_residual",
         ]
@@ -358,11 +357,11 @@ class RunResult:
         m = self.monitor
         rows = []
         for k in _reported_steps(len(self.times), self.config.report_stride):
-            t, x, *report, eta_unw = self.evaluations[k + 1].tolist()
+            t, x, *report = self.evaluations[k + 1].tolist()
             rows.append(
                 [t, x, m["X_dot"][k], m["regime"][k], m["lab_shift"][k]]
                 + report
-                + [eta_unw, m["violation"][k], m["balance_residual"][k]]
+                + [m["violation"][k], m["balance_residual"][k]]
             )
         return rows
 
@@ -402,10 +401,6 @@ class RunResult:
         }
 
 
-def _row(t: float, x: float, evaluation) -> list[float]:
-    return [t, x, *evaluation.report.to_row(), evaluation.eta_unweighted]
-
-
 def run(config: SolverConfig) -> RunResult:
     """Integrate PDE and shift ODE in lockstep, evaluating every time level."""
     params = config.params
@@ -419,23 +414,22 @@ def run(config: SolverConfig) -> RunResult:
 
     x = 0.0
     current = state
-    evaluation = evaluate_pair(params, current, config.delta0, config.delta1, shift=0.0)
+    report = evaluate_report(params, current, config.delta0, config.delta1, shift=0.0)
     evaluations = np.empty((n_steps + 1, len(EVALUATION_COLUMNS)))
-    evaluations[0] = _row(0.0, x, evaluation)
+    evaluations[0] = (0.0, x, *(getattr(report, name) for name in REPORT_COLUMNS))
     reported = set(_reported_steps(n_steps, config.report_stride))
     states = [] if config.keep_states else None
 
     n = state.n.values.copy()
     q = state.q.values.copy()
     for k in range(n_steps):
-        rep = evaluation.report
-        x = advance(x, current, dt, params, start=(rep.Y, rep.I_bad))
+        x = advance(x, current, dt, params, start=(report.Y, report.I_bad))
         n, q = stepper.step(n, q)
         t = (k + 1) * dt
         _check_state(n, q, t=t)
         current = State(n=GridField(config.grid, n), q=GridField(config.grid, q))
-        evaluation = evaluate_pair(params, current, config.delta0, config.delta1, shift=x)
-        evaluations[k + 1] = _row(t, x, evaluation)
+        report = evaluate_report(params, current, config.delta0, config.delta1, shift=x)
+        evaluations[k + 1] = (t, x, *(getattr(report, name) for name in REPORT_COLUMNS))
         if states is not None and k in reported:
             states.append((t, current))
 

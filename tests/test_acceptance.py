@@ -16,11 +16,11 @@ from contraction_lab import (
     PerturbationSpec,
     SolverConfig,
     State,
-    eta_weighted,
     pi_rel,
     run,
     scan_delta_star,
 )
+from contraction_lab.functionals import _core
 from contraction_lab.identities import check_identities, random_state
 from contraction_lab.poincare import R_poincare
 from contraction_lab.wave import (
@@ -244,8 +244,8 @@ class TestCriterion6:
                     n=GridField(grid_nu, state.n.values.copy()),
                     q=GridField(grid_nu, state.q.values.copy()),
                 )
-                lhs = eta_weighted(scaled, state_nu)
-                rhs = nu * eta_weighted(params, state)
+                lhs = _core(scaled, state_nu, 0.0).eta_weighted
+                rhs = nu * _core(params, state, 0.0).eta_weighted
                 worst = max(worst, abs(lhs - rhs) / abs(rhs))
         elapsed = time.time() - t0
         report(

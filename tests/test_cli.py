@@ -128,6 +128,21 @@ class TestCommands:
         assert summary["decay_lower_bound_holds"] is True
         assert (out / "wave_profile.csv").exists()
 
+    def test_wave_ode_residual_measures_the_profile(self, tmp_path, monkeypatch):
+        # a profile whose logistic rate is 1% off must show in the residual
+        from contraction_lab import wave
+
+        def off_rate(params, xi):
+            z = 1.01 * wave._logistic_arg(params, xi)
+            return wave._maybe_scalar(xi, params.n_plus + params.eps / (1.0 + np.exp(z)))
+
+        monkeypatch.setattr(wave, "profile_n", off_rate)
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out), "wave"]) == 0
+        summary = json.loads((out / "wave_summary.json").read_text())
+        assert summary["profile_ode_max_residual"] > 1e-8
+
     def test_output_dir_from_config(self, tmp_path):
         out = tmp_path / "from_config"
         cfg_path = write_config(tmp_path, {"output": {"dir": str(out)}})

@@ -5,27 +5,18 @@ from hypothesis import strategies as st
 
 import contraction_lab as cl
 from contraction_lab import (
-    B_delta,
-    D,
     DomainError,
-    G_delta,
     GridField,
-    I_bad,
-    I_good,
     R_eps_delta,
-    R_main,
     State,
-    Y,
-    decompositions,
     eta_rel,
-    eta_weighted,
     evaluate_report,
     expansion_functionals,
     phi_of_n,
     pi_rel,
     truncate,
 )
-from contraction_lab.functionals import reference_arrays
+from contraction_lab.functionals import _core, _split, reference_arrays
 from contraction_lab.grid import _ddx_central, integrate_values
 from contraction_lab.identities import random_state
 from contraction_lab.wave import (
@@ -215,16 +206,16 @@ class TestPhi:
 class TestEvolutionFunctionals:
     def test_all_vanish_on_wave(self, params, grid):
         st_wave = wave_state(params, grid)
-        assert Y(params, st_wave) == 0.0
-        assert I_bad(params, st_wave) == 0.0
+        assert _core(params, st_wave, 0.0).Y == 0.0
+        assert _core(params, st_wave, 0.0).I_bad == 0.0
         # I_good and D keep only the squared O(dx^2) mismatch between the
         # discrete and analytic log-derivative of the wave itself; it is
         # tiny and shrinks at fourth order
-        dust = I_good(params, st_wave)
+        dust = _core(params, st_wave, 0.0).I_good
         assert dust < 1e-10
-        assert D(params, st_wave) < 1e-10
+        assert _core(params, st_wave, 0.0).D < 1e-10
         finer = lab_grid(params, num_cells=4 * grid.num_cells)
-        dust_fine = I_good(params, wave_state(params, finer))
+        dust_fine = _core(params, wave_state(params, finer), 0.0).I_good
         assert dust_fine < dust / 100.0
 
     def test_constant_density_ratio_kills_dissipation(self, params, grid):
@@ -233,14 +224,14 @@ class TestEvolutionFunctionals:
         state = State(
             n=GridField(grid, 2.0 * refs.ntil), q=GridField(grid, refs.qtil.copy())
         )
-        dust = D(params, state)
+        dust = _core(params, state, 0.0).D
         assert dust < 1e-10
         finer = lab_grid(params, num_cells=4 * grid.num_cells)
         refs_f = reference_arrays(params, finer)
         state_f = State(
             n=GridField(finer, 2.0 * refs_f.ntil), q=GridField(finer, refs_f.qtil.copy())
         )
-        assert D(params, state_f) < dust / 100.0
+        assert _core(params, state_f, 0.0).D < dust / 100.0
 
     def test_dissipation_against_refined_quadrature(self, params):
         # oracle: the same integral with the derivative taken analytically;
@@ -253,7 +244,7 @@ class TestEvolutionFunctionals:
             n=GridField(grid, ntil * (1.0 + 0.1 * np.sin(xi))),
             q=GridField(grid, np.asarray(profile_q(params, xi))),
         )
-        value = D(params, state)
+        value = _core(params, state, 0.0).D
 
         a = 1.0 + (params.lam / params.eps) * (params.n_minus - ntil)
         ratio = 1.0 + 0.1 * np.sin(xi)
@@ -265,7 +256,7 @@ class TestEvolutionFunctionals:
     def test_i_good_nonnegative_on_random_states(self, params, grid):
         for seed in range(100):
             state = random_state(params, grid, seed)
-            assert I_good(params, state) >= 0.0
+            assert _core(params, state, 0.0).I_good >= 0.0
 
     def test_y_matches_entropy_weighted_form(self, params, grid):
         # the rewritten Y must agree with its defining form
@@ -279,7 +270,7 @@ class TestEvolutionFunctionals:
             refs.a * (refs.ntil_prime / refs.ntil * (n - refs.ntil) + qtil_prime * (q - refs.qtil)),
             grid.dx,
         )
-        assert Y(params, state) == pytest.approx(defining, rel=1e-12)
+        assert _core(params, state, 0.0).Y == pytest.approx(defining, rel=1e-12)
 
 
 class TestMaximizedSplit:
@@ -287,20 +278,21 @@ class TestMaximizedSplit:
     def test_split_identity_random_states(self, params, grid, delta):
         for seed in range(20):
             state = random_state(params, grid, seed)
-            lhs = I_bad(params, state) - I_good(params, state)
-            rhs = B_delta(params, state, delta) - G_delta(params, state, delta)
+            rep = evaluate_report(params, state, delta1=delta)
+            lhs = rep.I_bad - rep.I_good
+            rhs = rep.B_delta - rep.G_delta
             scale = max(abs(lhs), abs(rhs), 1.0)
             assert abs(lhs - rhs) / scale < 1e-10
 
     def test_split_vanishes_on_wave(self, params, grid):
-        st_wave = wave_state(params, grid)
-        assert B_delta(params, st_wave, 0.25) == pytest.approx(0.0, abs=1e-10)
-        assert G_delta(params, st_wave, 0.25) == pytest.approx(0.0, abs=1e-10)
+        rep = evaluate_report(params, wave_state(params, grid), delta1=0.25)
+        assert rep.B_delta == pytest.approx(0.0, abs=1e-10)
+        assert rep.G_delta == pytest.approx(0.0, abs=1e-10)
 
     def test_g_delta_nonnegative(self, params, grid):
         for seed in range(50):
             state = random_state(params, grid, seed)
-            assert G_delta(params, state, 0.25) >= 0.0
+            assert evaluate_report(params, state, delta1=0.25).G_delta >= 0.0
 
     def test_completing_the_square_single_node(self):
         # alpha x^2 + beta x == alpha (x + beta/2alpha)^2 - beta^2/(4alpha)
@@ -376,34 +368,36 @@ class TestExpansionFunctionals:
         clipped = truncate(params, state.n, 0.2)
         truncated = State(n=clipped, q=state.q)
         vals = expansion_functionals(params, clipped)
-        _, b_parts, _ = decompositions(params, truncated, 0.25)
-        assert b_parts.B1 == pytest.approx(vals.I1, rel=1e-12, abs=1e-15)
-        assert b_parts.B2_in == pytest.approx(vals.I2, rel=1e-12, abs=1e-15)
-        assert b_parts.B2_in <= vals.I2 + 1e-14
+        rep = evaluate_report(params, truncated, delta1=0.25)
+        assert rep.B1 == pytest.approx(vals.I1, rel=1e-12, abs=1e-15)
+        assert rep.B2_in == pytest.approx(vals.I2, rel=1e-12, abs=1e-15)
+        assert rep.B2_in <= vals.I2 + 1e-14
 
     def test_b1_equals_i1_for_any_state(self, params, grid):
         state = random_state(params, grid, 9)
         vals = expansion_functionals(params, state.n)
-        _, b_parts, _ = decompositions(params, state, 0.25)
-        assert b_parts.B1 == pytest.approx(vals.I1, rel=1e-12)
+        assert evaluate_report(params, state, delta1=0.25).B1 == pytest.approx(vals.I1, rel=1e-12)
 
 
 class TestDecompositions:
     def test_sum_checks_many_states(self, params, grid):
         for seed in range(100):
             state = random_state(params, grid, seed)
-            y_parts, b_parts, g_parts = decompositions(params, state, 0.25)
-            y, b, g = Y(params, state), B_delta(params, state, 0.25), G_delta(params, state, 0.25)
-            assert abs(y - sum(y_parts)) <= 1e-10 * max(1.0, abs(y))
-            assert abs(b - sum(b_parts)) <= 1e-10 * max(1.0, abs(b))
-            assert abs(g - sum(g_parts)) <= 1e-10 * max(1.0, abs(g))
+            rep = evaluate_report(params, state, delta1=0.25)
+            # the totals from cores of their own
+            y = _core(params, state, 0.0).Y
+            s = _split(params, _core(params, state, 0.0), 0.25)
+            b, g = s.B, s.G
+            assert abs(y - (rep.Y_g + rep.Y_b + rep.Y_l + rep.Y_s)) <= 1e-10 * max(1.0, abs(y))
+            assert abs(b - (rep.B1 + rep.B2_in + rep.B2_out + rep.B3)) <= 1e-10 * max(1.0, abs(b))
+            assert abs(g - (rep.G1_in + rep.G1_out + rep.G2 + rep.G_D)) <= 1e-10 * max(1.0, abs(g))
 
     def test_small_perturbation_has_empty_complement(self, params, grid):
         state = perturbed_state(params, grid, amp_n=0.05, amp_q=0.1)
-        y_parts, b_parts, g_parts = decompositions(params, state, 0.25)
-        assert y_parts.Y_s == 0.0
-        assert b_parts.B2_out == 0.0
-        assert g_parts.G1_out == 0.0
+        rep = evaluate_report(params, state, delta1=0.25)
+        assert rep.Y_s == 0.0
+        assert rep.B2_out == 0.0
+        assert rep.G1_out == 0.0
 
     def test_huge_perturbation_has_empty_tube(self, params, grid):
         refs = reference_arrays(params, grid)
@@ -411,10 +405,10 @@ class TestDecompositions:
             n=GridField(grid, 3.0 * refs.ntil),
             q=GridField(grid, refs.qtil + 1.0),
         )
-        y_parts, b_parts, g_parts = decompositions(params, state, 0.25)
-        assert y_parts.Y_b == 0.0 and y_parts.Y_l == 0.0 and y_parts.Y_g == 0.0
-        assert b_parts.B2_in == 0.0
-        assert g_parts.G1_in == 0.0
+        rep = evaluate_report(params, state, delta1=0.25)
+        assert rep.Y_b == 0.0 and rep.Y_l == 0.0 and rep.Y_g == 0.0
+        assert rep.B2_in == 0.0
+        assert rep.G1_in == 0.0
 
     def test_tie_nodes_counted_inside(self, params):
         # on a far-left window the wave is bitwise constant, so the density
@@ -424,21 +418,21 @@ class TestDecompositions:
         refs = reference_arrays(params, far)
         assert np.all(refs.ntil == params.n_minus)
         state = State(n=GridField(far, 1.25 * refs.ntil), q=GridField(far, refs.qtil + 0.3))
-        y_parts, b_parts, g_parts = decompositions(params, state, 0.25)
+        rep = evaluate_report(params, state, delta1=0.25)
         # equality counts as inside: nothing lands in the complement
-        assert y_parts.Y_s == 0.0
-        assert b_parts.B2_out == 0.0
-        assert g_parts.G1_out == 0.0
+        assert rep.Y_s == 0.0
+        assert rep.B2_out == 0.0
+        assert rep.G1_out == 0.0
         # an infinitesimally smaller threshold flips every node outside
-        y_parts2, b_parts2, _ = decompositions(params, state, 0.25 - 1e-12)
-        assert y_parts2.Y_g == 0.0 and y_parts2.Y_b == 0.0
-        assert b_parts2.B2_in == 0.0
+        rep2 = evaluate_report(params, state, delta1=0.25 - 1e-12)
+        assert rep2.Y_g == 0.0 and rep2.Y_b == 0.0
+        assert rep2.B2_in == 0.0
 
 
 class TestSignFunctionals:
     def test_r_main_zero_on_wave(self, params, grid):
         st_wave = wave_state(params, grid)
-        assert R_main(params, st_wave, 0.01, 0.25) == pytest.approx(0.0, abs=1e-10)
+        assert evaluate_report(params, st_wave, 0.01, 0.25).R_main == pytest.approx(0.0, abs=1e-10)
 
     def test_r_main_negative_for_small_perturbations(self, small_params):
         grid = lab_grid(small_params, num_cells=2048)
@@ -448,9 +442,10 @@ class TestSignFunctionals:
             state = perturbed_state(
                 small_params, grid, amp_n=0.02, amp_q=0.01, seed=seed
             )
-            if abs(Y(small_params, state)) <= eps2:
+            rep = evaluate_report(small_params, state, 0.01, 0.25)
+            if abs(rep.Y) <= eps2:
                 found += 1
-                assert R_main(small_params, state, 0.01, 0.25) <= 0.0
+                assert rep.R_main <= 0.0
         assert found >= 5  # the family must actually exercise |Y| <= eps^2
 
     def test_r_main_pure_q_reduced_formula(self, params, grid):
@@ -464,12 +459,12 @@ class TestSignFunctionals:
             params.eps / params.lam
         ) / params.sigma * integrate_values(refs.a * refs.a_prime * u, grid.dx)
         g_hand = params.sigma * integrate_values(refs.a_prime * 0.5 * u * u, grid.dx)
-        d_dust = D(params, state)
+        d_dust = _core(params, state, 0.0).D
         expected = -(y_hand**2) / params.eps**4 - g_hand + 0.01 * d_dust - (1 - 0.0) * d_dust + d_dust
         # i.e. R = -Y^2/eps^4 + 0 + 0 - (G1_in + G2 + D) + delta0 D with
         # G1_in = g_hand (phi = 0), G2 = 0
         expected = -(y_hand**2) / params.eps**4 - g_hand - d_dust + 0.01 * d_dust
-        assert R_main(params, state, 0.01, 0.25) == pytest.approx(expected, rel=1e-10)
+        assert evaluate_report(params, state, 0.01, 0.25).R_main == pytest.approx(expected, rel=1e-10)
 
     def test_r_eps_delta_zero_on_wave(self, params, grid):
         refs = reference_arrays(params, grid)
@@ -570,8 +565,8 @@ class TestNuScaling:
             n=GridField(grid_nu, state.n.values.copy()),
             q=GridField(grid_nu, state.q.values.copy()),
         )
-        lhs = eta_weighted(scaled, state_nu)
-        rhs = nu * eta_weighted(base, state)
+        lhs = _core(scaled, state_nu, 0.0).eta_weighted
+        rhs = nu * _core(base, state, 0.0).eta_weighted
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
@@ -580,12 +575,22 @@ class TestReport:
         state = random_state(params, grid, 23)
         rep = evaluate_report(params, state, 0.01, 0.25)
         assert rep.I_good >= 0 and rep.G_delta >= 0 and rep.D >= 0
-        assert rep.Y == pytest.approx(Y(params, state), rel=1e-14)
-        assert rep.B_delta == pytest.approx(B_delta(params, state, 0.25), rel=1e-14)
+        assert rep.Y == pytest.approx(_core(params, state, 0.0).Y, rel=1e-14)
+        split = _split(params, _core(params, state, 0.0), 0.25)
+        assert rep.B_delta == pytest.approx(split.B, rel=1e-14)
+        assert rep.G_D == rep.D
+        assert rep.eta_unweighted == _core(params, state, 0.0).eta_unweighted
         assert rep.delta_used == 0.25
-        row = rep.to_row()
-        assert len(row) == len(cl.functionals.REPORT_COLUMNS)
-        assert dict(zip(cl.functionals.REPORT_COLUMNS, row))["Y"] == rep.Y
+
+    @pytest.mark.parametrize(
+        "delta0, delta1",
+        [(0.0, 0.25), (0.5, 0.25), (0.01, 0.0)],
+        ids=["delta0_positive", "delta0_below_half", "delta1_positive"],
+    )
+    def test_thresholds_out_of_range_rejected(self, params, grid, delta0, delta1):
+        state = random_state(params, grid, 23)
+        with pytest.raises(DomainError):
+            evaluate_report(params, state, delta0, delta1)
 
     def test_state_checks(self, grid):
         with pytest.raises(DomainError):
@@ -598,17 +603,21 @@ class TestReport:
             )
 
     def test_R_main_is_the_report_value(self, params, grid):
+        # R_main written out from the core and split of fresh evaluations
+        ratio = params.eps / params.lam
         for seed in (23, 24):
             state = random_state(params, grid, seed)
             for shift in (0.0, 2.5):
                 rep = evaluate_report(params, state, 0.01, 0.2, shift=shift)
-                assert R_main(params, state, 0.01, 0.2, shift=shift) == rep.R_main
+                y = _core(params, state, shift).Y
+                s = _split(params, _core(params, state, shift), 0.2)
+                want = -(y * y) / params.eps**4 + s.B + 0.01 * ratio * abs(s.B) - s.G + 0.01 * s.G_D
+                assert rep.R_main == want
 
     def test_broken_decomposition_is_a_numerics_error(self, params, grid):
         rep = evaluate_report(params, random_state(params, grid, 23), 0.01, 0.25)
-        broken = rep.Y_parts._replace(Y_s=rep.Y_parts.Y_s + 1.0)
         with pytest.raises(cl.NumericsError, match="decomposition") as info:
-            cl.FunctionalReport(**{**rep.__dict__, "Y_parts": broken})
+            cl.FunctionalReport(**{**rep.__dict__, "Y_s": rep.Y_s + 1.0})
         assert not isinstance(info.value, ValueError)
         with pytest.raises(cl.NumericsError, match="nonnegative"):
             cl.FunctionalReport(**{**rep.__dict__, "D": -1.0})
@@ -744,11 +753,12 @@ def _eager_report(params, c, delta0, delta1):
         "B_delta": b,
         "G_delta": g,
         "D": g_parts[3],
-        "Y_parts": y_parts,
-        "B_parts": b_parts,
-        "G_parts": g_parts,
+        **dict(zip(("Y_g", "Y_b", "Y_l", "Y_s"), y_parts)),
+        **dict(zip(("B1", "B2_in", "B2_out", "B3"), b_parts)),
+        **dict(zip(("G1_in", "G1_out", "G2", "G_D"), g_parts)),
         "R_main": r,
         "delta_used": delta1,
+        "eta_unweighted": integrate_values(c["eta"], c["dx"]),
     }
 
 
@@ -767,13 +777,12 @@ class TestLazyCore:
         shift = self.shift_of(params, grid, shift_kind)
         for seed in (3, 17, 40):
             state = random_state(params, grid, seed)
-            pair = cl.functionals.evaluate_pair(params, state, 0.01, delta1, shift)
+            rep = evaluate_report(params, state, 0.01, delta1, shift)
             want = _eager_report(params, _eager_core(params, state, shift), 0.01, delta1)
+            assert list(want) == list(cl.functionals.REPORT_COLUMNS)
             for name, value in want.items():
-                got = getattr(pair.report, name)
-                assert (tuple(got) if isinstance(value, tuple) else got) == value, name
+                assert getattr(rep, name) == value, name
             c = _eager_core(params, state, shift)
-            assert pair.eta_unweighted == integrate_values(c["eta"], c["dx"])
             assert cl.functionals.y_and_ibad(params, state, shift) == (
                 _eager_Y(params, c), _eager_I_bad(params, c)
             )
@@ -781,13 +790,12 @@ class TestLazyCore:
     def test_shift_substep_core_builds_no_split_arrays(self, params, grid):
         state = random_state(params, grid, 5)
         c = cl.functionals._core(params, state, 1.5)
-        cl.functionals._Y_value(params, c)
-        cl.functionals._I_bad_value(params, c)
+        c.Y, c.I_bad
         built = set(vars(c))
-        assert {"eta", "pi", "dlog", "y_integrand"} <= built
+        assert {"eta", "pi", "dlog", "y_integrand", "Y", "I_bad"} <= built
         assert not built & {
             "phi", "sigma_phi", "a_prime_phi", "u_plus_phi", "u_plus_phi_sq", "coeff",
-            "G_pi", "D", "eta_weighted", "eta_unweighted",
+            "G_pi", "D", "I_good", "eta_weighted", "eta_unweighted",
         }
 
     def test_log_n_slope_is_per_state(self, params, grid):

@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from contraction_lab import identities
-from contraction_lab.functionals import (
-    B_delta,
-    G_delta,
-    I_bad,
-    I_good,
-    Y,
-    decompositions,
-    reference_arrays,
-)
+from contraction_lab.functionals import _core, _split, evaluate_report, reference_arrays
 from contraction_lab.identities import _rel_err, check_identities, random_state
 from contraction_lab.wave import DomainError
 
@@ -48,8 +40,8 @@ class TestCheckIdentities:
 
     @pytest.mark.parametrize("deltas", [(0.05, 0.25, 0.49)])
     def test_matches_wrapper_reference(self, params, monkeypatch, deltas):
-        # one core and one split per delta must give exactly what the
-        # per-functional wrappers give, each of which builds its own core
+        # one core and one split per delta must give exactly what one
+        # evaluation per functional gives, each with a core of its own
         grid = lab_grid(params, num_cells=256)
         fast = check_identities(params, grid, n_states=8, deltas=deltas, seed=1)
         monkeypatch.setattr(identities, "_check_one", _reference_check_one)
@@ -72,16 +64,19 @@ class TestCheckIdentities:
 
 def _reference_check_one(params, grid, seed, deltas):
     state = random_state(params, grid, seed)
-    ibad = I_bad(params, state)
-    igood = I_good(params, state)
-    y = Y(params, state)
+    ibad = _core(params, state, 0.0).I_bad
+    igood = _core(params, state, 0.0).I_good
+    y = _core(params, state, 0.0).Y
     errors = {"max_split": 0.0, "sum_Y": 0.0, "sum_B": 0.0, "sum_G": 0.0}
     for d in deltas:
-        b = B_delta(params, state, d)
-        g = G_delta(params, state, d)
+        b = _split(params, _core(params, state, 0.0), d).B
+        g = _split(params, _core(params, state, 0.0), d).G
         scale = max(abs(ibad), igood, abs(b), g, 1.0)
         errors["max_split"] = max(errors["max_split"], _rel_err(ibad - igood, b - g, scale))
-        y_parts, b_parts, g_parts = decompositions(params, state, d)
+        rep = evaluate_report(params, state, delta1=d)
+        y_parts = (rep.Y_g, rep.Y_b, rep.Y_l, rep.Y_s)
+        b_parts = (rep.B1, rep.B2_in, rep.B2_out, rep.B3)
+        g_parts = (rep.G1_in, rep.G1_out, rep.G2, rep.G_D)
         errors["sum_Y"] = max(errors["sum_Y"], _rel_err(y, sum(y_parts), max(abs(y), 1.0)))
         errors["sum_B"] = max(errors["sum_B"], _rel_err(b, sum(b_parts), max(abs(b), 1.0)))
         errors["sum_G"] = max(errors["sum_G"], _rel_err(g, sum(g_parts), max(abs(g), 1.0)))

@@ -46,3 +46,24 @@ class TestSweep:
             }
         ]
         assert all("contraction_held" in r for r in rows if r["status"] == "ok")
+
+
+class TestExperiment:
+    def test_names_the_directory_the_cli_wrote_to(self, tmp_path, monkeypatch, capsys):
+        experiment = _load_script("run_contraction_experiment")
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "demo"
+        small = [
+            "--override", "grid.num_cells=256",
+            "--override", "solver.t_end=0.05",
+            "--override", "identities.n_states=2",
+            "--override", "identities.num_cells=64",
+            "--override", "poincare.n_samples=10",
+            "--override", "poincare.y_cells=64",
+        ]
+        # argparse keeps the last --out
+        argv = ["--out", str(tmp_path / "first"), "--out", str(out), *small]
+        assert experiment.run(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"all outputs in {out}/"
+        assert (out / "final.json").exists()
+        assert not (tmp_path / "first").exists() and not (tmp_path / "out").exists()

@@ -13,7 +13,7 @@ from contraction_lab import (
     phi_eps,
     run,
 )
-from contraction_lab.functionals import reference_arrays, y_and_ibad
+from contraction_lab.functionals import _core, reference_arrays, y_and_ibad
 from contraction_lab.identities import random_state
 
 from conftest import lab_grid
@@ -137,7 +137,7 @@ class TestShiftedFunctionalConsistency:
         # for a shift that is an exact multiple of dx the translated state
         # can be built by pure index shifting (no interpolation), giving an
         # independent evaluation of int a(xi) eta(U(xi+X) | wave(xi))
-        from contraction_lab import GridField, State, eta_weighted
+        from contraction_lab import GridField, State
         from contraction_lab.wave import profile_n, profile_q
 
         grid = lab_grid(small_params, num_cells=2048)
@@ -156,8 +156,8 @@ class TestShiftedFunctionalConsistency:
         # the perturbation is compactly supported, so the pads sit on the
         # flat tail where the profile is constant to rounding
         shifted = State(n=GridField(grid, n_shift), q=GridField(grid, q_shift))
-        lhs = eta_weighted(small_params, shifted, shift=0.0)
-        rhs = eta_weighted(small_params, state, shift=x)
+        lhs = _core(small_params, shifted, 0.0).eta_weighted
+        rhs = _core(small_params, state, x).eta_weighted
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_run_reports_shift_bound_every_step(self, small_params):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,8 +16,9 @@ from contraction_lab import (
     run,
 )
 from contraction_lab.functionals import (
-    eta_unweighted,
-    eta_weighted,
+    REPORT_COLUMNS,
+    FunctionalReport,
+    _core,
     evaluate_report,
     reference_arrays,
 )
@@ -216,6 +217,27 @@ class TestRun:
                 perturbation=bump_spec(),
             )
 
+    def test_run_table_layout(self, small_params):
+        # the report's fields are the run table's columns, and the run.csv
+        # header is the same as before the report was flat
+        assert REPORT_COLUMNS == tuple(f.name for f in fields(FunctionalReport))
+        assert REPORT_COLUMNS == (
+            "eta_weighted", "Y", "I_bad", "I_good", "B_delta", "G_delta", "D",
+            "Y_g", "Y_b", "Y_l", "Y_s", "B1", "B2_in", "B2_out", "B3",
+            "G1_in", "G1_out", "G2", "G_D", "R_main", "delta_used", "eta_unweighted",
+        )
+        assert EVALUATION_COLUMNS == ("t", "X", *REPORT_COLUMNS)
+        cfg = SolverConfig(
+            params=small_params,
+            grid=lab_grid(small_params, num_cells=64),
+            t_end=0.1,
+            perturbation=bump_spec(0.1, 0.0),
+        )
+        assert run(cfg).csv_header() == [
+            "t", "X", "X_dot", "regime", "lab_shift", *REPORT_COLUMNS,
+            "violation", "balance_residual",
+        ]
+
     def test_report_rows_match_header(self, small_params):
         grid = lab_grid(small_params, num_cells=512)
         cfg = SolverConfig(
@@ -293,9 +315,9 @@ class TestRun:
             row = res.evaluations[j].tolist()
             rep = evaluate_report(small_params, st, cfg.delta0, cfg.delta1, shift=x[j])
             assert row[0] == t
-            assert row[2:-1] == rep.to_row()
-            assert row[-1] == eta_unweighted(small_params, st, shift=x[j])
-            assert rep.eta_weighted == eta_weighted(small_params, st, shift=x[j])
+            assert row[2:] == [getattr(rep, name) for name in REPORT_COLUMNS]
+            assert row[-1] == _core(small_params, st, x[j]).eta_unweighted
+            assert rep.eta_weighted == _core(small_params, st, x[j]).eta_weighted
             fresh.append(rep)
         for k in range(len(res.states)):
             # step k ends at level k + 1 and starts at level k
@@ -308,7 +330,7 @@ class TestRun:
             assert m["D"][k] == fresh[k].D
         rep0 = evaluate_report(small_params, res.initial_state, cfg.delta0, cfg.delta1)
         assert res.e0 == rep0.eta_weighted and m["D"][0] == rep0.D
-        assert res.eta0_unweighted == eta_unweighted(small_params, res.initial_state)
+        assert res.eta0_unweighted == _core(small_params, res.initial_state, 0.0).eta_unweighted
 
     def test_dissipation_integral_pairs_D_with_its_time_level(self, small_params):
         # with eta_weighted held at e0 the excess is delta0 times the whole
