@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, apply_override, load_config
 from .functionals import NumericsError, reference_arrays
+from .grid import integrate_values
 from .identities import check_identities
 from .poincare import scan_delta_star
 from .solver import StabilityError, run
@@ -96,7 +97,7 @@ def cmd_wave(cfg: ExperimentConfig, out_dir: Path) -> int:
         "decay_lower_bound_holds": decay_lower_ok,
         "decay_upper_bound_holds": decay_upper_ok,
         "second_derivative_bound_holds": second_bound_ok,
-        "weight_total_variation": float(np.trapezoid(refs.a_prime, dx=grid.dx)),
+        "weight_total_variation": integrate_values(refs.a_prime, grid.dx),
         "config": cfg.data,
     }
     _write_json(out_dir / "wave_summary.json", summary)

@@ -26,7 +26,6 @@ the run table.  The shift substeps need only Y and I_bad, and read them with
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -39,6 +38,7 @@ from .wave import (
     _a_of,
     _n_prime_of,
     _n_second_of,
+    _offsets_of,
     _q_of,
     profile_n,
     profile_q,
@@ -64,6 +64,30 @@ __all__ = [
 ]
 
 
+class _cached:
+    """`functools.cached_property` as Python 3.12 has it: without a lock.
+
+    On 3.10 and 3.11 the first read of a cached_property on any instance
+    takes one RLock that all instances share, and a run reads ~67 of them
+    for the first time each step.  This descriptor defines no __set__, so
+    the first read stores the value in the instance's __dict__ and every
+    later read finds it there without calling the descriptor.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 @dataclass
 class State:
     """Solution pair U = (n, q) on one grid; n strictly positive."""
@@ -81,7 +105,7 @@ class State:
     def grid(self) -> Grid:
         return self.n.grid
 
-    @cached_property
+    @_cached
     def _dlog_n(self) -> np.ndarray:
         """d/dxi log n by the central stencil: built on first use, then kept
         (read-only) for the life of the state, whatever the shift."""
@@ -108,21 +132,22 @@ def reference_arrays(params: WaveParams, grid: Grid, shift: float = 0.0) -> Refe
 
     Functionals of the shifted state U^X use references translated by X;
     translating the analytic objects is exact and never interpolates U.
-    The profile is evaluated once; the other five arrays are algebraic in it,
-    through the same expressions as the pointwise functions of `wave`.  a''
-    is not among them: the split's B1, its only reader, builds it.
+    The profile and its offsets n~ - n_-, n~ - n_+ are evaluated once; the
+    other five arrays are algebraic in them, through the same expressions as
+    the pointwise functions of `wave`.  a'' is not among them: the split's
+    B1, its only reader, builds it.
     """
     xi = grid._nodes - shift
     n = np.asarray(profile_n(params, xi))
-    n_prime = _n_prime_of(params, n)
-    n_second = _n_second_of(params, n, n_prime)
+    below, above = _offsets_of(params, n)
+    n_prime = _n_prime_of(params, below, above)
     return ReferenceArrays(
         xi=xi,
         ntil=n,
         ntil_prime=n_prime,
-        ntil_second=n_second,
-        qtil=_q_of(params, n),
-        a=_a_of(params, n),
+        ntil_second=_n_second_of(params, n_prime, below, above),
+        qtil=_q_of(params, below),
+        a=_a_of(params, below),
         a_prime=_a_derivative_of(params, n_prime),
     )
 
@@ -184,124 +209,124 @@ class _Core:
         self.q = state.q.values
         self.ratio = params.eps / params.lam
 
-    @cached_property
+    @_cached
     def u(self) -> np.ndarray:
         return self.q - self.refs.qtil
 
-    @cached_property
+    @_cached
     def dn(self) -> np.ndarray:
         """n - n~"""
         return self.n - self.refs.ntil
 
-    @cached_property
+    @_cached
     def dn_rel(self) -> np.ndarray:
         """(n - n~) / n~"""
         return self.dn / self.refs.ntil
 
-    @cached_property
+    @_cached
     def n_over_ntil(self) -> np.ndarray:
         return self.n / self.refs.ntil
 
-    @cached_property
+    @_cached
     def logratio(self) -> np.ndarray:
         """log(n / n~)"""
         return np.log(self.n_over_ntil)
 
-    @cached_property
+    @_cached
     def pi(self) -> np.ndarray:
         """Pi(n | n~)"""
         return np.maximum(self.n * self.logratio - self.dn, 0.0)
 
-    @cached_property
+    @_cached
     def dlog(self) -> np.ndarray:
         """d/dxi log(n/n~): only the solution part is differenced."""
         # n~'/n~ analytic avoids cancellation
         return self.state._dlog_n - self.refs.ntil_prime / self.refs.ntil
 
-    @cached_property
+    @_cached
     def eta(self) -> np.ndarray:
         return 0.5 * self.u * self.u + self.pi
 
-    @cached_property
+    @_cached
     def neg_a_prime(self) -> np.ndarray:
         return -self.refs.a_prime
 
-    @cached_property
+    @_cached
     def a_prime_pi(self) -> np.ndarray:
         return self.refs.a_prime * self.pi
 
-    @cached_property
+    @_cached
     def ratio_a(self) -> np.ndarray:
         """(eps/lam) a"""
         return self.ratio * self.refs.a
 
-    @cached_property
+    @_cached
     def ratio_a_a_prime(self) -> np.ndarray:
         """(eps/lam) a a'"""
         return self.ratio_a * self.refs.a_prime
 
-    @cached_property
+    @_cached
     def coeff(self) -> np.ndarray:
         """1 + (eps/lam) a / n~"""
         return 1.0 + self.ratio_a / self.refs.ntil
 
-    @cached_property
+    @_cached
     def sigma_phi(self) -> np.ndarray:
         """sigma phi = Pi(n|n~) + (1 + (eps/lam) a/n~)(n - n~)"""
         return self.pi + self.coeff * self.dn
 
-    @cached_property
+    @_cached
     def phi(self) -> np.ndarray:
         return self.sigma_phi / self.params.sigma
 
-    @cached_property
+    @_cached
     def a_prime_phi(self) -> np.ndarray:
         return self.refs.a_prime * self.phi
 
-    @cached_property
+    @_cached
     def u_plus_phi(self) -> np.ndarray:
         return self.u + self.phi
 
-    @cached_property
+    @_cached
     def u_plus_phi_sq(self) -> np.ndarray:
         return self.u_plus_phi**2
 
-    @cached_property
+    @_cached
     def y_integrand(self) -> np.ndarray:
         """Integrand of Y; restricted to the tube's complement it is Y_s's."""
         return self.neg_a_prime * self.eta - self.ratio_a_a_prime * (
             self.dn_rel - self.u / self.params.sigma
         )
 
-    @cached_property
+    @_cached
     def qtil_term(self) -> float:
         """int -a' q~ Pi(n|n~): a term of I_bad and of B1."""
         return integrate_values(self.neg_a_prime * self.refs.qtil * self.pi, self.dx)
 
-    @cached_property
+    @_cached
     def G_pi(self) -> float:
         """sigma int a' Pi(n|n~): a term of I_good, and G2."""
         return self.params.sigma * integrate_values(self.a_prime_pi, self.dx)
 
-    @cached_property
+    @_cached
     def D(self) -> float:
         """The dissipation int a n |d/dxi log(n/n~)|^2."""
         return integrate_values(self.refs.a * self.n * self.dlog * self.dlog, self.dx)
 
-    @cached_property
+    @_cached
     def eta_weighted(self) -> float:
         return integrate_values(self.refs.a * self.eta, self.dx)
 
-    @cached_property
+    @_cached
     def eta_unweighted(self) -> float:
         return integrate_values(self.eta, self.dx)
 
-    @cached_property
+    @_cached
     def Y(self) -> float:
         """Shift-sensitivity functional Y(U) in its explicit rewritten form."""
         return integrate_values(self.y_integrand, self.dx)
 
-    @cached_property
+    @_cached
     def I_bad(self) -> float:
         """Sign-indefinite terms of the entropy-evolution identity."""
         r = self.refs
@@ -314,7 +339,7 @@ class _Core:
         t4 = integrate_values(r.a * (r.ntil_second / r.ntil) * self.pi, self.dx)
         return t1 + self.qtil_term + t3 + t4
 
-    @cached_property
+    @_cached
     def I_good(self) -> float:
         """Sum of the three nonnegative dissipative terms."""
         u = self.u

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridField, _ddx_central
+from .grid import GridField, _ddx_central, integrate_values
 from .wave import DomainError, WaveParams, profile_n, xi_of_y
 
 __all__ = [
@@ -36,25 +36,40 @@ SAMPLE_FAMILIES = ("fourier", "polynomial", "bump")
 SCAN_TOL = 1e-10
 
 
+@functools.lru_cache(maxsize=4)
 def _y_nodes(n_cells: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, n_cells + 1)
+    """The n_cells + 1 nodes of [0, 1]; read-only, shared."""
+    y = np.linspace(0.0, 1.0, n_cells + 1)
+    y.flags.writeable = False
+    return y
+
+
+@functools.lru_cache(maxsize=4)
+def _h1_weight(n_cells: int) -> np.ndarray:
+    """The weight y(1-y) on the nodes; read-only, shared.
+
+    It vanishes at the endpoints, so the one-sided endpoint W' is never
+    weighted.
+    """
+    y = _y_nodes(n_cells)
+    weight = y * (1.0 - y)
+    weight.flags.writeable = False
+    return weight
 
 
 def _moments(w: np.ndarray) -> tuple[float, float, float, float, float]:
     """(int W^2, int W, int W^3, int |W|^3, int y(1-y)|W'|^2) by trapezoid."""
     m = len(w) - 1
     dy = 1.0 / m
-    y = _y_nodes(m)
     dw = _ddx_central(w, dy)
-    weight = y * (1.0 - y)  # vanishes at the endpoints, so endpoint dw is never weighted
     w2 = w * w
     # products, not w**3: numpy's pow is far slower for negative bases
     w3 = w2 * w
-    i2 = float(np.trapezoid(w2, dx=dy))
-    i1 = float(np.trapezoid(w, dx=dy))
-    i3 = float(np.trapezoid(w3, dx=dy))
-    iabs3 = float(np.trapezoid(np.abs(w3), dx=dy))
-    ih1 = float(np.trapezoid(weight * dw * dw, dx=dy))
+    i2 = integrate_values(w2, dy)
+    i1 = integrate_values(w, dy)
+    i3 = integrate_values(w3, dy)
+    iabs3 = integrate_values(np.abs(w3), dy)
+    ih1 = integrate_values(_h1_weight(m) * dw * dw, dy)
     return i2, i1, i3, iabs3, ih1
 
 
@@ -129,7 +144,7 @@ def _draw(seed: int, M: float, family: str, n_cells: int) -> tuple[np.ndarray, t
     rng = np.random.default_rng(seed)
     y = _y_nodes(n_cells)
     w = _raw_sample(rng, family, y)
-    i2_raw = float(np.trapezoid(w * w, dx=1.0 / n_cells))
+    i2_raw = integrate_values(w * w, 1.0 / n_cells)
     target = rng.uniform(0.5 * M, M)
     w = w * np.sqrt(target / i2_raw)
     return w, _moments(w)

@@ -240,7 +240,9 @@ class _Stepper:
         # backward-Euler diffusion in delta form around the sampled wave
         rhs = n_star - self.refs.ntil
         rhs[0] = rhs[-1] = 0.0
-        n_new = self.refs.ntil + solve_banded((1, 1), self.ab, rhs)
+        # unchecked: a non-finite value reaches _check_state, which reports
+        # it as a stability error with its time and node
+        n_new = self.refs.ntil + solve_banded((1, 1), self.ab, rhs, check_finite=False)
         n_new[0] = self.refs.ntil[0]
         n_new[-1] = self.refs.ntil[-1]
         q_new[0] = self.refs.qtil[0]

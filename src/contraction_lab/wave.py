@@ -208,24 +208,34 @@ def profile_n(params: WaveParams, xi):
     return _maybe_scalar(xi, params.n_plus + params.eps / (1.0 + np.exp(z)))
 
 
-def _n_prime_of(params: WaveParams, n):
-    """n~' from n~ through the profile ODE."""
-    return (n - params.n_minus) * (n - params.n_plus) / (params.nu * params.sigma)
+def _offsets_of(params: WaveParams, n):
+    """(n~ - n_-, n~ - n_+), <= 0 and >= 0: the differences every formula
+    below reads, named `below` and `above` there."""
+    return n - params.n_minus, n - params.n_plus
 
 
-def _n_second_of(params: WaveParams, n, n_prime):
-    """n~'' from n~ and n~'."""
-    return n_prime * ((n - params.n_minus) + (n - params.n_plus)) / (params.nu * params.sigma)
+def _n_prime_of(params: WaveParams, below, above):
+    """n~' from the offsets (n~ - n_-, n~ - n_+) through the profile ODE."""
+    return below * above / (params.nu * params.sigma)
 
 
-def _q_of(params: WaveParams, n):
-    """q~ from n~."""
-    return params.q_minus - (n - params.n_minus) / params.sigma
+def _n_second_of(params: WaveParams, n_prime, below, above):
+    """n~'' from n~' and the offsets (n~ - n_-, n~ - n_+)."""
+    return n_prime * (below + above) / (params.nu * params.sigma)
 
 
-def _a_of(params: WaveParams, n):
-    """a from n~."""
-    return 1.0 + (params.lam / params.eps) * (params.n_minus - n)
+def _q_of(params: WaveParams, below):
+    """q~ from n~ - n_-."""
+    return params.q_minus - below / params.sigma
+
+
+def _a_of(params: WaveParams, below):
+    """a from n~ - n_-.
+
+    1 - (lam/eps)(n~ - n_-) is 1 + (lam/eps)(n_- - n~) to the bit: a
+    difference and a product change sign exactly.
+    """
+    return 1.0 - (params.lam / params.eps) * below
 
 
 def _a_derivative_of(params: WaveParams, n_derivative):
@@ -236,25 +246,26 @@ def _a_derivative_of(params: WaveParams, n_derivative):
 def profile_n_prime(params: WaveParams, xi):
     """n~'(xi) = (n~ - n_-)(n~ - n_+) / (nu sigma) < 0."""
     n = np.asarray(profile_n(params, xi))
-    return _maybe_scalar(xi, _n_prime_of(params, n))
+    return _maybe_scalar(xi, _n_prime_of(params, *_offsets_of(params, n)))
 
 
 def profile_n_second(params: WaveParams, xi):
     """n~''(xi) = n~' * ((n~ - n_-) + (n~ - n_+)) / (nu sigma)."""
     n = np.asarray(profile_n(params, xi))
-    return _maybe_scalar(xi, _n_second_of(params, n, _n_prime_of(params, n)))
+    below, above = _offsets_of(params, n)
+    return _maybe_scalar(xi, _n_second_of(params, _n_prime_of(params, below, above), below, above))
 
 
 def profile_q(params: WaveParams, xi):
     """Velocity-type profile q~(xi) = q_- - (n~(xi) - n_-) / sigma."""
     n = np.asarray(profile_n(params, xi))
-    return _maybe_scalar(xi, _q_of(params, n))
+    return _maybe_scalar(xi, _q_of(params, _offsets_of(params, n)[0]))
 
 
 def weight_a(params: WaveParams, xi):
     """Weight a(xi) = 1 + (lam/eps)(n_- - n~(xi)); increases from 1 to 1+lam."""
     n = np.asarray(profile_n(params, xi))
-    return _maybe_scalar(xi, _a_of(params, n))
+    return _maybe_scalar(xi, _a_of(params, _offsets_of(params, n)[0]))
 
 
 def weight_a_prime(params: WaveParams, xi):

@@ -237,6 +237,27 @@ class TestCommands:
         out = tmp_path / "out"
         assert main(["--config", str(cfg_path), "--out", str(out), "simulate"]) == 3
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_step_is_a_stability_error(self, tmp_path, capsys):
+        # a step that overflows the state must reach the state check, not be
+        # rejected inside the banded solve as a config error
+        cfg_path = write_config(
+            tmp_path,
+            {
+                "grid": {"num_cells": 256},
+                "solver": {
+                    "t_end": 1e300,
+                    "dt": 1e300,
+                    "perturbation": {"amplitude_n": 0.5, "amplitude_q": 0.5, "width": 5.0},
+                },
+            },
+        )
+        code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "simulate"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "stability error: non-finite value in state" in err
+
     def test_numerics_error_exit_code(self, tmp_path, monkeypatch, capsys):
         # a tube split whose parts miss the total must fail verification,
         # not pass for a config error

@@ -798,6 +798,15 @@ class TestLazyCore:
             "G_pi", "D", "I_good", "eta_weighted", "eta_unweighted",
         }
 
+    def test_second_read_is_the_stored_object(self, params, grid):
+        c = cl.functionals._core(params, random_state(params, grid, 7), 0.4)
+        for name in ("dn", "pi", "y_integrand", "Y"):
+            first = getattr(c, name)
+            assert vars(c)[name] is first
+            assert getattr(c, name) is first
+            # no __set__: the instance __dict__ answers every later read
+            assert not hasattr(type(c).__dict__[name], "__set__")
+
     def test_log_n_slope_is_per_state(self, params, grid):
         a = random_state(params, grid, 5)
         b = random_state(params, grid, 6)

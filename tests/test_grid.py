@@ -12,6 +12,7 @@ from contraction_lab.grid import (
     _ddx_forward_biased,
     ddx_central,
     integrate,
+    integrate_values,
 )
 
 
@@ -81,6 +82,44 @@ class TestIntegrate:
         assert integrate(combo) == pytest.approx(
             a * integrate(f1) + b * integrate(f2), rel=1e-12, abs=1e-12
         )
+
+
+class TestIntegrateValuesIsNumpys:
+    """The package's one trapezoid is np.trapezoid, bit for bit."""
+
+    SIZES = [2, 3, 4097, 8193]
+
+    @staticmethod
+    def _values(kind, size):
+        rng = np.random.default_rng(size)
+        if kind == "normal":
+            return rng.normal(size=size)
+        if kind == "signed_zeros":
+            return np.where(rng.random(size) < 0.5, -0.0, 0.0)
+        if kind == "negative_zeros":
+            return np.full(size, -0.0)
+        if kind == "subnormal":
+            return rng.normal(size=size) * 5e-324 * 2**20
+        if kind == "huge":
+            return rng.choice([1e300, -1e300], size=size) * rng.uniform(0.5, 1.0, size=size)
+        raise ValueError(kind)
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize(
+        "kind", ["normal", "signed_zeros", "negative_zeros", "subnormal", "huge"]
+    )
+    @pytest.mark.parametrize("dx", [0.0137, 1.0 / 4096, 3.0])
+    def test_bit_equal(self, kind, size, dx):
+        v = self._values(kind, size)
+        got = integrate_values(v, dx)
+        want = float(np.trapezoid(v, dx=dx))
+        assert got == want
+        assert np.signbit(got) == np.signbit(want)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_python_list(self, size):
+        v = self._values("normal", size).tolist()
+        assert integrate_values(v, 0.25) == float(np.trapezoid(v, dx=0.25))
 
 
 class TestCumulativeTrapezoid:

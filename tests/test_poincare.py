@@ -5,7 +5,14 @@ import pytest
 
 import contraction_lab as cl
 from contraction_lab import GridField, R_poincare, W_from_state, sample_W, scan_delta_star
-from contraction_lab.poincare import DEFAULT_Y_CELLS, SAMPLE_FAMILIES, _moments
+from contraction_lab.poincare import (
+    DEFAULT_Y_CELLS,
+    SAMPLE_FAMILIES,
+    _draw,
+    _h1_weight,
+    _moments,
+    _y_nodes,
+)
 from contraction_lab.wave import DomainError, profile_n
 
 from conftest import lab_grid
@@ -61,6 +68,57 @@ class TestMoments:
             assert abs(i3 - np.trapezoid(w**3, dx=dy)) <= 1e-14 * iabs3
             assert abs(iabs3 - np.trapezoid(np.abs(w) ** 3, dx=dy)) <= 1e-14 * iabs3
             assert abs(i3) <= iabs3
+
+
+def _oracle_draw(seed, M, family, n_cells):
+    """_draw written out in full on fresh nodes, with np.trapezoid."""
+    rng = np.random.default_rng(seed)
+    y = np.linspace(0.0, 1.0, n_cells + 1)
+    if family == "fourier":
+        w = np.zeros_like(y)
+        for k in range(1, 9):
+            w += rng.normal() / k * np.sin(np.pi * k * y) + rng.normal() / k * np.cos(np.pi * k * y)
+    elif family == "polynomial":
+        degree = int(rng.integers(2, 7))
+        w = np.polynomial.polynomial.polyval(y, rng.normal(size=degree + 1))
+    else:
+        width = rng.uniform(0.05, 0.12)
+        center = rng.uniform(0.45, 0.55)
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        w = sign * np.exp(-((y - center) ** 2) / (2.0 * width**2))
+    dy = 1.0 / n_cells
+    w = w * np.sqrt(rng.uniform(0.5 * M, M) / float(np.trapezoid(w * w, dx=dy)))
+    # the interior is the central stencil; the weight zeroes both endpoints
+    dw = np.gradient(w, dy, edge_order=2)
+    moments = (
+        float(np.trapezoid(w * w, dx=dy)),
+        float(np.trapezoid(w, dx=dy)),
+        float(np.trapezoid(w * w * w, dx=dy)),
+        float(np.trapezoid(np.abs(w * w * w), dx=dy)),
+        float(np.trapezoid(y * (1.0 - y) * dw * dw, dx=dy)),
+    )
+    return w, moments
+
+
+class TestDrawIsItsOracle:
+    @pytest.mark.parametrize("family", SAMPLE_FAMILIES)
+    @pytest.mark.parametrize("n_cells", [1024, DEFAULT_Y_CELLS])
+    def test_bit_equal(self, family, n_cells):
+        for seed in (0, 7, 1234):
+            w, moms = _draw(seed, 6.0, family, n_cells)
+            want_w, want_moms = _oracle_draw(seed, 6.0, family, n_cells)
+            assert np.array_equal(w, want_w)
+            assert moms == want_moms
+
+    @pytest.mark.parametrize("n_cells", [1024, DEFAULT_Y_CELLS])
+    def test_nodes_and_weight_are_shared_and_read_only(self, n_cells):
+        y, weight = _y_nodes(n_cells), _h1_weight(n_cells)
+        assert _y_nodes(n_cells) is y and _h1_weight(n_cells) is weight
+        assert not y.flags.writeable and not weight.flags.writeable
+        assert np.array_equal(y, np.linspace(0.0, 1.0, n_cells + 1))
+        assert np.array_equal(weight, y * (1.0 - y))
+        sample_W(3, 1.0, n_cells=n_cells)
+        assert _y_nodes(n_cells) is y and _h1_weight(n_cells) is weight
 
 
 class TestSampleW:
