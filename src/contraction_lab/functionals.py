@@ -309,6 +309,19 @@ class _Core:
         return self.params.sigma * integrate_values(self.a_prime_pi, self.dx)
 
     @_cached
+    def B1(self) -> float:
+        """int -a' q~ Pi - (eps/lam) int a'' (a/n~) Pi: tube-free, like B3."""
+        r = self.refs
+        b1_pi = -self.ratio * _a_derivative_of(self.params, r.ntil_second) * (r.a / r.ntil) * self.pi
+        return self.qtil_term + integrate_values(b1_pi, self.dx)
+
+    @_cached
+    def B3(self) -> float:
+        """int -a' (1 + (eps/lam) a/n~) n log(n/n~) d/dxi log(n/n~)."""
+        b3 = self.neg_a_prime * self.coeff * self.n * self.logratio * self.dlog
+        return integrate_values(b3, self.dx)
+
+    @_cached
     def D(self) -> float:
         """The dissipation int a n |d/dxi log(n/n~)|^2."""
         return integrate_values(self.refs.a * self.n * self.dlog * self.dlog, self.dx)
@@ -377,34 +390,31 @@ class _Split(NamedTuple):
         return self.G1_in + self.G1_out + self.G2 + self.G_D
 
 
-def _split(params: WaveParams, c: _Core, delta: float) -> _Split:
+def _split(c: _Core, delta: float) -> _Split:
+    """The tube parts at threshold delta; B1, B3, G2 and D come off the core."""
     r = c.refs
+    sigma = c.params.sigma
     inside = (np.abs(c.n_over_ntil - 1.0) <= delta).astype(float)  # ties go inside
     outside = 1.0 - inside
 
-    a_second = _a_derivative_of(params, r.ntil_second)
-    b1 = c.qtil_term + integrate_values(-c.ratio * a_second * (r.a / r.ntil) * c.pi, c.dx)
-    b2_in = 0.5 * params.sigma * integrate_values(c.a_prime_phi * c.phi * inside, c.dx)
+    b2_in = 0.5 * sigma * integrate_values(c.a_prime_phi * c.phi * inside, c.dx)
     b2_out = integrate_values(c.neg_a_prime * c.sigma_phi * c.u * outside, c.dx)
-    b3 = integrate_values(c.neg_a_prime * c.coeff * c.n * c.logratio * c.dlog, c.dx)
 
-    g1_in = 0.5 * params.sigma * integrate_values(r.a_prime * c.u_plus_phi_sq * inside, c.dx)
-    g1_out = 0.5 * params.sigma * integrate_values(r.a_prime * c.u * c.u * outside, c.dx)
+    g1_in = 0.5 * sigma * integrate_values(r.a_prime * c.u_plus_phi_sq * inside, c.dx)
+    g1_out = 0.5 * sigma * integrate_values(r.a_prime * c.u * c.u * outside, c.dx)
 
     y_g = integrate_values(
         (c.neg_a_prime * (0.5 * c.phi * c.phi + c.pi)
-         - c.ratio_a_a_prime * (c.dn_rel + c.phi / params.sigma))
+         - c.ratio_a_a_prime * (c.dn_rel + c.phi / sigma))
         * inside,
         c.dx,
     )
     y_b = integrate_values(
         (-0.5 * r.a_prime * c.u_plus_phi_sq + c.a_prime_phi * c.u_plus_phi) * inside, c.dx
     )
-    y_l = (c.ratio / params.sigma) * integrate_values(
-        r.a * r.a_prime * c.u_plus_phi * inside, c.dx
-    )
+    y_l = (c.ratio / sigma) * integrate_values(r.a * r.a_prime * c.u_plus_phi * inside, c.dx)
     y_s = integrate_values(c.y_integrand * outside, c.dx)
-    return _Split(y_g, y_b, y_l, y_s, b1, b2_in, b2_out, b3, g1_in, g1_out, c.G_pi, c.D)
+    return _Split(y_g, y_b, y_l, y_s, c.B1, b2_in, b2_out, c.B3, g1_in, g1_out, c.G_pi, c.D)
 
 
 def truncate(params: WaveParams, n: GridField, theta: float, shift: float = 0.0) -> GridField:
@@ -437,7 +447,7 @@ def expansion_functionals(
     with the whole line inside the tube: Y_g, B1, B2_in, G2 and D.
     """
     q = n.with_values(np.asarray(profile_q(params, n.grid._nodes - shift)))
-    s = _split(params, _core(params, State(n=n, q=q), shift), np.inf)
+    s = _split(_core(params, State(n=n, q=q), shift), np.inf)
     return ExpansionFunctionals(s.Y_g, s.B1, s.B2_in, s.G2, s.G_D)
 
 
@@ -523,7 +533,7 @@ def evaluate_report(
     if not delta1 > 0.0:
         raise DomainError("delta1 must be positive")
     c = _core(params, state, shift)
-    s = _split(params, c, delta1)
+    s = _split(c, delta1)
     y, b, g = c.Y, s.B, s.G
     r = -(y * y) / params.eps**4 + b + delta0 * (params.eps / params.lam) * abs(b) - g + delta0 * s.G_D
     return FunctionalReport(

@@ -24,9 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import functionals
-from .functionals import State, _split
+from .functionals import State, _split, reference_arrays
 from .grid import Grid, GridField
-from .wave import DomainError, WaveParams, profile_n, profile_q
+from .wave import DomainError, WaveParams
 
 __all__ = ["random_state", "check_identities"]
 
@@ -47,8 +47,9 @@ def random_state(params: WaveParams, grid: Grid, seed: int) -> State:
         h += rng.normal() / k * np.sin(2.0 * np.pi * k * (xi - grid.xi_min) / span + rng.uniform(0, 2 * np.pi))
     g *= rng.uniform(0.05, 1.0) / max(np.max(np.abs(g)), 1e-12)
     h *= rng.uniform(0.05, 1.5) / max(np.max(np.abs(h)), 1e-12)
-    n = np.asarray(profile_n(params, xi)) * np.exp(g)
-    q = np.asarray(profile_q(params, xi)) + h
+    refs = reference_arrays(params, grid)
+    n = refs.ntil * np.exp(g)
+    q = refs.qtil + h
     return State(n=GridField(grid, n), q=GridField(grid, q))
 
 
@@ -63,7 +64,7 @@ def _check_one(params: WaveParams, grid: Grid, seed: int, deltas) -> dict:
     ibad, igood, y = c.I_bad, c.I_good, c.Y
     errors = {"max_split": 0.0, "sum_Y": 0.0, "sum_B": 0.0, "sum_G": 0.0}
     for d in deltas:
-        s = _split(params, c, d)
+        s = _split(c, d)
         b, g = s.B, s.G
         scale = max(abs(ibad), igood, abs(b), g, 1.0)
         errors["max_split"] = max(errors["max_split"], _rel_err(ibad - igood, b - g, scale))

@@ -84,10 +84,14 @@ def _r_from_moments(m: tuple[float, float, float, float, float], delta: float) -
     )
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < 1.0:  # past 1 the (1 - delta) H^1 term changes sign
+        raise DomainError("delta must lie in (0, 1)")
+
+
 def R_poincare(W: np.ndarray, delta: float) -> float:
     """Evaluate the functional for W sampled on a uniform grid over [0, 1]."""
-    if not 0.0 < delta < 1.0:
-        raise DomainError("delta must lie in (0, 1)")
+    _check_delta(delta)
     w = np.asarray(W, dtype=float)
     if w.ndim != 1 or len(w) < 5:
         raise ValueError("W must be a 1-D sample with at least 5 nodes")
@@ -207,6 +211,8 @@ def scan_delta_star(
     deltas = sorted(float(d) for d in delta_grid)
     if not deltas:
         raise ValueError("delta_grid must be non-empty")
+    for d in deltas:
+        _check_delta(d)
     sampled = [
         (seed + i, _draw(seed + i, M, SAMPLE_FAMILIES[i % len(SAMPLE_FAMILIES)], n_cells)[1])
         for i in range(n_samples)

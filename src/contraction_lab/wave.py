@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,50 +110,38 @@ def derive_end_state(n_minus: float, q_minus: float, eps: float) -> EndStates:
 
 @dataclass(frozen=True)
 class WaveParams:
-    """End states plus the parameters every downstream functional needs.
+    """The five inputs that fix the wave, and what follows from them.
 
-    eps is the shock strength n_- - n_+, lam the total variation of the
-    weight, sigma the shock speed, sigma_minus the left sound-type speed,
-    nu the viscosity (profiles stretch as xi/nu).
+    n_minus, q_minus are the left state, eps the shock strength
+    n_- - n_+, lam the total variation of the weight, nu the viscosity
+    (profiles stretch as xi/nu).  The end states, the shock speed sigma and
+    the left sound-type speed sigma_minus are derived from them.
     """
 
-    end_states: EndStates
+    n_minus: float
+    q_minus: float
     eps: float
     lam: float
-    sigma: float
-    sigma_minus: float
     nu: float = 1.0
+    end_states: EndStates = field(init=False)
+    sigma: float = field(init=False)
+    sigma_minus: float = field(init=False)
 
     def __post_init__(self):
-        e = self.end_states
-        if not (0.0 < self.eps < e.n_minus):
-            raise DomainError("need 0 < eps < n_minus")
-        if abs(self.eps - (e.n_minus - e.n_plus)) > 1e-12 * max(1.0, e.n_minus):
-            raise DomainError("eps must equal n_minus - n_plus")
+        end = derive_end_state(self.n_minus, self.q_minus, self.eps)
         if not self.lam > 0.0:
             raise DomainError("lam must be positive")
         if not self.nu > 0.0:
             raise DomainError("nu must be positive")
-        sig = _wave_speed(e.n_plus, e.q_minus)
-        sig_minus = _wave_speed(e.n_minus, e.q_minus)
-        if abs(self.sigma - sig) > 1e-12 * max(1.0, sig):
-            raise DomainError("sigma is not the positive speed root")
-        if abs(self.sigma_minus - sig_minus) > 1e-12 * max(1.0, sig_minus):
-            raise DomainError("sigma_minus inconsistent with end states")
+        object.__setattr__(self, "end_states", end)
+        object.__setattr__(self, "sigma", end.sigma)
+        object.__setattr__(self, "sigma_minus", _wave_speed(self.n_minus, self.q_minus))
         if not (0.0 < self.sigma < self.sigma_minus):
             raise DomainError("expected 0 < sigma < sigma_minus")
 
     @property
-    def n_minus(self) -> float:
-        return self.end_states.n_minus
-
-    @property
     def n_plus(self) -> float:
         return self.end_states.n_plus
-
-    @property
-    def q_minus(self) -> float:
-        return self.end_states.q_minus
 
     @property
     def q_plus(self) -> float:
@@ -167,27 +155,20 @@ def make_wave_params(
     lam: float,
     nu: float = 1.0,
 ) -> WaveParams:
-    """Build WaveParams from primitive inputs.
+    """Build WaveParams from its five inputs.
 
     The contraction theory needs eps/lam and lam both small; a hard
     threshold is non-constructive, so only the structurally necessary part
     (eps < lam < 1/2) is checked, as a warning.
     """
-    end = derive_end_state(n_minus, q_minus, eps)
+    params = WaveParams(n_minus=n_minus, q_minus=q_minus, eps=eps, lam=lam, nu=nu)
     if not (eps < lam < 0.5):
         warnings.warn(
             f"eps={eps:g}, lam={lam:g} outside eps < lam < 1/2; "
             "contraction is not expected to be provable in this regime",
             stacklevel=2,
         )
-    return WaveParams(
-        end_states=end,
-        eps=eps,
-        lam=lam,
-        sigma=_wave_speed(n_minus - eps, q_minus),
-        sigma_minus=_wave_speed(n_minus, q_minus),
-        nu=nu,
-    )
+    return params
 
 
 def _logistic_arg(params: WaveParams, xi):

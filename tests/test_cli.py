@@ -218,6 +218,15 @@ class TestCommands:
         payload = json.loads((out / "poincare_scan.json").read_text())
         assert payload["delta_star_empirical"] > 0
 
+    @pytest.mark.parametrize("key", ["delta_max", "delta_min"])
+    def test_poincare_delta_past_one_is_a_config_error(self, tmp_path, capsys, key):
+        cfg_path = write_config(tmp_path, {"poincare": {"n_samples": 30, "y_cells": 512}})
+        out = tmp_path / "out"
+        args = ["--config", str(cfg_path), "--out", str(out), "--override", f"poincare.{key}=3"]
+        assert main([*args, "poincare"]) == 2
+        assert f"poincare.{key}" in capsys.readouterr().err
+        assert not (out / "poincare_scan.json").exists()
+
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"wave": {"n_minus": 2.0}}))
@@ -265,8 +274,8 @@ class TestCommands:
 
         split = fn._split
 
-        def broken_split(params, c, delta):
-            s = split(params, c, delta)
+        def broken_split(c, delta):
+            s = split(c, delta)
             return s._replace(Y_s=s.Y_s + 1.0)
 
         monkeypatch.setattr(fn, "_split", broken_split)

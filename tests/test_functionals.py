@@ -386,7 +386,7 @@ class TestDecompositions:
             rep = evaluate_report(params, state, delta1=0.25)
             # the totals from cores of their own
             y = _core(params, state, 0.0).Y
-            s = _split(params, _core(params, state, 0.0), 0.25)
+            s = _split(_core(params, state, 0.0), 0.25)
             b, g = s.B, s.G
             assert abs(y - (rep.Y_g + rep.Y_b + rep.Y_l + rep.Y_s)) <= 1e-10 * max(1.0, abs(y))
             assert abs(b - (rep.B1 + rep.B2_in + rep.B2_out + rep.B3)) <= 1e-10 * max(1.0, abs(b))
@@ -576,7 +576,7 @@ class TestReport:
         rep = evaluate_report(params, state, 0.01, 0.25)
         assert rep.I_good >= 0 and rep.G_delta >= 0 and rep.D >= 0
         assert rep.Y == pytest.approx(_core(params, state, 0.0).Y, rel=1e-14)
-        split = _split(params, _core(params, state, 0.0), 0.25)
+        split = _split(_core(params, state, 0.0), 0.25)
         assert rep.B_delta == pytest.approx(split.B, rel=1e-14)
         assert rep.G_D == rep.D
         assert rep.eta_unweighted == _core(params, state, 0.0).eta_unweighted
@@ -610,7 +610,7 @@ class TestReport:
             for shift in (0.0, 2.5):
                 rep = evaluate_report(params, state, 0.01, 0.2, shift=shift)
                 y = _core(params, state, shift).Y
-                s = _split(params, _core(params, state, shift), 0.2)
+                s = _split(_core(params, state, shift), 0.2)
                 want = -(y * y) / params.eps**4 + s.B + 0.01 * ratio * abs(s.B) - s.G + 0.01 * s.G_D
                 assert rep.R_main == want
 
@@ -795,8 +795,22 @@ class TestLazyCore:
         assert {"eta", "pi", "dlog", "y_integrand", "Y", "I_bad"} <= built
         assert not built & {
             "phi", "sigma_phi", "a_prime_phi", "u_plus_phi", "u_plus_phi_sq", "coeff",
-            "G_pi", "D", "I_good", "eta_weighted", "eta_unweighted",
+            "G_pi", "D", "I_good", "eta_weighted", "eta_unweighted", "B1", "B3",
         }
+
+    def test_tube_free_parts_built_once_per_core(self, params, grid, monkeypatch):
+        c = cl.functionals._core(params, random_state(params, grid, 5), 0.0)
+        calls = []
+        a_derivative = cl.functionals._a_derivative_of
+
+        def counting(*args):
+            calls.append(1)
+            return a_derivative(*args)
+
+        monkeypatch.setattr(cl.functionals, "_a_derivative_of", counting)
+        splits = [_split(c, d) for d in (0.05, 0.25, 0.49)]
+        assert len(calls) == 1
+        assert {(s.B1, s.B3) for s in splits} == {(c.B1, c.B3)}
 
     def test_second_read_is_the_stored_object(self, params, grid):
         c = cl.functionals._core(params, random_state(params, grid, 7), 0.4)

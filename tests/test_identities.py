@@ -69,8 +69,8 @@ def _reference_check_one(params, grid, seed, deltas):
     y = _core(params, state, 0.0).Y
     errors = {"max_split": 0.0, "sum_Y": 0.0, "sum_B": 0.0, "sum_G": 0.0}
     for d in deltas:
-        b = _split(params, _core(params, state, 0.0), d).B
-        g = _split(params, _core(params, state, 0.0), d).G
+        b = _split(_core(params, state, 0.0), d).B
+        g = _split(_core(params, state, 0.0), d).G
         scale = max(abs(ibad), igood, abs(b), g, 1.0)
         errors["max_split"] = max(errors["max_split"], _rel_err(ibad - igood, b - g, scale))
         rep = evaluate_report(params, state, delta1=d)

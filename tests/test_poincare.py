@@ -215,6 +215,12 @@ class TestScan:
         assert worst_seed is not None and res.worst_sample_seed == worst_seed
         assert res.worst_value == worst
 
+    @pytest.mark.parametrize("grid_d", [[0.1, 1.0], [0.1, 3.0], [-0.1, 0.1], [0.0, 0.1]])
+    def test_delta_outside_unit_interval_rejected(self, grid_d):
+        # the (1 - delta) H^1 term changes sign at delta = 1
+        with pytest.raises(DomainError, match=r"delta must lie in \(0, 1\)"):
+            scan_delta_star(1.0, 3, grid_d)
+
     def test_nonpositive_budget_rejected(self):
         with pytest.raises(DomainError):
             scan_delta_star(-1.0, 10, [1e-3])

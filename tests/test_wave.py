@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,7 +20,7 @@ from contraction_lab import (
     y_of_xi,
 )
 from contraction_lab.grid import GridField, integrate
-from contraction_lab.wave import characteristic_speeds, rankine_hugoniot_residuals
+from contraction_lab.wave import WaveParams, _wave_speed, characteristic_speeds, rankine_hugoniot_residuals
 
 from conftest import lab_grid
 
@@ -79,6 +81,41 @@ class TestEndStates:
         for n_minus in (1.0, 2.0, 5.0):
             p = make_wave_params(n_minus, 0.0, eps=0.05 * n_minus, lam=0.2)
             assert p.sigma_minus / 2 <= p.sigma < p.sigma_minus
+
+
+class TestWaveParams:
+    POINTS = [(2.0, 0.0, 0.1), (2.0, 0.0, 0.05), (1.0, 0.7, 0.3), (5.0, -1.0, 0.25), (0.5, 3.0, 1e-3)]
+
+    @pytest.mark.parametrize("n_minus, q_minus, eps", POINTS)
+    def test_derived_quantities_are_the_formulas(self, n_minus, q_minus, eps):
+        # q_minus > 0 takes the conjugate root of the speed quadratic
+        p = make_wave_params(n_minus, q_minus, eps=eps, lam=0.3)
+        assert p.sigma == _wave_speed(n_minus - eps, q_minus)
+        assert p.sigma_minus == _wave_speed(n_minus, q_minus)
+        assert p.n_plus == n_minus - eps
+        assert p.q_plus == q_minus + eps / p.sigma
+        assert p.end_states == derive_end_state(n_minus, q_minus, eps)
+
+    def test_exactly_five_inputs(self):
+        init = [f.name for f in dataclasses.fields(WaveParams) if f.init]
+        assert init == ["n_minus", "q_minus", "eps", "lam", "nu"]
+
+    def test_replace_rederives(self, params):
+        moved = dataclasses.replace(params, eps=0.2)
+        assert moved == make_wave_params(params.n_minus, params.q_minus, eps=0.2, lam=params.lam)
+        assert moved.n_plus == params.n_minus - 0.2
+
+    def test_derived_speed_is_not_an_input(self):
+        with pytest.raises(TypeError):
+            WaveParams(2.0, 0.0, 0.1, 0.3, sigma=1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"eps": 0.0}, {"eps": 2.0}, {"lam": 0.0}, {"nu": -1.0}]
+    )
+    def test_bad_inputs_rejected(self, kwargs):
+        args = {"n_minus": 2.0, "q_minus": 0.0, "eps": 0.1, "lam": 0.3, **kwargs}
+        with pytest.raises(DomainError):
+            WaveParams(**args)
 
 
 class TestProfiles:
