@@ -8,7 +8,6 @@ failure (a failed check, or functionals that break an exact identity).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict, replace
@@ -32,18 +31,27 @@ EXIT_STABILITY = 3
 EXIT_VERIFICATION = 4
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+# Rows formatted per write: enough to amortise the per-chunk conversion,
+# few enough that the Python floats of a chunk stay small beside the arrays.
+_CHUNK_ROWS = 512
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_table(path: Path, header: list[str], columns, formats: dict | None = None) -> None:
+    """Write equal-length columns as a CSV table, a chunk of rows at a time.
+
+    Each column is an array or a list, one per header name.  A cell is
+    written with its column's format from `formats` (keyed by header name),
+    "%.17g" by default, and each line ends in "\r\n", csv.writer's
+    terminator.  Nothing is quoted, so no header or cell may hold a comma,
+    a quote or a line break.
+    """
+    line = ",".join((formats or {}).get(name, "%.17g") for name in header) + "\r\n"
+    n_rows = len(columns[0])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            chunk = [np.asarray(col[start:start + _CHUNK_ROWS]).tolist() for col in columns]
+            fh.write("".join(map(line.__mod__, zip(*chunk))))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -55,10 +63,10 @@ def cmd_wave(cfg: ExperimentConfig, out_dir: Path) -> int:
     grid = cfg.grid(params)
     refs = reference_arrays(params, grid)
     y = np.asarray(y_of_xi(params, grid.nodes()))
-    _write_csv(
+    _write_table(
         out_dir / "wave_profile.csv",
         ["xi", "n_tilde", "q_tilde", "a", "a_prime", "y"],
-        zip(refs.xi, refs.ntil, refs.qtil, refs.a, refs.a_prime, y),
+        [refs.xi, refs.ntil, refs.qtil, refs.a, refs.a_prime, y],
     )
 
     r1, r2 = rankine_hugoniot_residuals(params.end_states)
@@ -114,23 +122,19 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int | None = None) 
         solver_cfg = replace(solver_cfg, keep_states=True)
     result = run(solver_cfg)
     if "csv" in formats:
-        _write_csv(out_dir / "run.csv", result.csv_header(), result.csv_rows())
+        _write_table(
+            out_dir / "run.csv", result.csv_header(), result.csv_columns(), {"regime": "%s"}
+        )
     if want_snapshots:
         xi = solver_cfg.grid.nodes()
         stride = max(snapshot_stride, 1)
+        header = ["xi", "n", "q"]
         for idx, (t, snap) in enumerate(result.states or []):
             if idx % stride:
                 continue
-            _write_csv(
-                out_dir / f"fields_{idx:06d}.csv",
-                ["xi", "n", "q"],
-                zip(xi, snap.n.values, snap.q.values),
-            )
-        _write_csv(
-            out_dir / "fields_final.csv",
-            ["xi", "n", "q"],
-            zip(xi, result.final_state.n.values, result.final_state.q.values),
-        )
+            _write_table(out_dir / f"fields_{idx:06d}.csv", header, [xi, snap.n.values, snap.q.values])
+        final = result.final_state
+        _write_table(out_dir / "fields_final.csv", header, [xi, final.n.values, final.q.values])
     verdict = result.verdict()
     verdict["config"] = cfg.data
     if "json" in formats:

@@ -8,7 +8,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .grid import Grid
@@ -61,6 +60,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        import jsonschema  # only a validated config pays for its import
+
         schema = _schema()
         try:
             jsonschema.validate(raw, schema)

@@ -21,14 +21,39 @@ exactly 0.0.
 
 from __future__ import annotations
 
+import functools
+from dataclasses import fields
+
 import numpy as np
 
 from . import functionals
-from .functionals import State, _split, reference_arrays
+from .functionals import ReferenceArrays, State, _split, reference_arrays
 from .grid import Grid, GridField
 from .wave import DomainError, WaveParams
 
 __all__ = ["random_state", "check_identities"]
+
+
+@functools.lru_cache(maxsize=4)
+def _phase_ramps(grid: Grid) -> tuple[np.ndarray, ...]:
+    """2 pi k (xi - xi_min) / span at the nodes for k = 1..6; read-only, shared."""
+    xi = grid.nodes()
+    span = grid.xi_max - grid.xi_min
+    ramps = []
+    for k in range(1, 7):
+        ramp = 2.0 * np.pi * k * (xi - grid.xi_min) / span
+        ramp.flags.writeable = False
+        ramps.append(ramp)
+    return tuple(ramps)
+
+
+@functools.lru_cache(maxsize=4)
+def _references(params: WaveParams, grid: Grid) -> ReferenceArrays:
+    """reference_arrays(params, grid) at shift 0; read-only, shared."""
+    refs = reference_arrays(params, grid)
+    for f in fields(refs):
+        getattr(refs, f.name).flags.writeable = False
+    return refs
 
 
 def random_state(params: WaveParams, grid: Grid, seed: int) -> State:
@@ -38,16 +63,14 @@ def random_state(params: WaveParams, grid: Grid, seed: int) -> State:
     well past any tube threshold in (0, 1/2) for most seeds.
     """
     rng = np.random.default_rng(seed)
-    xi = grid.nodes()
-    span = grid.xi_max - grid.xi_min
-    g = np.zeros_like(xi)
-    h = np.zeros_like(xi)
-    for k in range(1, 7):
-        g += rng.normal() / k * np.sin(2.0 * np.pi * k * (xi - grid.xi_min) / span + rng.uniform(0, 2 * np.pi))
-        h += rng.normal() / k * np.sin(2.0 * np.pi * k * (xi - grid.xi_min) / span + rng.uniform(0, 2 * np.pi))
+    g = np.zeros(grid.num_nodes)
+    h = np.zeros(grid.num_nodes)
+    for k, ramp in enumerate(_phase_ramps(grid), start=1):
+        g += rng.normal() / k * np.sin(ramp + rng.uniform(0, 2 * np.pi))
+        h += rng.normal() / k * np.sin(ramp + rng.uniform(0, 2 * np.pi))
     g *= rng.uniform(0.05, 1.0) / max(np.max(np.abs(g)), 1e-12)
     h *= rng.uniform(0.05, 1.5) / max(np.max(np.abs(h)), 1e-12)
-    refs = reference_arrays(params, grid)
+    refs = _references(params, grid)
     n = refs.ntil * np.exp(g)
     q = refs.qtil + h
     return State(n=GridField(grid, n), q=GridField(grid, q))

@@ -164,6 +164,7 @@ def sample_W(
     """Seeded random test function rescaled so that int W^2 lies in [M/2, M]."""
     if not M > 0.0:
         raise DomainError("M must be positive")
+    _check_delta(delta)
     w, moms = _draw(seed, M, family, n_cells)
     return PoincareSample(
         W=w,
@@ -261,6 +262,7 @@ def W_from_state(
     whose preimage falls outside the grid are clamped to the nearest
     boundary node.
     """
+    _check_delta(delta)
     y = _y_nodes(n_cells)
     xi = np.empty_like(y)
     xi[1:-1] = np.asarray(xi_of_y(params, y[1:-1]))

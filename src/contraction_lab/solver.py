@@ -281,7 +281,7 @@ class RunResult:
 
     `evaluations` has one row per time level j = 0..n_steps: t_j, X_j and
     the report of (U_j, X_j) in REPORT_COLUMNS order.  It is the run's one
-    store of monitored numbers; `monitor`, the CSV rows and the verdict are
+    store of monitored numbers; `monitor`, the CSV columns and the verdict are
     derived from it.
     """
 
@@ -353,19 +353,24 @@ class RunResult:
             "balance_residual",
         ]
 
-    def csv_rows(self) -> list[list]:
-        """One row per reported step k, matching csv_header(): the step's
-        shift velocity and checks beside the evaluation at its end."""
+    def csv_columns(self) -> list:
+        """The run table's columns in csv_header() order, one entry per
+        reported step k: the step's shift velocity and checks beside the
+        evaluation at its end.  regime is a list of str, the rest arrays."""
         m = self.monitor
-        rows = []
-        for k in _reported_steps(len(self.times), self.config.report_stride):
-            t, x, *report = self.evaluations[k + 1].tolist()
-            rows.append(
-                [t, x, m["X_dot"][k], m["regime"][k], m["lab_shift"][k]]
-                + report
-                + [m["violation"][k], m["balance_residual"][k]]
-            )
-        return rows
+        steps = _reported_steps(len(self.times), self.config.report_stride)
+        at = np.array(steps, dtype=np.intp)
+        ends = self.evaluations[at + 1]
+        return [
+            ends[:, 0],
+            ends[:, 1],
+            m["X_dot"][at],
+            [m["regime"][k] for k in steps],
+            m["lab_shift"][at],
+            *ends[:, 2:].T,
+            m["violation"][at],
+            m["balance_residual"][at],
+        ]
 
     def verdict(self) -> dict:
         m = self.monitor

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import inspect
 import json
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from contraction_lab import PerturbationSpec, SolverConfig
-from contraction_lab.cli import main
+from contraction_lab.cli import _CHUNK_ROWS, _write_table, main
 from contraction_lab.config import ConfigError, _schema, apply_override, load_config
 from contraction_lab.identities import check_identities
 from contraction_lab.poincare import DEFAULT_Y_CELLS
@@ -416,3 +417,49 @@ class TestCommands:
         )
         assert proc.returncode == 0
         assert "sigma" in proc.stdout
+
+
+def _oracle_fmt(x) -> str:
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return str(x)
+
+
+def _oracle_write_csv(path, header, rows):
+    # the row-wise writer the CLI had before its column-wise one
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_oracle_fmt(v) for v in row])
+
+
+class TestWriteTable:
+    SPECIAL = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e308, 0.1, -1.0 / 3.0, 0.0]
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, header, columns, formats=None):
+        _write_table(tmp_path / "new.csv", header, columns, formats)
+        _oracle_write_csv(tmp_path / "old.csv", header, zip(*columns))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_special_values(self, tmp_path):
+        values = np.array(self.SPECIAL)
+        self.assert_same_bytes(tmp_path, ["a", "b"], [values, values[::-1]])
+
+    def test_python_floats_and_numpy_scalars(self, tmp_path):
+        python_floats = list(self.SPECIAL)
+        numpy_scalars = [np.float64(v) for v in self.SPECIAL]
+        self.assert_same_bytes(tmp_path, ["p", "n"], [python_floats, numpy_scalars])
+
+    def test_str_column(self, tmp_path):
+        regime = ["linear", "saturated_plus", "saturated_minus", "linear"]
+        t = np.linspace(0.0, 1.0, 4)
+        self.assert_same_bytes(tmp_path, ["t", "regime", "x"], [t, regime, -t], {"regime": "%s"})
+
+    @pytest.mark.parametrize("n_rows", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+    def test_row_counts_around_the_chunk(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        columns = [rng.normal(size=n_rows) * 10.0 ** rng.integers(-300, 300, size=n_rows) for _ in range(3)]
+        self.assert_same_bytes(tmp_path, ["xi", "n", "q"], columns)
+        assert len((tmp_path / "new.csv").read_bytes().split(b"\r\n")) == n_rows + 2

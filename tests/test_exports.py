@@ -58,3 +58,17 @@ def test_import_loads_no_scipy_integrate():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+
+
+def test_import_loads_no_jsonschema():
+    # only ExperimentConfig.from_dict validates, so only it imports jsonschema
+    code = (
+        "import sys, contraction_lab, contraction_lab.config\n"
+        "print(sorted(m for m in sys.modules if m.startswith('jsonschema')))\n"
+    )
+    src = str(Path(contraction_lab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.split("\n")[0] == "[]"

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from contraction_lab import identities
-from contraction_lab.functionals import _core, _split, evaluate_report, reference_arrays
-from contraction_lab.identities import _rel_err, check_identities, random_state
+from contraction_lab import identities, make_wave_params
+from contraction_lab.functionals import State, _core, _split, evaluate_report, reference_arrays
+from contraction_lab.grid import GridField
+from contraction_lab.identities import (
+    _phase_ramps,
+    _references,
+    _rel_err,
+    check_identities,
+    random_state,
+)
 from contraction_lab.wave import DomainError
 
 from conftest import lab_grid
@@ -28,6 +35,27 @@ class TestRandomState:
             saw_outside = saw_outside or np.any(w > 0.49)
             saw_inside = saw_inside or np.any(w <= 0.05)
         assert saw_outside and saw_inside
+
+    @pytest.mark.parametrize("eps, lam", [(0.1, 0.3), (0.05, 0.25)])
+    @pytest.mark.parametrize("num_cells", [256, 1024])
+    def test_matches_uncached_reference(self, eps, lam, num_cells):
+        params = make_wave_params(2.0, 0.0, eps=eps, lam=lam)
+        grid = lab_grid(params, num_cells=num_cells)
+        for seed in (0, 1, 17, 123):
+            got, want = random_state(params, grid, seed), _reference_random_state(params, grid, seed)
+            assert np.array_equal(got.n.values, want.n.values)
+            assert np.array_equal(got.q.values, want.q.values)
+
+    def test_fixed_arrays_are_shared_and_read_only(self, params):
+        grid = lab_grid(params, num_cells=128)
+        ramps, refs = _phase_ramps(grid), _references(params, grid)
+        random_state(params, grid, 5)
+        assert _phase_ramps(grid) is ramps and _references(params, grid) is refs
+        assert len(ramps) == 6 and not any(r.flags.writeable for r in ramps)
+        arrays = (refs.xi, refs.ntil, refs.ntil_prime, refs.ntil_second, refs.qtil, refs.a, refs.a_prime)
+        assert not any(a.flags.writeable for a in arrays)
+        fresh = reference_arrays(params, grid)
+        assert np.array_equal(refs.ntil, fresh.ntil) and np.array_equal(refs.qtil, fresh.qtil)
 
 
 class TestCheckIdentities:
@@ -81,3 +109,21 @@ def _reference_check_one(params, grid, seed, deltas):
         errors["sum_B"] = max(errors["sum_B"], _rel_err(b, sum(b_parts), max(abs(b), 1.0)))
         errors["sum_G"] = max(errors["sum_G"], _rel_err(g, sum(g_parts), max(abs(g), 1.0)))
     return errors
+
+
+def _reference_random_state(params, grid, seed):
+    # random_state as it was before its ramps and references were cached
+    rng = np.random.default_rng(seed)
+    xi = grid.nodes()
+    span = grid.xi_max - grid.xi_min
+    g = np.zeros_like(xi)
+    h = np.zeros_like(xi)
+    for k in range(1, 7):
+        g += rng.normal() / k * np.sin(2.0 * np.pi * k * (xi - grid.xi_min) / span + rng.uniform(0, 2 * np.pi))
+        h += rng.normal() / k * np.sin(2.0 * np.pi * k * (xi - grid.xi_min) / span + rng.uniform(0, 2 * np.pi))
+    g *= rng.uniform(0.05, 1.0) / max(np.max(np.abs(g)), 1e-12)
+    h *= rng.uniform(0.05, 1.5) / max(np.max(np.abs(h)), 1e-12)
+    refs = reference_arrays(params, grid)
+    n = refs.ntil * np.exp(g)
+    q = refs.qtil + h
+    return State(n=GridField(grid, n), q=GridField(grid, q))

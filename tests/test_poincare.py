@@ -161,6 +161,9 @@ class TestSampleW:
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
             sample_W(0, -1.0)
+        with pytest.raises(DomainError, match=r"\(0, 1\)"):
+            sample_W(0, 1.0, delta=3.0)
+        assert sample_W(0, 1.0).delta == 1e-3
         with pytest.raises(ValueError):
             sample_W(0, 1.0, family="chirp")
 
@@ -257,6 +260,13 @@ class TestWFromState:
         n = GridField(grid, np.asarray(profile_n(small_params, grid.nodes())))
         s = W_from_state(small_params, n, n_cells=1024)
         assert np.max(np.abs(s.W)) == 0.0
+
+    def test_delta_outside_unit_interval_rejected(self, small_params):
+        grid = lab_grid(small_params, num_cells=256)
+        n = GridField(grid, np.asarray(profile_n(small_params, grid.nodes())))
+        with pytest.raises(DomainError, match=r"\(0, 1\)"):
+            W_from_state(small_params, n, n_cells=256, delta=1.0)
+        assert W_from_state(small_params, n, n_cells=256).delta == 1e-3
 
     def test_constructed_inverse_image(self, small_params):
         # seed the state with W = g(y) pulled back through the coordinate

@@ -249,7 +249,7 @@ class TestRun:
         )
         res = run(cfg)
         header = res.csv_header()
-        rows = res.csv_rows()
+        rows = list(zip(*res.csv_columns()))
         n = len(res.times)
         assert res.evaluations.shape == (n + 1, len(EVALUATION_COLUMNS))
         assert all(len(row) == len(header) for row in rows)
