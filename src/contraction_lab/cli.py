@@ -118,8 +118,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int | None = None) 
     formats = cfg.data["output"]["formats"]
     snapshot_stride = cfg.data["output"]["snapshot_stride"]
     want_snapshots = "snapshots" in formats or snapshot_stride > 0
+    stride = max(snapshot_stride, 1)
     if want_snapshots:
-        solver_cfg = replace(solver_cfg, keep_states=True)
+        # the run keeps only the reported states that are written
+        solver_cfg = replace(solver_cfg, keep_states=stride)
     result = run(solver_cfg)
     if "csv" in formats:
         _write_table(
@@ -127,12 +129,11 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int | None = None) 
         )
     if want_snapshots:
         xi = solver_cfg.grid.nodes()
-        stride = max(snapshot_stride, 1)
         header = ["xi", "n", "q"]
-        for idx, (t, snap) in enumerate(result.states or []):
-            if idx % stride:
-                continue
-            _write_table(out_dir / f"fields_{idx:06d}.csv", header, [xi, snap.n.values, snap.q.values])
+        # NNNNNN counts reported steps: kept state j is reported step j * stride
+        for j, (t, snap) in enumerate(result.states):
+            path = out_dir / f"fields_{j * stride:06d}.csv"
+            _write_table(path, header, [xi, snap.n.values, snap.q.values])
         final = result.final_state
         _write_table(out_dir / "fields_final.csv", header, [xi, final.n.values, final.q.values])
     verdict = result.verdict()

@@ -134,22 +134,23 @@ def reference_arrays(params: WaveParams, grid: Grid, shift: float = 0.0) -> Refe
     translating the analytic objects is exact and never interpolates U.
     The profile and its offsets n~ - n_-, n~ - n_+ are evaluated once; the
     other five arrays are algebraic in them, through the same expressions as
-    the pointwise functions of `wave`.  a'' is not among them: the split's
-    B1, its only reader, builds it.
+    the pointwise functions of `wave`, each written into its own array (the
+    offsets become n~'' and a once nothing else reads them).  a'' is not
+    among them: the split's B1, its only reader, builds it.  The arrays are
+    read-only, so an in-place operation aimed at one raises.
     """
     xi = grid._nodes - shift
     n = np.asarray(profile_n(params, xi))
     below, above = _offsets_of(params, n)
-    n_prime = _n_prime_of(params, below, above)
-    return ReferenceArrays(
-        xi=xi,
-        ntil=n,
-        ntil_prime=n_prime,
-        ntil_second=_n_second_of(params, n_prime, below, above),
-        qtil=_q_of(params, below),
-        a=_a_of(params, below),
-        a_prime=_a_derivative_of(params, n_prime),
-    )
+    n_prime = _n_prime_of(params, below, above, out=np.empty_like(n))
+    qtil = _q_of(params, below, out=np.empty_like(n))
+    # the offsets' last reads: they become n~'' and a
+    n_second = _n_second_of(params, n_prime, below, above, out=above)
+    a = _a_of(params, below, out=below)
+    arrays = (xi, n, n_prime, n_second, qtil, a, _a_derivative_of(params, n_prime))
+    for array in arrays:
+        array.flags.writeable = False
+    return ReferenceArrays(*arrays)
 
 
 def pi_rel(n1, n2):
@@ -186,6 +187,15 @@ def phi_of_n(params: WaveParams, xi, n):
     return float(out) if out.ndim == 0 else out
 
 
+def _product_integral(dx: float, *factors, out: np.ndarray | None = None) -> float:
+    """The trapezoid integral of the product of `factors`, multiplied left to
+    right in one array: `out`, or a new one."""
+    w = np.multiply(factors[0], factors[1], out=out)
+    for f in factors[2:]:
+        w *= f
+    return integrate_values(w, dx)
+
+
 class _Core:
     """The nodewise arrays and shared integrals of one (state, shift) pair.
 
@@ -196,8 +206,11 @@ class _Core:
     pair, and a core asked only for Y and I_bad never builds phi or the
     split's arrays.  Each piece keeps the left-to-right operation order of
     the formulas that read it, so every value is bit-identical to writing
-    those formulas out in full.  The one shift-independent array, d/dxi
-    log n, is kept on the State and shared by its cores at every shift.
+    those formulas out in full.  Each array, and each integrand, is one
+    chain of in-place operations on the one array it allocates; a second
+    array holds a computed term that a formula adds, subtracts or multiplies
+    in.  The one shift-independent array, d/dxi log n, is kept on the State
+    and shared by its cores at every shift.
     """
 
     def __init__(self, params: WaveParams, state: State, shift: float):
@@ -234,18 +247,25 @@ class _Core:
 
     @_cached
     def pi(self) -> np.ndarray:
-        """Pi(n | n~)"""
-        return np.maximum(self.n * self.logratio - self.dn, 0.0)
+        """Pi(n | n~) = max(n log(n/n~) - (n - n~), 0)"""
+        out = self.n * self.logratio
+        out -= self.dn
+        return np.maximum(out, 0.0, out=out)
 
     @_cached
     def dlog(self) -> np.ndarray:
         """d/dxi log(n/n~): only the solution part is differenced."""
         # n~'/n~ analytic avoids cancellation
-        return self.state._dlog_n - self.refs.ntil_prime / self.refs.ntil
+        out = self.refs.ntil_prime / self.refs.ntil
+        return np.subtract(self.state._dlog_n, out, out=out)
 
     @_cached
     def eta(self) -> np.ndarray:
-        return 0.5 * self.u * self.u + self.pi
+        """0.5 u u + Pi(n | n~)"""
+        out = 0.5 * self.u
+        out *= self.u
+        out += self.pi
+        return out
 
     @_cached
     def neg_a_prime(self) -> np.ndarray:
@@ -268,12 +288,16 @@ class _Core:
     @_cached
     def coeff(self) -> np.ndarray:
         """1 + (eps/lam) a / n~"""
-        return 1.0 + self.ratio_a / self.refs.ntil
+        out = self.ratio_a / self.refs.ntil
+        out += 1.0
+        return out
 
     @_cached
     def sigma_phi(self) -> np.ndarray:
         """sigma phi = Pi(n|n~) + (1 + (eps/lam) a/n~)(n - n~)"""
-        return self.pi + self.coeff * self.dn
+        out = self.coeff * self.dn
+        out += self.pi
+        return out
 
     @_cached
     def phi(self) -> np.ndarray:
@@ -293,15 +317,19 @@ class _Core:
 
     @_cached
     def y_integrand(self) -> np.ndarray:
-        """Integrand of Y; restricted to the tube's complement it is Y_s's."""
-        return self.neg_a_prime * self.eta - self.ratio_a_a_prime * (
-            self.dn_rel - self.u / self.params.sigma
-        )
+        """-a' eta - (eps/lam) a a' ((n - n~)/n~ - u/sigma), the integrand of
+        Y; restricted to the tube's complement it is Y_s's."""
+        out = self.neg_a_prime * self.eta
+        rel = self.u / self.params.sigma
+        np.subtract(self.dn_rel, rel, out=rel)
+        rel *= self.ratio_a_a_prime
+        out -= rel
+        return out
 
     @_cached
     def qtil_term(self) -> float:
         """int -a' q~ Pi(n|n~): a term of I_bad and of B1."""
-        return integrate_values(self.neg_a_prime * self.refs.qtil * self.pi, self.dx)
+        return _product_integral(self.dx, self.neg_a_prime, self.refs.qtil, self.pi)
 
     @_cached
     def G_pi(self) -> float:
@@ -312,19 +340,23 @@ class _Core:
     def B1(self) -> float:
         """int -a' q~ Pi - (eps/lam) int a'' (a/n~) Pi: tube-free, like B3."""
         r = self.refs
-        b1_pi = -self.ratio * _a_derivative_of(self.params, r.ntil_second) * (r.a / r.ntil) * self.pi
-        return self.qtil_term + integrate_values(b1_pi, self.dx)
+        w = _a_derivative_of(self.params, r.ntil_second)
+        w *= -self.ratio
+        w *= r.a / r.ntil
+        w *= self.pi
+        return self.qtil_term + integrate_values(w, self.dx)
 
     @_cached
     def B3(self) -> float:
         """int -a' (1 + (eps/lam) a/n~) n log(n/n~) d/dxi log(n/n~)."""
-        b3 = self.neg_a_prime * self.coeff * self.n * self.logratio * self.dlog
-        return integrate_values(b3, self.dx)
+        return _product_integral(
+            self.dx, self.neg_a_prime, self.coeff, self.n, self.logratio, self.dlog
+        )
 
     @_cached
     def D(self) -> float:
         """The dissipation int a n |d/dxi log(n/n~)|^2."""
-        return integrate_values(self.refs.a * self.n * self.dlog * self.dlog, self.dx)
+        return _product_integral(self.dx, self.refs.a, self.n, self.dlog, self.dlog)
 
     @_cached
     def eta_weighted(self) -> float:
@@ -341,22 +373,35 @@ class _Core:
 
     @_cached
     def I_bad(self) -> float:
-        """Sign-indefinite terms of the entropy-evolution identity."""
-        r = self.refs
-        a_ntil_prime = r.a * r.ntil_prime / r.ntil
-        coupling = self.a_prime_pi + (r.a_prime - a_ntil_prime) * self.dn
-        t1 = integrate_values(-coupling * self.u, self.dx)
-        t3 = integrate_values(
-            (a_ntil_prime - r.a_prime) * self.n * self.logratio * self.dlog, self.dx
-        )
-        t4 = integrate_values(r.a * (r.ntil_second / r.ntil) * self.pi, self.dx)
+        """Sign-indefinite terms of the entropy-evolution identity:
+        int -(a' Pi + (a' - a n~'/n~)(n - n~)) u, the q~ term,
+        int (a n~'/n~ - a') n log(n/n~) d/dxi log(n/n~) and int a (n~''/n~) Pi.
+        """
+        r, dx = self.refs, self.dx
+        a_ntil_prime = r.a * r.ntil_prime
+        a_ntil_prime /= r.ntil
+        # -(a' Pi + (a' - a n~'/n~)(n - n~)) u
+        w = np.subtract(r.a_prime, a_ntil_prime)
+        w *= self.dn
+        w += self.a_prime_pi
+        np.negative(w, out=w)
+        w *= self.u
+        t1 = integrate_values(w, dx)
+        # (a n~'/n~ - a') n log(n/n~) d/dxi log(n/n~), over a n~'/n~
+        t3_factor = np.subtract(a_ntil_prime, r.a_prime, out=a_ntil_prime)
+        t3 = _product_integral(dx, t3_factor, self.n, self.logratio, self.dlog, out=t3_factor)
+        # a (n~''/n~) Pi, over the first integrand
+        np.divide(r.ntil_second, r.ntil, out=w)
+        w *= r.a
+        w *= self.pi
+        t4 = integrate_values(w, dx)
         return t1 + self.qtil_term + t3 + t4
 
     @_cached
     def I_good(self) -> float:
         """Sum of the three nonnegative dissipative terms."""
         u = self.u
-        g_q = self.params.sigma * integrate_values(0.5 * self.refs.a_prime * u * u, self.dx)
+        g_q = self.params.sigma * _product_integral(self.dx, 0.5, self.refs.a_prime, u, u)
         return g_q + self.G_pi + self.D
 
 
@@ -391,29 +436,47 @@ class _Split(NamedTuple):
 
 
 def _split(c: _Core, delta: float) -> _Split:
-    """The tube parts at threshold delta; B1, B3, G2 and D come off the core."""
+    """The tube parts at threshold delta; B1, B3, G2 and D come off the core.
+
+    The eight tube integrands are built in two work arrays, reused from
+    integral to integral.
+    """
     r = c.refs
-    sigma = c.params.sigma
-    inside = (np.abs(c.n_over_ntil - 1.0) <= delta).astype(float)  # ties go inside
-    outside = 1.0 - inside
+    sigma, dx = c.params.sigma, c.dx
+    inside = c.n_over_ntil - 1.0
+    np.abs(inside, out=inside)
+    np.less_equal(inside, delta, out=inside)  # 1.0 or 0.0; ties go inside
+    outside = np.subtract(1.0, inside)
+    w = np.empty_like(inside)
+    v = np.empty_like(inside)
 
-    b2_in = 0.5 * sigma * integrate_values(c.a_prime_phi * c.phi * inside, c.dx)
-    b2_out = integrate_values(c.neg_a_prime * c.sigma_phi * c.u * outside, c.dx)
+    b2_in = 0.5 * sigma * _product_integral(dx, c.a_prime_phi, c.phi, inside, out=w)
+    b2_out = _product_integral(dx, c.neg_a_prime, c.sigma_phi, c.u, outside, out=w)
+    g1_in = 0.5 * sigma * _product_integral(dx, r.a_prime, c.u_plus_phi_sq, inside, out=w)
+    g1_out = 0.5 * sigma * _product_integral(dx, r.a_prime, c.u, c.u, outside, out=w)
 
-    g1_in = 0.5 * sigma * integrate_values(r.a_prime * c.u_plus_phi_sq * inside, c.dx)
-    g1_out = 0.5 * sigma * integrate_values(r.a_prime * c.u * c.u * outside, c.dx)
+    # (-a' (phi^2/2 + Pi) - (eps/lam) a a' ((n - n~)/n~ + phi/sigma)) inside
+    np.multiply(0.5, c.phi, out=w)
+    w *= c.phi
+    w += c.pi
+    w *= c.neg_a_prime
+    np.divide(c.phi, sigma, out=v)
+    np.add(c.dn_rel, v, out=v)
+    v *= c.ratio_a_a_prime
+    w -= v
+    w *= inside
+    y_g = integrate_values(w, dx)
 
-    y_g = integrate_values(
-        (c.neg_a_prime * (0.5 * c.phi * c.phi + c.pi)
-         - c.ratio_a_a_prime * (c.dn_rel + c.phi / sigma))
-        * inside,
-        c.dx,
-    )
-    y_b = integrate_values(
-        (-0.5 * r.a_prime * c.u_plus_phi_sq + c.a_prime_phi * c.u_plus_phi) * inside, c.dx
-    )
-    y_l = (c.ratio / sigma) * integrate_values(r.a * r.a_prime * c.u_plus_phi * inside, c.dx)
-    y_s = integrate_values(c.y_integrand * outside, c.dx)
+    # (-a' (u + phi)^2 / 2 + a' phi (u + phi)) inside
+    np.multiply(-0.5, r.a_prime, out=w)
+    w *= c.u_plus_phi_sq
+    np.multiply(c.a_prime_phi, c.u_plus_phi, out=v)
+    w += v
+    w *= inside
+    y_b = integrate_values(w, dx)
+
+    y_l = (c.ratio / sigma) * _product_integral(dx, r.a, r.a_prime, c.u_plus_phi, inside, out=w)
+    y_s = _product_integral(dx, c.y_integrand, outside, out=w)
     return _Split(y_g, y_b, y_l, y_s, c.B1, b2_in, b2_out, c.B3, g1_in, g1_out, c.G_pi, c.D)
 
 

@@ -104,7 +104,8 @@ def _cumulative_trapezoid(values: np.ndarray, d) -> np.ndarray:
 
 def _ddx_central(v: np.ndarray, dx: float) -> np.ndarray:
     out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
+    interior = np.subtract(v[2:], v[:-2], out=out[1:-1])
+    interior /= 2.0 * dx
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dx)
     out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dx)
     return out
@@ -118,7 +119,10 @@ def ddx_central(f: GridField) -> GridField:
 def _ddx_forward_biased(v: np.ndarray, dx: float) -> np.ndarray:
     """Second-order three-point forward stencil; central where it does not fit."""
     out = np.empty_like(v)
-    out[:-2] = (-3.0 * v[:-2] + 4.0 * v[1:-1] - v[2:]) / (2.0 * dx)
+    body = np.multiply(-3.0, v[:-2], out=out[:-2])
+    body += 4.0 * v[1:-1]
+    body -= v[2:]
+    body /= 2.0 * dx
     # the last two nodes of the central stencil, from the last three values
     out[-2:] = _ddx_central(v[-3:], dx)[1:]
     return out

@@ -22,7 +22,6 @@ exactly 0.0.
 from __future__ import annotations
 
 import functools
-from dataclasses import fields
 
 import numpy as np
 
@@ -49,11 +48,8 @@ def _phase_ramps(grid: Grid) -> tuple[np.ndarray, ...]:
 
 @functools.lru_cache(maxsize=4)
 def _references(params: WaveParams, grid: Grid) -> ReferenceArrays:
-    """reference_arrays(params, grid) at shift 0; read-only, shared."""
-    refs = reference_arrays(params, grid)
-    for f in fields(refs):
-        getattr(refs, f.name).flags.writeable = False
-    return refs
+    """reference_arrays(params, grid) at shift 0, shared (its arrays are read-only)."""
+    return reference_arrays(params, grid)
 
 
 def random_state(params: WaveParams, grid: Grid, seed: int) -> State:

@@ -11,7 +11,9 @@ the three-point forward one throughout (`grid._ddx_forward_biased`).
 The implicit solve is the one diffusion path, so dt follows from the CFL
 limit of the first-order terms alone and does not shrink as nu grows.
 `run()` builds one `_Stepper` per run, once dt is known, and the stepper
-builds the banded matrix of the solve once.
+factors the tridiagonal matrix of the solve once (LAPACK's dgttrf); each
+step solves with the factors (dgttrs), bit for bit as
+`scipy.linalg.solve_banded` would solve the unfactored matrix.
 
 The step works in delta form around the sampled wave: the discrete
 residual of the wave is subtracted from the right-hand side, and the
@@ -32,7 +34,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .functionals import (
     REPORT_COLUMNS,
@@ -110,7 +113,8 @@ class SolverConfig:
     report_stride: int = 1
     delta0: float = 0.01
     delta1: float = 0.25
-    keep_states: bool = False
+    # keep the state of every keep_states-th reported step (True: every one)
+    keep_states: int = 0
     violation_tol: float = 1e-7
 
     def __post_init__(self):
@@ -120,6 +124,8 @@ class SolverConfig:
             raise ValueError("t_end must be positive")
         if self.report_stride < 1:
             raise ValueError("report_stride must be >= 1")
+        if self.keep_states < 0:
+            raise ValueError("keep_states must be >= 0")
         if self.dt is not None and self.dt <= 0.0:
             raise ValueError("dt must be positive when given")
         if not (self.grid.xi_min < 0.0 < self.grid.xi_max):
@@ -193,9 +199,25 @@ def _initial_state(
     return State(n=GridField(grid, n0), q=GridField(grid, q0))
 
 
+def solve_banded(lu: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve the implicit diffusion system for `rhs`, in place, from the
+    matrix's LU factors (`scipy.linalg.lapack.dgttrf`'s first five outputs).
+
+    LAPACK's dgttrs does the forward and back substitutions that dgtsv, which
+    `scipy.linalg.solve_banded` calls for a tridiagonal matrix, does while it
+    factors: on this matrix the two agree bit for bit.
+    """
+    x, info = dgttrs(*lu, rhs, overwrite_b=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgttrs")
+    return x
+
+
 class _Stepper:
     """The step of one run: its grid, references and dt are fixed when it is
-    built, and so is the banded matrix of the implicit diffusion solve."""
+    built, and so is the matrix of the implicit diffusion solve, factored
+    once.  Each step writes its stages in place on the arrays it allocates,
+    and returns new arrays."""
 
     def __init__(self, params: WaveParams, grid: Grid, refs: ReferenceArrays, dt: float):
         self.sigma = params.sigma
@@ -204,21 +226,27 @@ class _Stepper:
         self.dt = dt
         # hyperbolic residuals of the sampled wave
         self.residual_n, self.residual_q = self._hyperbolic(refs.ntil, refs.qtil)
+        # the tridiagonal matrix I - r D2, with Dirichlet rows at both ends
+        m = grid.num_nodes
         r = params.nu * dt / (self.dx * self.dx)
-        ab = np.zeros((3, grid.num_nodes))
-        ab[0, 2:] = -r
-        ab[1, :] = 1.0 + 2.0 * r
-        ab[2, :-2] = -r
-        # Dirichlet rows at both ends
-        ab[1, 0] = ab[1, -1] = 1.0
-        ab[0, 1] = 0.0
-        ab[2, -2] = 0.0
-        self.ab = ab
+        lower = np.full(m - 1, -r)
+        diag = np.full(m, 1.0 + 2.0 * r)
+        upper = np.full(m - 1, -r)
+        diag[0] = diag[-1] = 1.0
+        upper[0] = lower[-1] = 0.0
+        *lu, info = dgttrf(lower, diag, upper, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        if info > 0:
+            raise LinAlgError("singular diffusion matrix")
+        self.lu = tuple(lu)
 
     def _hyperbolic(self, n: np.ndarray, q: np.ndarray):
         """First-order terms: sigma-advection upwinded (forward), coupling central."""
-        rn = self.sigma * _ddx_forward_biased(n, self.dx) + _ddx_central(n * q, self.dx)
-        rq = self.sigma * _ddx_forward_biased(q, self.dx) + _ddx_central(n, self.dx)
+        rn = _ddx_forward_biased(n, self.dx)
+        rn *= self.sigma
+        rn += _ddx_central(n * q, self.dx)
+        rq = _ddx_forward_biased(q, self.dx)
+        rq *= self.sigma
+        rq += _ddx_central(n, self.dx)
         return rn, rq
 
     def _rhs(self, n: np.ndarray, q: np.ndarray):
@@ -231,18 +259,30 @@ class _Stepper:
 
     def step(self, n: np.ndarray, q: np.ndarray):
         dt = self.dt
-        # two-stage (Heun) update of the first-order terms
-        rn1, rq1 = self._rhs(n, q)
-        rn2, rq2 = self._rhs(n + dt * rn1, q + dt * rq1)
-        n_star = n + 0.5 * dt * (rn1 + rn2)
-        q_new = q + 0.5 * dt * (rq1 + rq2)
+        # two-stage (Heun) update of the first-order terms: the stage is
+        # U + dt R(U), and the update U + (dt/2) (R(U) + R(stage))
+        rn, rq = self._rhs(n, q)
+        n_stage = np.multiply(dt, rn)
+        n_stage += n
+        q_stage = np.multiply(dt, rq)
+        q_stage += q
+        rn_stage, rq_stage = self._rhs(n_stage, q_stage)
+        rn += rn_stage
+        rn *= 0.5 * dt
+        rn += n
+        q_new = rq
+        q_new += rq_stage
+        q_new *= 0.5 * dt
+        q_new += q
 
         # backward-Euler diffusion in delta form around the sampled wave
-        rhs = n_star - self.refs.ntil
+        rhs = rn
+        rhs -= self.refs.ntil
         rhs[0] = rhs[-1] = 0.0
         # unchecked: a non-finite value reaches _check_state, which reports
         # it as a stability error with its time and node
-        n_new = self.refs.ntil + solve_banded((1, 1), self.ab, rhs, check_finite=False)
+        n_new = solve_banded(self.lu, rhs)
+        n_new += self.refs.ntil
         n_new[0] = self.refs.ntil[0]
         n_new[-1] = self.refs.ntil[-1]
         q_new[0] = self.refs.qtil[0]
@@ -290,7 +330,7 @@ class RunResult:
     evaluations: np.ndarray  # (n_steps + 1, len(EVALUATION_COLUMNS))
     initial_state: State
     final_state: State
-    states: Optional[list] = None  # (t, State) at each reported step
+    states: Optional[list] = None  # (t, State) at every keep_states-th reported step
 
     def column(self, name: str) -> np.ndarray:
         """One column of the evaluation table, over every time level."""
@@ -424,8 +464,9 @@ def run(config: SolverConfig) -> RunResult:
     report = evaluate_report(params, current, config.delta0, config.delta1, shift=0.0)
     evaluations = np.empty((n_steps + 1, len(EVALUATION_COLUMNS)))
     evaluations[0] = (0.0, x, *(getattr(report, name) for name in REPORT_COLUMNS))
-    reported = set(_reported_steps(n_steps, config.report_stride))
-    states = [] if config.keep_states else None
+    keep = int(config.keep_states)
+    kept = set(_reported_steps(n_steps, config.report_stride)[::keep]) if keep else set()
+    states = [] if keep else None
 
     n = state.n.values.copy()
     q = state.q.values.copy()
@@ -437,7 +478,7 @@ def run(config: SolverConfig) -> RunResult:
         current = State(n=GridField(config.grid, n), q=GridField(config.grid, q))
         report = evaluate_report(params, current, config.delta0, config.delta1, shift=x)
         evaluations[k + 1] = (t, x, *(getattr(report, name) for name in REPORT_COLUMNS))
-        if states is not None and k in reported:
+        if k in kept:
             states.append((t, current))
 
     return RunResult(

@@ -172,8 +172,11 @@ def make_wave_params(
 
 
 def _logistic_arg(params: WaveParams, xi):
-    z = params.eps * np.asarray(xi, dtype=float) / (params.nu * params.sigma)
-    return np.clip(z, -EXP_CLAMP, EXP_CLAMP)
+    """eps xi / (nu sigma) clamped to +-EXP_CLAMP, in one new array (0-d for
+    a scalar xi) that the caller may overwrite."""
+    z = np.multiply(params.eps, xi, out=np.empty(np.shape(xi)))
+    z /= params.nu * params.sigma
+    return np.clip(z, -EXP_CLAMP, EXP_CLAMP, out=z)
 
 
 def _maybe_scalar(x, arr):
@@ -185,8 +188,12 @@ def profile_n(params: WaveParams, xi):
 
     Monotone decreasing, n~(0) = (n_- + n_+)/2, limits n_- and n_+.
     """
-    z = _logistic_arg(params, xi)
-    return _maybe_scalar(xi, params.n_plus + params.eps / (1.0 + np.exp(z)))
+    n = _logistic_arg(params, xi)
+    np.exp(n, out=n)
+    n += 1.0
+    np.divide(params.eps, n, out=n)
+    n += params.n_plus
+    return _maybe_scalar(xi, n)
 
 
 def _offsets_of(params: WaveParams, n):
@@ -195,28 +202,37 @@ def _offsets_of(params: WaveParams, n):
     return n - params.n_minus, n - params.n_plus
 
 
-def _n_prime_of(params: WaveParams, below, above):
-    """n~' from the offsets (n~ - n_-, n~ - n_+) through the profile ODE."""
-    return below * above / (params.nu * params.sigma)
+def _n_prime_of(params: WaveParams, below, above, out=None):
+    """n~' from the offsets (n~ - n_-, n~ - n_+) through the profile ODE.
+
+    Like the helpers below it computes into `out` when one is given (it may
+    be an input the caller no longer needs), and into new storage otherwise.
+    """
+    n_prime = np.multiply(below, above, out=out)
+    return np.divide(n_prime, params.nu * params.sigma, out=out)
 
 
-def _n_second_of(params: WaveParams, n_prime, below, above):
+def _n_second_of(params: WaveParams, n_prime, below, above, out=None):
     """n~'' from n~' and the offsets (n~ - n_-, n~ - n_+)."""
-    return n_prime * (below + above) / (params.nu * params.sigma)
+    n_second = np.add(below, above, out=out)
+    n_second = np.multiply(n_prime, n_second, out=out)
+    return np.divide(n_second, params.nu * params.sigma, out=out)
 
 
-def _q_of(params: WaveParams, below):
+def _q_of(params: WaveParams, below, out=None):
     """q~ from n~ - n_-."""
-    return params.q_minus - below / params.sigma
+    q = np.divide(below, params.sigma, out=out)
+    return np.subtract(params.q_minus, q, out=out)
 
 
-def _a_of(params: WaveParams, below):
+def _a_of(params: WaveParams, below, out=None):
     """a from n~ - n_-.
 
     1 - (lam/eps)(n~ - n_-) is 1 + (lam/eps)(n_- - n~) to the bit: a
     difference and a product change sign exactly.
     """
-    return 1.0 - (params.lam / params.eps) * below
+    a = np.multiply(params.lam / params.eps, below, out=out)
+    return np.subtract(1.0, a, out=out)
 
 
 def _a_derivative_of(params: WaveParams, n_derivative):

@@ -195,6 +195,34 @@ class TestCommands:
         assert main(["--config", str(cfg_path), "--out", str(out), "simulate"]) == 0
         assert (out / "fields_final.csv").exists()
 
+    def test_snapshots_keep_only_the_written_states(self, tmp_path, monkeypatch):
+        import contraction_lab.cli as cli_mod
+        from contraction_lab.solver import run
+
+        results = []
+
+        def keeping(cfg):
+            results.append(run(cfg))
+            return results[-1]
+
+        monkeypatch.setattr(cli_mod, "run", keeping)
+        cfg_path = write_config(
+            tmp_path,
+            {
+                "solver": {"t_end": 2.0},
+                "functionals": {"report_stride": 1},
+                "output": {"snapshot_stride": 3},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out), "simulate"]) == 0
+        (result,) = results
+        written = sorted(p.name for p in out.glob("fields_0*.csv"))
+        reported = len(result.times)
+        assert reported > 6
+        assert len(result.states) == len(written)
+        assert written == [f"fields_{j:06d}.csv" for j in range(0, reported, 3)]
+
     def test_identities_pass(self, tmp_path):
         cfg_path = write_config(tmp_path, {"identities": {"n_states": 5, "num_cells": 256}})
         out = tmp_path / "out"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -651,6 +653,17 @@ class TestReferenceArrays:
         if shift_kind.startswith("past_clamp"):
             z = params.eps * xi / (params.nu * params.sigma)
             assert np.all(np.abs(z) > EXP_CLAMP)
+
+    def test_arrays_are_read_only(self, params, grid):
+        refs = reference_arrays(params, grid, 1.5)
+        for field in dataclasses.fields(refs):
+            array = getattr(refs, field.name)
+            assert not array.flags.writeable, field.name
+            with pytest.raises(ValueError, match="read-only"):
+                array *= 2.0
+        # no two fields share storage
+        arrays = [getattr(refs, f.name) for f in dataclasses.fields(refs)]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
 
 # The eager core, split and report as they were before the core filled its

@@ -3,6 +3,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
+from scipy.linalg import solve_banded
 
 from contraction_lab import (
     Grid,
@@ -23,8 +24,9 @@ from contraction_lab.functionals import (
     reference_arrays,
 )
 from contraction_lab.grid import ddx_central, integrate
+from contraction_lab.identities import random_state
 from contraction_lab.shift import phi_eps, phi_regime
-from contraction_lab.solver import EVALUATION_COLUMNS, _check_state, _Stepper
+from contraction_lab.solver import EVALUATION_COLUMNS, _check_state, _stable_dt, _Stepper
 from contraction_lab.wave import profile_n_second
 
 from conftest import lab_grid
@@ -99,7 +101,83 @@ def take_steps(stepper, state, steps):
     return n, q
 
 
+# The step as it was before the stepper factored its matrix and wrote its
+# stages in place: every stage a new array, every stencil written out in
+# full, and the banded matrix solved by scipy.linalg.solve_banded (LAPACK's
+# gtsv).  The oracle for the bit-identity of the stepper.
+def _eager_central(v, dx):
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
+    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dx)
+    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dx)
+    return out
+
+
+def _eager_forward(v, dx):
+    out = np.empty_like(v)
+    out[:-2] = (-3.0 * v[:-2] + 4.0 * v[1:-1] - v[2:]) / (2.0 * dx)
+    out[-2:] = _eager_central(v[-3:], dx)[1:]
+    return out
+
+
+def _eager_step(params, grid, refs, dt, n, q):
+    sigma, dx = params.sigma, grid.dx
+
+    def hyperbolic(n, q):
+        rn = sigma * _eager_forward(n, dx) + _eager_central(n * q, dx)
+        rq = sigma * _eager_forward(q, dx) + _eager_central(n, dx)
+        return rn, rq
+
+    residual_n, residual_q = hyperbolic(refs.ntil, refs.qtil)
+
+    def rhs(n, q):
+        rn, rq = hyperbolic(n, q)
+        rn = rn - residual_n
+        rq = rq - residual_q
+        rn[0] = rn[-1] = rq[0] = rq[-1] = 0.0
+        return rn, rq
+
+    rn1, rq1 = rhs(n, q)
+    rn2, rq2 = rhs(n + dt * rn1, q + dt * rq1)
+    n_star = n + 0.5 * dt * (rn1 + rn2)
+    q_new = q + 0.5 * dt * (rq1 + rq2)
+
+    r = params.nu * dt / (dx * dx)
+    ab = np.zeros((3, grid.num_nodes))
+    ab[0, 2:] = -r
+    ab[1, :] = 1.0 + 2.0 * r
+    ab[2, :-2] = -r
+    ab[1, 0] = ab[1, -1] = 1.0
+    ab[0, 1] = 0.0
+    ab[2, -2] = 0.0
+    delta = n_star - refs.ntil
+    delta[0] = delta[-1] = 0.0
+    n_new = refs.ntil + solve_banded((1, 1), ab, delta)
+    n_new[0], n_new[-1] = refs.ntil[0], refs.ntil[-1]
+    q_new[0], q_new[-1] = refs.qtil[0], refs.qtil[-1]
+    return n_new, q_new
+
+
 class TestStep:
+    @pytest.mark.parametrize("cells", [512, 2048, 8192])
+    def test_step_equals_eager_oracle(self, small_params, cells):
+        grid = lab_grid(small_params, num_cells=cells)
+        refs = reference_arrays(small_params, grid)
+        for seed in (3, 17):
+            state = random_state(small_params, grid, seed)
+            dt = _stable_dt(small_params, grid, state, 0.4)
+            stepper = _Stepper(small_params, grid, refs, dt)
+            n, q = state.n.values.copy(), state.q.values.copy()
+            got = stepper.step(n, q)
+            want = _eager_step(small_params, grid, refs, dt, n, q)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            # the step writes only to the arrays it returns, which are new
+            assert np.array_equal(n, state.n.values) and np.array_equal(q, state.q.values)
+            assert not np.shares_memory(got[0], n) and not np.shares_memory(got[1], q)
+            # the sampled wave (read-only) is a bit-exact fixed point
+            wave = stepper.step(refs.ntil, refs.qtil)
+            assert np.array_equal(wave[0], refs.ntil) and np.array_equal(wave[1], refs.qtil)
+
     def test_constant_state_exactly_preserved(self, params):
         # far-left window: the wave is bitwise constant there, so a constant
         # state sees zero spatial derivatives and Dirichlet values that match
@@ -390,6 +468,22 @@ class TestRun:
         assert np.array_equal(first.evaluations, second.evaluations)
         assert np.array_equal(first.final_state.n.values, second.final_state.n.values)
         assert np.array_equal(first.final_state.q.values, second.final_state.q.values)
+
+    def test_keep_states_keeps_every_stride_th_report(self, small_params):
+        grid = lab_grid(small_params, num_cells=512)
+        cfg = SolverConfig(
+            params=small_params, grid=grid, t_end=1.0, dt=0.05, perturbation=bump_spec(0.3, 0.3),
+            report_stride=2,
+        )
+        every = run(replace(cfg, keep_states=True)).states
+        assert [t for t, _ in every] == [t for t in run(cfg).times[1::2]]
+        third = run(replace(cfg, keep_states=3)).states
+        assert [t for t, _ in third] == [t for t, _ in every[::3]]
+        for (_, a), (_, b) in zip(third, every[::3]):
+            assert np.array_equal(a.n.values, b.n.values)
+        assert run(cfg).states is None
+        with pytest.raises(ValueError, match="keep_states"):
+            replace(cfg, keep_states=-1)
 
     def test_references_built_once_per_evaluation(self, small_params, monkeypatch):
         # one set-up build shared by the stepper and the initial state, then
