@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import functionals
 from .functionals import ReferenceArrays, State, _split, reference_arrays
@@ -58,7 +59,7 @@ def random_state(params: WaveParams, grid: Grid, seed: int) -> State:
     The density factor is exp of a random trigonometric sum, so n/n~ sweeps
     well past any tube threshold in (0, 1/2) for most seeds.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     g = np.zeros(grid.num_nodes)
     h = np.zeros(grid.num_nodes)
     for k, ramp in enumerate(_phase_ramps(grid), start=1):

@@ -15,6 +15,8 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
+from numpy.random import Generator, default_rng
 
 from .grid import GridField, _ddx_central, integrate_values
 from .wave import DomainError, WaveParams, profile_n, xi_of_y
@@ -125,7 +127,7 @@ def _fourier_basis(n_cells: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(basis)
 
 
-def _raw_sample(rng: np.random.Generator, family: str, y: np.ndarray) -> np.ndarray:
+def _raw_sample(rng: Generator, family: str, y: np.ndarray) -> np.ndarray:
     if family == "fourier":
         w = np.zeros_like(y)
         for k, (sin_k, cos_k) in enumerate(_fourier_basis(len(y) - 1), start=1):
@@ -134,7 +136,7 @@ def _raw_sample(rng: np.random.Generator, family: str, y: np.ndarray) -> np.ndar
     if family == "polynomial":
         degree = int(rng.integers(2, 7))
         coeffs = rng.normal(size=degree + 1)
-        return np.polynomial.polynomial.polyval(y, coeffs)
+        return polyval(y, coeffs)
     if family == "bump":
         width = rng.uniform(0.05, 0.12)
         center = rng.uniform(0.45, 0.55)
@@ -145,7 +147,7 @@ def _raw_sample(rng: np.random.Generator, family: str, y: np.ndarray) -> np.ndar
 
 def _draw(seed: int, M: float, family: str, n_cells: int) -> tuple[np.ndarray, tuple]:
     """Seeded test function rescaled into int W^2 in [M/2, M], with its moments."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     y = _y_nodes(n_cells)
     w = _raw_sample(rng, family, y)
     i2_raw = integrate_values(w * w, 1.0 / n_cells)

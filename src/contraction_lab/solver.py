@@ -13,7 +13,10 @@ limit of the first-order terms alone and does not shrink as nu grows.
 `run()` builds one `_Stepper` per run, once dt is known, and the stepper
 factors the tridiagonal matrix of the solve once (LAPACK's dgttrf); each
 step solves with the factors (dgttrs), bit for bit as
-`scipy.linalg.solve_banded` would solve the unfactored matrix.
+`scipy.linalg.solve_banded` would solve the unfactored matrix.  The two
+routines come from scipy's compiled LAPACK wrapper, `scipy.linalg._flapack`,
+loaded on its own (`_load_flapack`): importing `scipy.linalg` for them would
+cost more than half of the package's import.
 
 The step works in delta form around the sampled wave: the discrete
 residual of the wave is subtracted from the right-hand side, and the
@@ -30,12 +33,15 @@ columns, the CSV rows and the verdict are derived from the table.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgttrf, dgttrs
+from numpy.random import default_rng
 
 from .functionals import (
     REPORT_COLUMNS,
@@ -53,6 +59,41 @@ from .grid import (
 )
 from .shift import advance, phi_eps, phi_regime
 from .wave import WaveParams, characteristic_speeds
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrapper, without running `scipy/__init__`.
+
+    `find_spec("scipy")` locates the package without importing it, and the
+    extension is loaded from `scipy/linalg` by `ExtensionFileLoader`.  The
+    import system registers it as `scipy.linalg._flapack`, so a later
+    `import scipy.linalg` uses this module and `scipy.linalg.lapack` exports
+    the same function objects.
+    """
+    name = "scipy.linalg._flapack"
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("contraction_lab needs scipy for its diffusion solve", name="scipy")
+    directory = str(Path(scipy_spec.submodule_search_locations[0], "linalg"))
+    finder = importlib.machinery.FileFinder(
+        directory, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    )
+    spec = finder.find_spec(name)
+    if spec is None:
+        from importlib.metadata import version
+
+        raise ImportError(
+            f"no compiled _flapack extension in {directory} (scipy {version('scipy')})",
+            name=name,
+        )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dgttrf = _flapack.dgttrf
+dgttrs = _flapack.dgttrs
 
 __all__ = [
     "StabilityError",
@@ -139,7 +180,7 @@ def _perturbation_arrays(spec: PerturbationSpec, grid: Grid, params: WaveParams)
         return spec.amplitude_n * bump, spec.amplitude_q * bump
 
     if spec.kind == "random_fourier":
-        rng = np.random.default_rng(spec.seed)
+        rng = default_rng(spec.seed)
         envelope = np.exp(-((xi - spec.center) ** 2) / (2.0 * spec.width**2))
         dn = np.zeros_like(xi)
         dq = np.zeros_like(xi)
@@ -201,7 +242,7 @@ def _initial_state(
 
 def solve_banded(lu: tuple, rhs: np.ndarray) -> np.ndarray:
     """Solve the implicit diffusion system for `rhs`, in place, from the
-    matrix's LU factors (`scipy.linalg.lapack.dgttrf`'s first five outputs).
+    matrix's LU factors (the first five outputs of LAPACK's `dgttrf`).
 
     LAPACK's dgttrs does the forward and back substitutions that dgtsv, which
     `scipy.linalg.solve_banded` calls for a tridiagonal matrix, does while it
@@ -279,8 +320,8 @@ class _Stepper:
         rhs = rn
         rhs -= self.refs.ntil
         rhs[0] = rhs[-1] = 0.0
-        # unchecked: a non-finite value reaches _check_state, which reports
-        # it as a stability error with its time and node
+        # unchecked: a non-finite value reaches run()'s state check, which
+        # reports it as a stability error with its time and node
         n_new = solve_banded(self.lu, rhs)
         n_new += self.refs.ntil
         n_new[0] = self.refs.ntil[0]
@@ -474,8 +515,13 @@ def run(config: SolverConfig) -> RunResult:
         x = advance(x, current, dt, params, start=(report.Y, report.I_bad))
         n, q = stepper.step(n, q)
         t = (k + 1) * dt
-        _check_state(n, q, t=t)
-        current = State(n=GridField(config.grid, n), q=GridField(config.grid, q))
+        # the fields and the state check finiteness and positivity; only a
+        # failed check looks again, to name the time and the node
+        try:
+            current = State(n=GridField(config.grid, n), q=GridField(config.grid, q))
+        except ValueError:
+            _check_state(n, q, t=t)
+            raise
         report = evaluate_report(params, current, config.delta0, config.delta1, shift=x)
         evaluations[k + 1] = (t, x, *(getattr(report, name) for name in REPORT_COLUMNS))
         if k in kept:

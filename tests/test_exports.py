@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -44,20 +45,55 @@ def test_package_imports_resolve():
         assert getattr(contraction_lab, name) is getattr(mod, name), (module, name)
 
 
-def test_import_loads_no_scipy_integrate():
-    # scipy.integrate is the largest part of a fresh import; the package's
-    # running integrals are grid._cumulative_trapezoid
-    code = (
-        "import sys, contraction_lab, contraction_lab.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n"
-        "print(callable(contraction_lab.solver.solve_banded))\n"
-    )
+def _run_fresh(code: str, *args: str) -> list[str]:
+    """stdout lines of `code` run in a fresh interpreter on this package."""
     src = str(Path(contraction_lab.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+    return proc.stdout.split("\n")
+
+
+def test_import_loads_no_scipy_integrate():
+    # importing scipy.integrate or scipy.linalg is most of a fresh import; the
+    # package's running integrals are grid._cumulative_trapezoid, and the
+    # solver loads only scipy's compiled LAPACK wrapper, without scipy/__init__
+    # and the numpy.f2py that scipy.linalg's array-API layer imports
+    code = (
+        "import sys, contraction_lab, contraction_lab.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "print('numpy.f2py' in sys.modules)\n"
+        "print(callable(contraction_lab.solver.solve_banded))\n"
+    )
+    assert _run_fresh(code)[:3] == ["['scipy.linalg._flapack']", "False", "True"]
+
+
+def test_work_imports_no_module(tmp_path):
+    # set-up (the import and load_config) loads every module the work needs,
+    # so the work of each subcommand adds no entry to sys.modules
+    demo = Path(__file__).resolve().parent.parent / "scripts" / "configs" / "contraction_demo.json"
+    data = json.loads(demo.read_text())
+    data["grid"]["num_cells"] = 256
+    data["solver"]["t_end"] = 1.0
+    data["poincare"] = {"n_samples": 20}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    (tmp_path / "out").mkdir()
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "import contraction_lab.cli as cli\n"
+        "from contraction_lab.config import load_config\n"
+        "cfg = load_config(sys.argv[1])\n"
+        "out = Path(sys.argv[2])\n"
+        "before = set(sys.modules)\n"
+        "codes = [cli.cmd_wave(cfg, out), cli.cmd_simulate(cfg, out),\n"
+        "         cli.cmd_identities(cfg, out, n_random=2), cli.cmd_poincare(cfg, out)]\n"
+        "print('RESULT', codes, sorted(set(sys.modules) - before))\n"
+    )
+    lines = _run_fresh(code, str(cfg_path), str(tmp_path / "out"))
+    assert "RESULT [0, 0, 0, 0] []" in lines
 
 
 def test_import_loads_no_jsonschema():
@@ -66,9 +102,4 @@ def test_import_loads_no_jsonschema():
         "import sys, contraction_lab, contraction_lab.config\n"
         "print(sorted(m for m in sys.modules if m.startswith('jsonschema')))\n"
     )
-    src = str(Path(contraction_lab.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert proc.stdout.split("\n")[0] == "[]"
+    assert _run_fresh(code)[0] == "[]"

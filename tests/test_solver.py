@@ -93,7 +93,8 @@ def make_stepper(params, grid, dt):
 
 
 def take_steps(stepper, state, steps):
-    """`steps` steps from `state`, each checked as run() checks it."""
+    """`steps` steps from `state`, each checked by the state check that names
+    run()'s stability errors."""
     n, q = state.n.values.copy(), state.q.values.copy()
     for _ in range(steps):
         n, q = stepper.step(n, q)
@@ -159,6 +160,33 @@ def _eager_step(params, grid, refs, dt, n, q):
 
 
 class TestStep:
+    def test_lapack_routines_are_scipys(self):
+        # the solver loads scipy's LAPACK extension on its own; the routines
+        # are the very objects scipy.linalg.lapack exports
+        import scipy.linalg.lapack
+
+        import contraction_lab.solver as solver_mod
+
+        assert solver_mod.dgttrf is scipy.linalg.lapack.dgttrf
+        assert solver_mod.dgttrs is scipy.linalg.lapack.dgttrs
+
+    def test_missing_lapack_extension_is_an_import_error(self, monkeypatch):
+        # no fallback: the error names the directory searched and scipy's version
+        import importlib.machinery
+        from importlib.metadata import version
+        from pathlib import Path
+
+        import scipy
+
+        import contraction_lab.solver as solver_mod
+
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        with pytest.raises(ImportError) as info:
+            solver_mod._load_flapack()
+        message = str(info.value)
+        assert str(Path(scipy.__file__).parent / "linalg") in message
+        assert f"(scipy {version('scipy')})" in message
+
     @pytest.mark.parametrize("cells", [512, 2048, 8192])
     def test_step_equals_eager_oracle(self, small_params, cells):
         grid = lab_grid(small_params, num_cells=cells)
@@ -509,6 +537,30 @@ class TestRun:
         fresh = initial_state(small_params, grid, spec)
         assert np.array_equal(res.initial_state.n.values, fresh.n.values)
         assert np.array_equal(res.initial_state.q.values, fresh.q.values)
+
+    def test_density_lost_positivity_names_time_and_node(self, small_params, monkeypatch):
+        # a finite step that drives one density value negative: the new
+        # State rejects it, and run() reports it with the step's time and node
+        step = _Stepper.step
+        steps = []
+
+        def dipping(self, n, q):
+            n_new, q_new = step(self, n, q)
+            steps.append(None)
+            if len(steps) == 3:
+                n_new[17] = -0.25
+            return n_new, q_new
+
+        monkeypatch.setattr(_Stepper, "step", dipping)
+        grid = lab_grid(small_params, num_cells=256)
+        cfg = SolverConfig(
+            params=small_params, grid=grid, t_end=1.0, dt=0.1, perturbation=bump_spec(0.3, 0.3)
+        )
+        with pytest.raises(StabilityError, match=r"density lost positivity \(min -2.500e-01\)") as info:
+            run(cfg)
+        assert info.value.t == 3 * 0.1
+        assert info.value.node == 17
+        assert len(steps) == 3
 
 
 class TestConcentration:
