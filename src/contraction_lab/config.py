@@ -1,10 +1,19 @@
-"""Strict, schema-validated experiment configuration."""
+"""Strict, schema-validated experiment configuration.
+
+The rules live in one file, `schema/experiment_config.schema.json`.  One
+walk over it checks a config and fills in its defaults.  The walk knows the
+keywords that file uses, with their JSON Schema draft 2020-12 meaning, and
+refuses a schema with any other, so that no rule is ignored unseen.
+"""
 
 from __future__ import annotations
 
 import copy
+import functools
 import importlib.resources
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,20 +30,125 @@ class ConfigError(ValueError):
     """Configuration file or override rejected."""
 
 
-def _schema() -> dict:
-    ref = importlib.resources.files("contraction_lab") / "schema" / "experiment_config.schema.json"
-    return json.loads(ref.read_text())
+# Every keyword the walk implements; "$schema" and "title" only annotate.
+_KEYWORDS = frozenset({
+    "$schema", "title", "type", "enum", "minimum", "maximum", "exclusiveMinimum",
+    "exclusiveMaximum", "required", "properties", "additionalProperties", "items", "default",
+})
+
+# the numeric bounds, each with the test a value must pass against it
+_BOUNDS = (
+    ("minimum", operator.ge),
+    ("maximum", operator.le),
+    ("exclusiveMinimum", operator.gt),
+    ("exclusiveMaximum", operator.lt),
+)
 
 
-def _fill_defaults(schema: dict, data: dict) -> dict:
-    """Recursively apply schema defaults to missing keys."""
-    out = copy.deepcopy(data)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    # draft 2020-12: a float with no fractional part is an integer
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "boolean": lambda value: isinstance(value, bool),
+    "null": lambda value: value is None,
+    "number": _is_number,
+    "integer": _is_integer,
+}
+
+
+def _type_names(schema: dict) -> list:
+    types = schema.get("type", [])
+    return [types] if isinstance(types, str) else types
+
+
+def _check_keywords(schema: dict, path: tuple = ()) -> None:
+    """Raise ValueError if `schema` or a subschema uses a keyword, type name or
+    form the walk does not implement."""
+    where = ".".join(path) or "<root>"
+    unknown = sorted(set(schema) - _KEYWORDS)
+    if unknown:
+        raise ValueError(f"schema at {where} uses unsupported keywords {unknown}")
+    for name in _type_names(schema):
+        if name not in _TYPES:
+            raise ValueError(f"schema at {where} names unknown type {name!r}")
+    if schema.get("additionalProperties", False) is not False:
+        raise ValueError(f"schema at {where}: only additionalProperties false is supported")
     for key, sub in schema.get("properties", {}).items():
-        if sub.get("type") == "object" or "properties" in sub:
-            out[key] = _fill_defaults(sub, out.get(key, {}))
-        elif key not in out and "default" in sub:
-            out[key] = copy.deepcopy(sub["default"])
-    return out
+        _check_keywords(sub, (*path, key))
+    if "items" in schema:
+        _check_keywords(schema["items"], (*path, "items"))
+
+
+@functools.cache
+def _schema() -> dict:
+    """The packaged schema, read and checked once per process (do not mutate)."""
+    ref = importlib.resources.files("contraction_lab") / "schema" / "experiment_config.schema.json"
+    schema = json.loads(ref.read_text())
+    _check_keywords(schema)
+    return schema
+
+
+def _walk(schema: dict, value, path: tuple):
+    """`value` checked against `schema`, in new containers with the defaults
+    filled in; raises ConfigError at the first rule it breaks.
+
+    An integer-valued float in an integer field is stored as an int, and a
+    non-finite number is refused, which JSON Schema itself allows.
+    """
+    def invalid(message: str) -> ConfigError:
+        return ConfigError(f"config invalid at {'.'.join(path) or '<root>'}: {message}")
+
+    if "type" in schema:
+        names = _type_names(schema)
+        matched = next((name for name in names if _TYPES[name](value)), None)
+        if matched is None:
+            raise invalid(f"{value!r} is not of type {' or '.join(names)}")
+        if matched == "integer" and isinstance(value, float):
+            value = int(value)
+        elif matched == "number" and isinstance(value, float) and not math.isfinite(value):
+            raise invalid(f"{value!r} is not a finite number")
+    if "enum" in schema and not any(
+        value == option and isinstance(value, bool) == isinstance(option, bool)
+        for option in schema["enum"]
+    ):
+        raise invalid(f"{value!r} is not one of {schema['enum']}")
+    if _is_number(value):
+        for keyword, holds in _BOUNDS:
+            if keyword in schema and not holds(value, schema[keyword]):
+                raise invalid(f"{value!r} breaks {keyword} {schema[keyword]!r}")
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", []):
+            if key not in value:
+                raise invalid(f"required key {key!r} is missing")
+        if "additionalProperties" in schema:
+            for key in value:
+                if key not in props:
+                    raise invalid(f"unexpected key {key!r}")
+        out = {
+            key: _walk(props[key], item, (*path, key)) if key in props else copy.deepcopy(item)
+            for key, item in value.items()
+        }
+        for key, sub in props.items():
+            if key in out:
+                continue
+            if "default" in sub:
+                out[key] = copy.deepcopy(sub["default"])
+            elif "properties" in sub:
+                out[key] = _walk(sub, {}, (*path, key))
+        return out
+    if isinstance(value, list) and "items" in schema:
+        return [_walk(schema["items"], item, (*path, str(i))) for i, item in enumerate(value)]
+    return copy.deepcopy(value)
 
 
 def apply_override(data: dict, dotted_key: str, raw_value: str) -> None:
@@ -60,15 +174,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        import jsonschema  # only a validated config pays for its import
-
-        schema = _schema()
-        try:
-            jsonschema.validate(raw, schema)
-        except jsonschema.ValidationError as exc:
-            path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
-            raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
-        return cls(data=_fill_defaults(schema, raw))
+        return cls(data=_walk(_schema(), raw, ()))
 
     def wave_params(self) -> WaveParams:
         w = self.data["wave"]

@@ -140,7 +140,7 @@ def reference_arrays(params: WaveParams, grid: Grid, shift: float = 0.0) -> Refe
     read-only, so an in-place operation aimed at one raises.
     """
     xi = grid._nodes - shift
-    n = np.asarray(profile_n(params, xi))
+    n = np.asarray(profile_n(params, xi, ascending=True))
     below, above = _offsets_of(params, n)
     n_prime = _n_prime_of(params, below, above, out=np.empty_like(n))
     qtil = _q_of(params, below, out=np.empty_like(n))

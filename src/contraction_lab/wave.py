@@ -171,11 +171,18 @@ def make_wave_params(
     return params
 
 
-def _logistic_arg(params: WaveParams, xi):
+def _logistic_arg(params: WaveParams, xi, ascending: bool = False):
     """eps xi / (nu sigma) clamped to +-EXP_CLAMP, in one new array (0-d for
-    a scalar xi) that the caller may overwrite."""
+    a scalar xi) that the caller may overwrite.
+
+    For an `ascending` xi the argument ascends too, so its two ends are its
+    extremes: when both lie inside the clamp, the clamp would change nothing
+    and is skipped.
+    """
     z = np.multiply(params.eps, xi, out=np.empty(np.shape(xi)))
     z /= params.nu * params.sigma
+    if ascending and z.size and -EXP_CLAMP <= z.flat[0] and z.flat[-1] <= EXP_CLAMP:
+        return z
     return np.clip(z, -EXP_CLAMP, EXP_CLAMP, out=z)
 
 
@@ -183,12 +190,14 @@ def _maybe_scalar(x, arr):
     return float(arr) if np.isscalar(x) or np.ndim(x) == 0 else arr
 
 
-def profile_n(params: WaveParams, xi):
+def profile_n(params: WaveParams, xi, *, ascending: bool = False):
     """Density profile n~(xi) = n_+ + eps / (1 + exp(eps xi / (nu sigma))).
 
-    Monotone decreasing, n~(0) = (n_- + n_+)/2, limits n_- and n_+.
+    Monotone decreasing, n~(0) = (n_- + n_+)/2, limits n_- and n_+.  A
+    caller whose xi is sorted ascending says so with `ascending`, which
+    spares the clamp of the exponent when the ends show it is not needed.
     """
-    n = _logistic_arg(params, xi)
+    n = _logistic_arg(params, xi, ascending)
     np.exp(n, out=n)
     n += 1.0
     np.divide(params.eps, n, out=n)

@@ -256,6 +256,32 @@ class TestCommands:
         assert f"poincare.{key}" in capsys.readouterr().err
         assert not (out / "poincare_scan.json").exists()
 
+    @pytest.mark.parametrize("override", ["solver.t_end=Infinity", "functionals.violation_tol=NaN"])
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, override):
+        # Python's json reads NaN and Infinity, and JSON Schema admits them
+        # as numbers; the config walk refuses them and names the key
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "out"
+        args = ["--config", str(cfg_path), "--out", str(out), "--override", override, "simulate"]
+        assert main(args) == 2
+        key = override.split("=")[0]
+        assert f"config invalid at {key}: " in capsys.readouterr().err
+        assert not (out / "final.json").exists()
+
+    def test_integer_valued_float_runs_as_int(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "out"
+        base = ["--config", str(cfg_path), "--out", str(out)]
+        assert main([*base, "--override", "grid.num_cells=512.0", "wave"]) == 0
+        summary = json.loads((out / "wave_summary.json").read_text())
+        assert summary["config"]["grid"]["num_cells"] == 512
+        assert len((out / "wave_profile.csv").read_text().splitlines()) == 514
+        args = [*base, "--override", "identities.n_states=3.0", "--override",
+                "identities.num_cells=256.0", "identities"]
+        assert main(args) == 0
+        report = json.loads((out / "identities.json").read_text())
+        assert report["config"]["identities"]["n_states"] == 3
+
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"wave": {"n_minus": 2.0}}))

@@ -96,10 +96,21 @@ def test_work_imports_no_module(tmp_path):
     assert "RESULT [0, 0, 0, 0] []" in lines
 
 
-def test_import_loads_no_jsonschema():
-    # only ExperimentConfig.from_dict validates, so only it imports jsonschema
+def test_import_loads_no_jsonschema(tmp_path):
+    # the config is checked by the package's own walk over its schema, so
+    # neither the import nor loading a config nor a command loads jsonschema
+    demo = Path(__file__).resolve().parent.parent / "scripts" / "configs" / "contraction_demo.json"
     code = (
         "import sys, contraction_lab, contraction_lab.config\n"
         "print(sorted(m for m in sys.modules if m.startswith('jsonschema')))\n"
+        "from contraction_lab.cli import main\n"
+        "from contraction_lab.config import load_config\n"
+        "load_config(sys.argv[1])\n"
+        "code = main(['--config', sys.argv[1], '--out', sys.argv[2],\n"
+        "             '--override', 'grid.num_cells=256', 'wave'])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('jsonschema')))\n"
     )
-    assert _run_fresh(code)[0] == "[]"
+    lines = _run_fresh(code, str(demo), str(tmp_path / "out"))
+    assert lines[0] == "[]"
+    assert lines[-2] == "0 []"
+    assert (tmp_path / "out" / "wave_summary.json").exists()

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import contraction_lab as cl
 from contraction_lab import (
     DomainError,
+    Grid,
     GridField,
     R_eps_delta,
     State,
@@ -24,6 +26,7 @@ from contraction_lab.identities import random_state
 from contraction_lab.wave import (
     EXP_CLAMP,
     _a_derivative_of,
+    _logistic_arg,
     make_wave_params,
     profile_n,
     profile_n_prime,
@@ -653,6 +656,26 @@ class TestReferenceArrays:
         if shift_kind.startswith("past_clamp"):
             z = params.eps * xi / (params.nu * params.sigma)
             assert np.all(np.abs(z) > EXP_CLAMP)
+
+    @pytest.mark.parametrize("ends", ["both", "left", "right"])
+    def test_bit_identical_when_only_the_ends_pass_the_clamp(self, params, ends):
+        # the interior lies inside the clamp and one or both end nodes past it,
+        # so reference_arrays must still clamp; an unclamped exp overflows
+        reach = EXP_CLAMP * params.nu * params.sigma / params.eps
+        lo, hi = {"both": (-1.2, 1.2), "left": (-1.2, 0.5), "right": (-0.5, 1.2)}[ends]
+        grid = Grid(lo * reach, hi * reach, 1000)
+        xi = grid.nodes()
+        z = params.eps * xi / (params.nu * params.sigma)
+        assert (z[0] < -EXP_CLAMP) == (ends != "right")
+        assert (z[-1] > EXP_CLAMP) == (ends != "left")
+        assert np.array_equal(
+            _logistic_arg(params, xi, ascending=True), np.clip(z, -EXP_CLAMP, EXP_CLAMP)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            refs = reference_arrays(params, grid)
+        for field, fn in (("ntil", profile_n), ("ntil_second", profile_n_second), ("a", weight_a)):
+            assert np.array_equal(getattr(refs, field), np.asarray(fn(params, xi))), field
 
     def test_arrays_are_read_only(self, params, grid):
         refs = reference_arrays(params, grid, 1.5)
