@@ -4,18 +4,13 @@ in a 1-D hyperbolic-parabolic chemotaxis system."""
 from .functionals import (
     FunctionalReport,
     NumericsError,
-    R_eps_delta,
     State,
-    eta_rel,
     evaluate_report,
-    expansion_functionals,
-    phi_of_n,
     pi_rel,
     reference_arrays,
-    truncate,
 )
-from .grid import Grid, GridField, ddx_central, integrate
-from .poincare import R_poincare, W_from_state, sample_W, scan_delta_star
+from .grid import Grid, GridField
+from .poincare import R_poincare, scan_delta_star
 from .shift import advance, phi_eps
 from .solver import (
     PerturbationSpec,
@@ -23,7 +18,6 @@ from .solver import (
     SolverConfig,
     StabilityError,
     initial_state,
-    reconstruct_concentration,
     run,
 )
 from .wave import (

@@ -1,9 +1,8 @@
 """Scalar functionals of a state relative to the traveling wave.
 
 Relative entropies, the entropy-evolution pieces Y / I_bad / I_good, their
-maximized split B_delta / G_delta, the dissipation D, the wave-strength
-expansion functionals, the tube truncation, and the parts of Y, B and G
-over the tube {|n/n~ - 1| <= delta_1} and its complement.
+maximized split B_delta / G_delta, the dissipation D, and the parts of Y, B
+and G over the tube {|n/n~ - 1| <= delta_1} and its complement.
 
 All reference objects (n~, q~, a and derivatives) are evaluated in closed
 form at arbitrary points, optionally translated by a shift; only solution
@@ -41,8 +40,6 @@ from .wave import (
     _offsets_of,
     _q_of,
     profile_n,
-    profile_q,
-    weight_a,
 )
 
 __all__ = [
@@ -55,12 +52,6 @@ __all__ = [
     "ReferenceArrays",
     "reference_arrays",
     "pi_rel",
-    "eta_rel",
-    "phi_of_n",
-    "truncate",
-    "ExpansionFunctionals",
-    "expansion_functionals",
-    "R_eps_delta",
 ]
 
 
@@ -165,25 +156,6 @@ def pi_rel(n1, n2):
     if np.any(n1a <= 0.0) or np.any(n2a <= 0.0):
         raise DomainError("pi_rel requires positive densities")
     out = np.maximum(n1a * np.log(n1a / n2a) - (n1a - n2a), 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def eta_rel(u1, u2):
-    """Relative entropy |q1 - q2|^2 / 2 + Pi(n1 | n2) for states (n, q)."""
-    n1, q1 = u1
-    n2, q2 = u2
-    dq = np.asarray(q1, dtype=float) - np.asarray(q2, dtype=float)
-    out = 0.5 * dq * dq + pi_rel(n1, n2)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def phi_of_n(params: WaveParams, xi, n):
-    """phi(n) = (1/sigma) (Pi(n|n~) + (1 + (eps/lam) a/n~)(n - n~)) at xi."""
-    ntil = np.asarray(profile_n(params, xi))
-    a = np.asarray(weight_a(params, xi))
-    n_arr = np.asarray(n, dtype=float)
-    ratio = params.eps / params.lam
-    out = (pi_rel(n_arr, ntil) + (1.0 + ratio * a / ntil) * (n_arr - ntil)) / params.sigma
     return float(out) if out.ndim == 0 else out
 
 
@@ -478,55 +450,6 @@ def _split(c: _Core, delta: float) -> _Split:
     y_l = (c.ratio / sigma) * _product_integral(dx, r.a, r.a_prime, c.u_plus_phi, inside, out=w)
     y_s = _product_integral(dx, c.y_integrand, outside, out=w)
     return _Split(y_g, y_b, y_l, y_s, c.B1, b2_in, b2_out, c.B3, g1_in, g1_out, c.G_pi, c.D)
-
-
-def truncate(params: WaveParams, n: GridField, theta: float, shift: float = 0.0) -> GridField:
-    """Clamp n into the tube |n/n~ - 1| <= theta around the (shifted) wave."""
-    if not 0.0 < theta < 0.5:
-        raise DomainError("theta must lie in (0, 1/2)")
-    refs = reference_arrays(params, n.grid, shift)
-    w = n.values / refs.ntil - 1.0
-    out = np.where(w > theta, (1.0 + theta) * refs.ntil, n.values)
-    out = np.where(w < -theta, (1.0 - theta) * refs.ntil, out)
-    return n.with_values(out)
-
-
-class ExpansionFunctionals(NamedTuple):
-    """The density-only functionals of the wave-strength expansion."""
-
-    Y_g: float
-    I1: float
-    I2: float
-    G2: float
-    D: float
-
-
-def expansion_functionals(
-    params: WaveParams, n: GridField, shift: float = 0.0
-) -> ExpansionFunctionals:
-    """Evaluate (Y_g, I1, I2, G2, D) for a density field over the whole line.
-
-    They are the split of the state (n, q~), whose q-perturbation vanishes,
-    with the whole line inside the tube: Y_g, B1, B2_in, G2 and D.
-    """
-    q = n.with_values(np.asarray(profile_q(params, n.grid._nodes - shift)))
-    s = _split(_core(params, State(n=n, q=q), shift), np.inf)
-    return ExpansionFunctionals(s.Y_g, s.B1, s.B2_in, s.G2, s.G_D)
-
-
-def R_eps_delta(params: WaveParams, n: GridField, delta: float, shift: float = 0.0) -> float:
-    """Density-only sign functional of the near-wave expansion."""
-    if not delta > 0.0:
-        raise DomainError("delta must be positive")
-    f = expansion_functionals(params, n, shift)
-    ratio = params.eps / params.lam
-    return (
-        -(f.Y_g**2) / (params.eps * delta)
-        + (f.I1 + f.I2)
-        + delta * ratio * (abs(f.I1) + abs(f.I2))
-        - (1.0 - delta * ratio) * f.G2
-        - (1.0 - delta) * f.D
-    )
 
 
 class NumericsError(RuntimeError):

@@ -10,9 +10,7 @@ import numpy as np
 __all__ = [
     "Grid",
     "GridField",
-    "integrate",
     "integrate_values",
-    "ddx_central",
 ]
 
 
@@ -66,9 +64,6 @@ class GridField:
             raise ValueError("field values must be finite")
         self.values = vals
 
-    def with_values(self, values: np.ndarray) -> "GridField":
-        return GridField(self.grid, values)
-
 
 def integrate_values(values: np.ndarray, dx: float) -> float:
     """Composite trapezoid rule on raw node values: the package's one trapezoid.
@@ -86,11 +81,6 @@ def integrate_values(values: np.ndarray, dx: float) -> float:
     return float(buf.sum())
 
 
-def integrate(f: GridField) -> float:
-    """Composite trapezoid rule over the field's grid."""
-    return integrate_values(f.values, f.grid.dx)
-
-
 def _cumulative_trapezoid(values: np.ndarray, d) -> np.ndarray:
     """Running trapezoid integrals over [x_0, x_j], j = 1..m-1, with spacing
     `d`: a scalar dx or the m-1 steps np.diff(x).
@@ -103,17 +93,13 @@ def _cumulative_trapezoid(values: np.ndarray, d) -> np.ndarray:
 
 
 def _ddx_central(v: np.ndarray, dx: float) -> np.ndarray:
+    """Second-order central derivative; second-order one-sided at boundaries."""
     out = np.empty_like(v)
     interior = np.subtract(v[2:], v[:-2], out=out[1:-1])
     interior /= 2.0 * dx
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dx)
     out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dx)
     return out
-
-
-def ddx_central(f: GridField) -> GridField:
-    """Second-order central derivative; second-order one-sided at boundaries."""
-    return f.with_values(_ddx_central(f.values, f.grid.dx))
 
 
 def _ddx_forward_biased(v: np.ndarray, dx: float) -> np.ndarray:

@@ -1,22 +1,19 @@
 """Quadrature-exact identity checks on randomly perturbed states.
 
-The maximized split and the tube parts are algebraic rearrangements
+The maximized split and the tube parts of Y are algebraic rearrangements
 of the same nodewise integrands, so on any grid the identities
 
     I_bad - I_good = B_delta - G_delta          (any delta > 0)
     Y  = Y_g + Y_b + Y_l + Y_s
-    B  = B1 + B2_in + B2_out + B3
-    G  = G1_in + G1_out + G2 + D
 
 hold to rounding.  This module samples large rough states and measures the
 worst relative error of each identity.  Each state is evaluated once (one
 nodewise core at shift 0) and split once per delta; every functional of the
 suite is read off that core and those splits.
 
-Only the split identity and the Y sum test the quadrature.  B_delta and
-G_delta are defined as the sums of their parts (B_delta = B1 + B2_in +
-B2_out + B3), so the B and G sums hold by definition and always report
-exactly 0.0.
+B_delta and G_delta are defined as the sums of their parts (B_delta = B1 +
+B2_in + B2_out + B3), so summing the parts again would compare a number with
+itself; the suite has no such row.
 """
 
 from __future__ import annotations
@@ -82,18 +79,14 @@ def _check_one(params: WaveParams, grid: Grid, seed: int, deltas) -> dict:
     # looked up at call time, so a wrapper installed on the module sees every build
     c = functionals._core(params, state, 0.0)
     ibad, igood, y = c.I_bad, c.I_good, c.Y
-    errors = {"max_split": 0.0, "sum_Y": 0.0, "sum_B": 0.0, "sum_G": 0.0}
+    errors = {"max_split": 0.0, "sum_Y": 0.0}
     for d in deltas:
         s = _split(c, d)
         b, g = s.B, s.G
         scale = max(abs(ibad), igood, abs(b), g, 1.0)
         errors["max_split"] = max(errors["max_split"], _rel_err(ibad - igood, b - g, scale))
         y_sum = s.Y_g + s.Y_b + s.Y_l + s.Y_s
-        b_sum = s.B1 + s.B2_in + s.B2_out + s.B3
-        g_sum = s.G1_in + s.G1_out + s.G2 + s.G_D
         errors["sum_Y"] = max(errors["sum_Y"], _rel_err(y, y_sum, max(abs(y), 1.0)))
-        errors["sum_B"] = max(errors["sum_B"], _rel_err(b, b_sum, max(abs(b), 1.0)))
-        errors["sum_G"] = max(errors["sum_G"], _rel_err(g, g_sum, max(abs(g), 1.0)))
     return errors
 
 
@@ -106,6 +99,8 @@ def check_identities(
     tol: float = 1e-10,
 ) -> dict:
     """Worst relative error of every identity over n_states random states."""
+    if len(deltas) == 0:
+        raise DomainError("deltas must be non-empty")
     if not all(d > 0.0 for d in deltas):
         raise DomainError("delta must be positive")
     per_state = [_check_one(params, grid, seed + i, deltas) for i in range(n_states)]
@@ -113,8 +108,6 @@ def check_identities(
     names = {
         "max_split": "I_bad - I_good == B_delta - G_delta",
         "sum_Y": "Y == Y_g + Y_b + Y_l + Y_s",
-        "sum_B": "B == B1 + B2_in + B2_out + B3",
-        "sum_G": "G == G1_in + G1_out + G2 + D",
     }
     identities = []
     for key, label in names.items():

@@ -12,22 +12,19 @@ module samples test functions and scans for the empirical one.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 from numpy.random import Generator, default_rng
 
-from .grid import GridField, _ddx_central, integrate_values
-from .wave import DomainError, WaveParams, profile_n, xi_of_y
+from .grid import _ddx_central, integrate_values
+from .wave import DomainError
 
 __all__ = [
-    "PoincareSample",
     "ScanResult",
     "R_poincare",
-    "sample_W",
     "scan_delta_star",
-    "W_from_state",
     "DEFAULT_Y_CELLS",
     "SAMPLE_FAMILIES",
 ]
@@ -100,20 +97,6 @@ def R_poincare(W: np.ndarray, delta: float) -> float:
     return _r_from_moments(_moments(w), delta)
 
 
-@dataclass
-class PoincareSample:
-    """A test function with its norm data and functional value."""
-
-    W: np.ndarray = field(repr=False)
-    delta: float
-    M: float
-    l2_sq: float
-    weighted_h1: float
-    R_delta: float
-    family: str = "custom"
-    seed: int | None = None
-
-
 @functools.lru_cache(maxsize=4)
 def _fourier_basis(n_cells: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """(sin(pi k y), cos(pi k y)) for k = 1..8 on the nodes; read-only, shared."""
@@ -154,30 +137,6 @@ def _draw(seed: int, M: float, family: str, n_cells: int) -> tuple[np.ndarray, t
     target = rng.uniform(0.5 * M, M)
     w = w * np.sqrt(target / i2_raw)
     return w, _moments(w)
-
-
-def sample_W(
-    seed: int,
-    M: float,
-    family: str = "fourier",
-    n_cells: int = DEFAULT_Y_CELLS,
-    delta: float = 1e-3,
-) -> PoincareSample:
-    """Seeded random test function rescaled so that int W^2 lies in [M/2, M]."""
-    if not M > 0.0:
-        raise DomainError("M must be positive")
-    _check_delta(delta)
-    w, moms = _draw(seed, M, family, n_cells)
-    return PoincareSample(
-        W=w,
-        delta=delta,
-        M=M,
-        l2_sq=moms[0],
-        weighted_h1=moms[4],
-        R_delta=_r_from_moments(moms, delta),
-        family=family,
-        seed=seed,
-    )
 
 
 @dataclass
@@ -249,37 +208,4 @@ def scan_delta_star(
         worst_value=float(worst_value) if np.isfinite(worst_value) else 0.0,
         n_samples=n_samples,
         tol=SCAN_TOL,
-    )
-
-
-def W_from_state(
-    params: WaveParams,
-    n: GridField,
-    n_cells: int = DEFAULT_Y_CELLS,
-    delta: float = 1e-3,
-) -> PoincareSample:
-    """Push a density field onto [0, 1]: W(y) = (lam n_-/eps)(n(xi(y))/n~(xi(y)) - 1).
-
-    The nodewise ratio w = n/n~ - 1 is interpolated linearly in xi; y values
-    whose preimage falls outside the grid are clamped to the nearest
-    boundary node.
-    """
-    _check_delta(delta)
-    y = _y_nodes(n_cells)
-    xi = np.empty_like(y)
-    xi[1:-1] = np.asarray(xi_of_y(params, y[1:-1]))
-    xi[0] = -np.inf
-    xi[-1] = np.inf
-    xi = np.clip(xi, n.grid.xi_min, n.grid.xi_max)
-    w_nodes = n.values / np.asarray(profile_n(params, n.grid.nodes())) - 1.0
-    w = (params.lam * params.n_minus / params.eps) * np.interp(xi, n.grid.nodes(), w_nodes)
-    moms = _moments(w)
-    return PoincareSample(
-        W=w,
-        delta=delta,
-        M=moms[0],
-        l2_sq=moms[0],
-        weighted_h1=moms[4],
-        R_delta=_r_from_moments(moms, delta),
-        family="from_state",
     )

@@ -103,7 +103,6 @@ __all__ = [
     "EVALUATION_COLUMNS",
     "initial_state",
     "run",
-    "reconstruct_concentration",
 ]
 
 # The perturbation must be below this floor outside the inner 80% of the domain.
@@ -212,14 +211,11 @@ def _perturbation_arrays(spec: PerturbationSpec, grid: Grid, params: WaveParams)
     return dn, dq
 
 
-def initial_state(params: WaveParams, grid: Grid, spec: PerturbationSpec) -> State:
-    """Sampled wave plus perturbation, validated for positivity and decay."""
-    return _initial_state(params, grid, spec, reference_arrays(params, grid))
-
-
-def _initial_state(
+def initial_state(
     params: WaveParams, grid: Grid, spec: PerturbationSpec, refs: ReferenceArrays
 ) -> State:
+    """Sampled wave plus perturbation, validated for positivity and decay;
+    `refs` are the references on `grid` at shift 0."""
     dn, dq = _perturbation_arrays(spec, grid, params)
     n0 = refs.ntil + dn
     q0 = refs.qtil + dq
@@ -493,7 +489,7 @@ def run(config: SolverConfig) -> RunResult:
     """Integrate PDE and shift ODE in lockstep, evaluating every time level."""
     params = config.params
     refs = reference_arrays(params, config.grid)
-    state = _initial_state(params, config.grid, config.perturbation, refs)
+    state = initial_state(params, config.grid, config.perturbation, refs)
 
     dt = config.dt if config.dt is not None else _stable_dt(params, config.grid, state, config.cfl)
     n_steps = max(1, int(np.ceil(config.t_end / dt - 1e-12)))
@@ -535,14 +531,3 @@ def run(config: SolverConfig) -> RunResult:
         final_state=current,
         states=states,
     )
-
-
-def reconstruct_concentration(q: GridField, c_ref: float) -> GridField:
-    """Undo the log-gradient transform: c(xi) = c_ref exp(-int_{xi_min}^xi q).
-
-    c_ref anchors the multiplicative constant at the left boundary.
-    """
-    if not c_ref > 0.0:
-        raise ValueError("c_ref must be positive")
-    antideriv = np.concatenate(([0.0], _cumulative_trapezoid(q.values, q.grid.dx)))
-    return q.with_values(c_ref * np.exp(-antideriv))

@@ -229,7 +229,19 @@ class TestCommands:
         assert main(["--config", str(cfg_path), "--out", str(out), "identities"]) == 0
         report = json.loads((out / "identities.json").read_text())
         assert report["all_passed"] is True
-        assert len(report["identities"]) == 4
+        assert [e["name"] for e in report["identities"]] == [
+            "I_bad - I_good == B_delta - G_delta",
+            "Y == Y_g + Y_b + Y_l + Y_s",
+        ]
+
+    def test_empty_deltas_is_a_config_error(self, tmp_path, capsys):
+        # an empty threshold list would check nothing and report all_passed
+        cfg_path = write_config(tmp_path, {"identities": {"n_states": 2, "num_cells": 64}})
+        out = tmp_path / "out"
+        args = ["--config", str(cfg_path), "--out", str(out), "--override", "identities.deltas=[]"]
+        assert main([*args, "identities", "--samples", "2"]) == 2
+        assert "deltas must be non-empty" in capsys.readouterr().err
+        assert not (out / "identities.json").exists()
 
     def test_identities_fail_exit_code(self, tmp_path):
         cfg_path = write_config(

@@ -45,6 +45,60 @@ def test_package_imports_resolve():
         assert getattr(contraction_lab, name) is getattr(mod, name), (module, name)
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+# Public names that no module, script or benchmark reads, kept because tests
+# use them as oracles; each with the reason it stays.
+ORACLES = (
+    ("pi_rel", "criterion 7's relative-entropy estimates, and the oracle for the core's Pi"),
+    ("weight_a", "the pointwise oracle that reference_arrays' a must equal bit for bit"),
+    ("weight_a_prime", "the pointwise oracle that reference_arrays' a' must equal bit for bit"),
+    ("xi_of_y", "the inverse of y_of_xi, and the map of the y-coordinate oracles"),
+    ("R_poincare", "criterion 8's closed form and the per-sample oracle of the scan"),
+)
+
+
+def _all_of(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [ast.literal_eval(e) for e in node.value.elts]
+    return []
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Every name a module loads, as a bare name or an attribute; a top-level
+    function or class does not count its reads of its own name."""
+    out = set()
+    for stmt in tree.body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        out |= names
+    return out
+
+
+def test_every_public_name_is_read():
+    # a name in a module's __all__ must be read by the package, a script or
+    # the benchmark (a definition, an import or a re-export is not a read),
+    # or be an oracle that tests use; so the surface cannot grow back with
+    # functions that only tests call
+    package = Path(contraction_lab.__file__).resolve().parent
+    readers = [*package.glob("*.py"), *(ROOT / "scripts").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+    read = set().union(*(_reads(ast.parse(path.read_text())) for path in readers))
+    oracles = {name for name, _ in ORACLES}
+    public = {name for path in package.glob("*.py") for name in _all_of(ast.parse(path.read_text()))}
+    assert sorted(public - read - oracles) == []
+    # an oracle that the code reads again needs no entry, and a stale one goes
+    assert sorted(oracles - (public - read)) == []
+
+
 def _run_fresh(code: str, *args: str) -> list[str]:
     """stdout lines of `code` run in a fresh interpreter on this package."""
     src = str(Path(contraction_lab.__file__).resolve().parent.parent)

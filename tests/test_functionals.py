@@ -11,14 +11,9 @@ from contraction_lab import (
     DomainError,
     Grid,
     GridField,
-    R_eps_delta,
     State,
-    eta_rel,
     evaluate_report,
-    expansion_functionals,
-    phi_of_n,
     pi_rel,
-    truncate,
 )
 from contraction_lab.functionals import _core, _split, reference_arrays
 from contraction_lab.grid import _ddx_central, integrate_values
@@ -151,55 +146,64 @@ class TestPiRel:
         assert radius >= 0.1
 
 
+def near_wave_state(params, grid, ratio=1.0, q_gap=0.0):
+    """n = ratio * n~ and q = q~ + q_gap on the grid."""
+    refs = reference_arrays(params, grid)
+    return State(n=GridField(grid, ratio * refs.ntil), q=GridField(grid, refs.qtil + q_gap))
+
+
 class TestEtaRel:
-    def test_coincidence(self):
-        assert eta_rel((1.5, -2.0), (1.5, -2.0)) == 0.0
+    """The core's nodewise relative entropy |q - q~|^2 / 2 + Pi(n | n~)."""
 
-    def test_pure_q_gap(self):
-        assert eta_rel((1.0, 3.0), (1.0, 1.0)) == pytest.approx(2.0, rel=1e-15)
+    def test_coincidence(self, params, grid):
+        assert np.all(_core(params, wave_state(params, grid), 0.0).eta == 0.0)
 
-    def test_pure_n_gap_reduces_to_pi(self):
-        assert eta_rel((2.0, 0.0), (1.0, 0.0)) == pytest.approx(pi_rel(2.0, 1.0), rel=1e-15)
+    def test_pure_q_gap(self, params, grid):
+        eta = _core(params, near_wave_state(params, grid, q_gap=2.0), 0.0).eta
+        np.testing.assert_allclose(eta, 2.0, rtol=1e-14)
 
-    @given(
-        n1=st.floats(0.1, 10),
-        q1=st.floats(-5, 5),
-        n2=st.floats(0.1, 10),
-        q2=st.floats(-5, 5),
-    )
-    def test_positive_definite(self, n1, q1, n2, q2):
-        val = eta_rel((n1, q1), (n2, q2))
-        assert val >= 0.0
+    def test_pure_n_gap_reduces_to_pi(self, params, grid):
+        state = near_wave_state(params, grid, ratio=2.0)
+        eta = _core(params, state, 0.0).eta
+        refs = reference_arrays(params, grid)
+        np.testing.assert_allclose(eta, pi_rel(state.n.values, refs.ntil), rtol=1e-15)
+
+    @given(ratio=st.floats(0.1, 10), q_gap=st.floats(-5, 5))
+    def test_positive_definite(self, params, ratio, q_gap):
+        grid = lab_grid(params, num_cells=64)
+        assert np.all(_core(params, near_wave_state(params, grid, ratio, q_gap), 0.0).eta >= 0.0)
 
 
 class TestPhi:
+    """The core's phi = (1/sigma) (Pi(n|n~) + (1 + (eps/lam) a/n~)(n - n~))."""
+
     def test_zero_on_wave(self, params):
-        for xi in (-3.0, 0.0, 7.5):
-            assert phi_of_n(params, xi, profile_n(params, xi)) == pytest.approx(0.0, abs=1e-15)
+        grid = Grid(-3.0, 7.5, 7)
+        np.testing.assert_allclose(
+            _core(params, wave_state(params, grid), 0.0).phi, 0.0, rtol=0.0, atol=1e-15
+        )
 
     def test_positive_above_wave(self, params):
-        xi = np.linspace(-20, 20, 101)
-        ntil = np.asarray(profile_n(params, xi))
-        vals = phi_of_n(params, xi, 1.3 * ntil)
-        assert np.all(np.asarray(vals) > 0.0)
+        grid = Grid(-20.0, 20.0, 100)
+        assert np.all(_core(params, near_wave_state(params, grid, ratio=1.3), 0.0).phi > 0.0)
 
     def test_linearization_bound(self, params):
         # |phi(n) - (n~/sigma) w| <= C delta |w| on |w| <= delta with
         # delta := max(tube size, eps/lam); C fitted on one scan, then
         # verified on a fresh denser scan
+        grid = Grid(-30.0, 30.0, 6)  # the nodes -30, -20, ..., 30
+        ntil = reference_arrays(params, grid).ntil
+
         def worst_constant(deltas, n_w):
             worst = 0.0
             for tube in deltas:
                 delta = max(tube, params.eps / params.lam)
-                for xi in np.linspace(-30, 30, 7):
-                    ntil = profile_n(params, xi)
-                    w = np.linspace(-tube, tube, n_w)
-                    w = w[np.abs(w) > 1e-12]
-                    n = ntil * (1.0 + w)
-                    gap = np.abs(
-                        np.asarray(phi_of_n(params, xi, n)) - (ntil / params.sigma) * w
-                    )
-                    worst = max(worst, np.max(gap / (delta * np.abs(w))))
+                for w in np.linspace(-tube, tube, n_w):
+                    if abs(w) <= 1e-12:
+                        continue
+                    phi = _core(params, near_wave_state(params, grid, ratio=1.0 + w), 0.0).phi
+                    gap = np.abs(phi - (ntil / params.sigma) * w)
+                    worst = max(worst, np.max(gap / (delta * abs(w))))
             return worst
 
         c_fit = worst_constant((0.02, 0.1, 0.3), 801)
@@ -307,81 +311,45 @@ class TestMaximizedSplit:
         assert lhs == pytest.approx(rhs, rel=1e-14)
 
 
-class TestTruncation:
-    def test_upper_branch(self, params, grid):
-        # theta = 1/2 itself is outside the open domain, so clamp just below
-        refs = reference_arrays(params, grid)
-        n = GridField(grid, 1.6 * refs.ntil)
-        theta = 0.5 - 1e-9
-        clipped = truncate(params, n, theta)
-        np.testing.assert_allclose(clipped.values, (1.0 + theta) * refs.ntil, rtol=1e-14)
-
-    def test_identity_branch(self, params, grid):
-        refs = reference_arrays(params, grid)
-        n = GridField(grid, refs.ntil * (1.0 + 0.05 * np.sin(grid.nodes())))
-        clipped = truncate(params, n, 0.1)
-        np.testing.assert_array_equal(clipped.values, n.values)
-
-    def test_lower_branch(self, params, grid):
-        refs = reference_arrays(params, grid)
-        n = GridField(grid, 0.3 * refs.ntil)
-        clipped = truncate(params, n, 0.25)
-        np.testing.assert_allclose(clipped.values, 0.75 * refs.ntil, rtol=1e-14)
-
-    def test_tube_bound_holds_everywhere(self, params, grid):
-        state = random_state(params, grid, 11)
-        refs = reference_arrays(params, grid)
-        for theta in (0.05, 0.25, 0.45):
-            clipped = truncate(params, state.n, theta)
-            assert np.max(np.abs(clipped.values / refs.ntil - 1.0)) <= theta + 1e-14
-
-    def test_pi_never_increases(self, params, grid):
-        refs = reference_arrays(params, grid)
-        for seed in range(20):
-            state = random_state(params, grid, seed)
-            clipped = truncate(params, state.n, 0.25)
-            before = pi_rel(state.n.values, refs.ntil)
-            after = pi_rel(clipped.values, refs.ntil)
-            assert np.all(after <= before + 1e-14)
-
-    def test_bad_theta_rejected(self, params, grid):
-        state = random_state(params, grid, 0)
-        with pytest.raises(DomainError):
-            truncate(params, state.n, 0.5)
-        with pytest.raises(DomainError):
-            truncate(params, state.n, 0.0)
+def expansion_split(params, n):
+    """The split of (n, q~), whose q-perturbation vanishes, with the whole line
+    inside the tube: its Y_g, B1, B2_in, G2 and G_D are the wave-strength
+    expansion functionals Y_g, I1, I2, G2 and D."""
+    q = GridField(n.grid, reference_arrays(params, n.grid).qtil.copy())
+    return _split(_core(params, State(n=n, q=q), 0.0), np.inf)
 
 
 class TestExpansionFunctionals:
     def test_all_vanish_on_wave(self, params, grid):
         refs = reference_arrays(params, grid)
-        vals = expansion_functionals(params, GridField(grid, refs.ntil.copy()))
+        vals = expansion_split(params, GridField(grid, refs.ntil.copy()))
         assert vals.Y_g == 0.0
-        assert vals.I1 == 0.0
-        assert vals.I2 == 0.0
+        assert vals.B1 == 0.0
+        assert vals.B2_in == 0.0
         assert vals.G2 == 0.0
-        assert vals.D < 1e-10
+        assert vals.G_D < 1e-10
 
     def test_g2_nonnegative(self, params, grid):
         for seed in range(30):
             state = random_state(params, grid, seed)
-            assert expansion_functionals(params, state.n).G2 >= 0.0
+            assert expansion_split(params, state.n).G2 >= 0.0
 
     def test_truncated_state_matches_tube_parts(self, params, grid):
         # with the whole grid inside the tube, B1 = I1 and B2_in = I2
         state = random_state(params, grid, 5)
-        clipped = truncate(params, state.n, 0.2)
+        refs = reference_arrays(params, grid)
+        clipped = GridField(grid, refs.ntil * np.clip(state.n.values / refs.ntil, 0.8, 1.2))
         truncated = State(n=clipped, q=state.q)
-        vals = expansion_functionals(params, clipped)
+        vals = expansion_split(params, clipped)
         rep = evaluate_report(params, truncated, delta1=0.25)
-        assert rep.B1 == pytest.approx(vals.I1, rel=1e-12, abs=1e-15)
-        assert rep.B2_in == pytest.approx(vals.I2, rel=1e-12, abs=1e-15)
-        assert rep.B2_in <= vals.I2 + 1e-14
+        assert rep.B1 == pytest.approx(vals.B1, rel=1e-12, abs=1e-15)
+        assert rep.B2_in == pytest.approx(vals.B2_in, rel=1e-12, abs=1e-15)
+        assert rep.B2_in <= vals.B2_in + 1e-14
 
     def test_b1_equals_i1_for_any_state(self, params, grid):
         state = random_state(params, grid, 9)
-        vals = expansion_functionals(params, state.n)
-        assert evaluate_report(params, state, delta1=0.25).B1 == pytest.approx(vals.I1, rel=1e-12)
+        vals = expansion_split(params, state.n)
+        assert evaluate_report(params, state, delta1=0.25).B1 == pytest.approx(vals.B1, rel=1e-12)
 
 
 class TestDecompositions:
@@ -471,30 +439,6 @@ class TestSignFunctionals:
         expected = -(y_hand**2) / params.eps**4 - g_hand - d_dust + 0.01 * d_dust
         assert evaluate_report(params, state, 0.01, 0.25).R_main == pytest.approx(expected, rel=1e-10)
 
-    def test_r_eps_delta_zero_on_wave(self, params, grid):
-        refs = reference_arrays(params, grid)
-        assert R_eps_delta(params, GridField(grid, refs.ntil.copy()), 0.01) == pytest.approx(
-            0.0, abs=1e-10
-        )
-
-    def test_r_eps_delta_negative_on_slow_modes(self):
-        p = make_wave_params(2.0, 0.0, eps=0.02, lam=0.2)
-        grid = lab_grid(p, num_cells=4096)
-        xi = grid.nodes()
-        ntil = np.asarray(profile_n(p, xi))
-        n = GridField(grid, ntil * (1.0 + 0.01 * np.sin(p.eps * xi / p.sigma)))
-        assert R_eps_delta(p, n, 0.01) <= 0.0
-
-    def test_r_eps_delta_negativity_scan(self):
-        p = make_wave_params(2.0, 0.0, eps=0.02, lam=0.2)
-        grid = lab_grid(p, num_cells=4096)
-        xi = grid.nodes()
-        ntil = np.asarray(profile_n(p, xi))
-        for amp in (0.001, 0.005, 0.02):
-            for k in (0.5, 1.0, 3.0):
-                n = GridField(grid, ntil * (1.0 + amp * np.sin(k * p.eps * xi / p.sigma)))
-                assert R_eps_delta(p, n, 0.01) <= 0.0
-
 
 class TestDualCoordinateEvaluation:
     def test_expansion_functionals_match_y_coordinate_forms(self, small_params):
@@ -508,7 +452,7 @@ class TestDualCoordinateEvaluation:
 
         ntil = np.asarray(profile_n(p, xi))
         n = GridField(grid, ntil * (1.0 + g_amp * np.exp(-(xi**2) / (2 * width**2))))
-        vals = expansion_functionals(p, n)
+        vals = expansion_split(p, n)
 
         y = np.linspace(0.0, 1.0, 200001)[1:-1]
         xi_y = np.asarray(cl.xi_of_y(p, y))
@@ -550,10 +494,10 @@ class TestDualCoordinateEvaluation:
         d_val = trap(a_y * n_y * dlog_y**2 * jac)
 
         assert vals.Y_g == pytest.approx(y_g, rel=1e-6)
-        assert vals.I1 == pytest.approx(i1, rel=1e-6)
-        assert vals.I2 == pytest.approx(i2, rel=1e-6)
+        assert vals.B1 == pytest.approx(i1, rel=1e-6)
+        assert vals.B2_in == pytest.approx(i2, rel=1e-6)
         assert vals.G2 == pytest.approx(g2, rel=1e-6)
-        assert vals.D == pytest.approx(d_val, rel=1e-6)
+        assert vals.G_D == pytest.approx(d_val, rel=1e-6)
 
 
 class TestNuScaling:

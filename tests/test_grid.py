@@ -10,15 +10,14 @@ from contraction_lab.grid import (
     _cumulative_trapezoid,
     _ddx_central,
     _ddx_forward_biased,
-    ddx_central,
-    integrate,
     integrate_values,
 )
 
 
-def make_field(fn, xi_min=-1.0, xi_max=1.0, num_cells=64):
+def sampled(fn, xi_min=-1.0, xi_max=1.0, num_cells=64):
+    """fn at the nodes of a grid, with the grid's dx."""
     g = Grid(xi_min, xi_max, num_cells)
-    return GridField(g, fn(g.nodes()))
+    return fn(g.nodes()), g.dx
 
 
 class TestGridBasics:
@@ -54,33 +53,29 @@ class TestGridBasics:
 class TestIntegrate:
     def test_constant_exact(self):
         for cells in (4, 17, 256):
-            f = make_field(lambda x: np.ones_like(x), 0.0, 1.0, cells)
-            assert integrate(f) == pytest.approx(1.0, abs=1e-15)
+            values, dx = sampled(lambda x: np.ones_like(x), 0.0, 1.0, cells)
+            assert integrate_values(values, dx) == pytest.approx(1.0, abs=1e-15)
 
     def test_odd_function_cancels(self):
-        f = make_field(lambda x: x, -1.0, 1.0, 100)
-        assert integrate(f) == pytest.approx(0.0, abs=1e-14)
+        values, dx = sampled(lambda x: x, -1.0, 1.0, 100)
+        assert integrate_values(values, dx) == pytest.approx(0.0, abs=1e-14)
 
     def test_gaussian_against_quadrature(self):
-        f = make_field(lambda x: np.exp(-(x**2)), -8.0, 8.0, 16000)
+        values, dx = sampled(lambda x: np.exp(-(x**2)), -8.0, 8.0, 16000)
         oracle, _ = quad(lambda x: np.exp(-(x**2)), -8, 8, epsabs=1e-13, limit=200)
-        assert integrate(f) == pytest.approx(oracle, abs=1e-8)
-        assert integrate(f) == pytest.approx(np.sqrt(np.pi), abs=1e-8)
+        assert integrate_values(values, dx) == pytest.approx(oracle, abs=1e-8)
+        assert integrate_values(values, dx) == pytest.approx(np.sqrt(np.pi), abs=1e-8)
 
     def test_exact_on_linear_fields(self):
-        g = Grid(-1.0, 2.0, 37)
-        f = GridField(g, 2.0 * g.nodes() + 1.0)
-        assert integrate(f) == pytest.approx(6.0, rel=1e-14)  # int of 2x+1 on [-1,2]
+        values, dx = sampled(lambda x: 2.0 * x + 1.0, -1.0, 2.0, 37)
+        assert integrate_values(values, dx) == pytest.approx(6.0, rel=1e-14)  # int of 2x+1 on [-1,2]
 
     @given(a=st.floats(-5, 5), b=st.floats(-5, 5))
     def test_linearity(self, a, b):
-        g = Grid(-1.0, 1.0, 32)
-        x = g.nodes()
-        f1 = GridField(g, np.sin(x))
-        f2 = GridField(g, np.cos(2 * x))
-        combo = GridField(g, a * f1.values + b * f2.values)
-        assert integrate(combo) == pytest.approx(
-            a * integrate(f1) + b * integrate(f2), rel=1e-12, abs=1e-12
+        f1, dx = sampled(np.sin, -1.0, 1.0, 32)
+        f2, _ = sampled(lambda x: np.cos(2 * x), -1.0, 1.0, 32)
+        assert integrate_values(a * f1 + b * f2, dx) == pytest.approx(
+            a * integrate_values(f1, dx) + b * integrate_values(f2, dx), rel=1e-12, abs=1e-12
         )
 
 
@@ -150,21 +145,16 @@ class TestCumulativeTrapezoid:
 
 class TestStencils:
     def test_central_exact_on_linear(self):
-        f = make_field(lambda x: 3.0 * x - 2.0)
-        np.testing.assert_allclose(ddx_central(f).values, 3.0, rtol=1e-12)
-
-    @staticmethod
-    def _order(op, fn, dfn, cells_list, **kwargs):
-        errs = []
-        for cells in cells_list:
-            g = Grid(-1.0, 1.0, cells)
-            f = GridField(g, fn(g.nodes()))
-            approx = op(f, **kwargs).values if kwargs else op(f).values
-            errs.append(np.max(np.abs(approx - dfn(g.nodes()))))
-        return np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
+        values, dx = sampled(lambda x: 3.0 * x - 2.0)
+        np.testing.assert_allclose(_ddx_central(values, dx), 3.0, rtol=1e-12)
 
     def test_central_second_order(self):
-        s1, s2 = self._order(ddx_central, np.sin, np.cos, (64, 128, 256))
+        errs = []
+        for cells in (64, 128, 256):
+            g = Grid(-1.0, 1.0, cells)
+            approx = _ddx_central(np.sin(g.nodes()), g.dx)
+            errs.append(np.max(np.abs(approx - np.cos(g.nodes()))))
+        s1, s2 = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
         assert s1 >= 1.95 and s2 >= 1.95
 
     def test_upwind_biased_second_order(self):

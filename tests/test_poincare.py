@@ -3,8 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-import contraction_lab as cl
-from contraction_lab import GridField, R_poincare, W_from_state, sample_W, scan_delta_star
+from contraction_lab import R_poincare, scan_delta_star
 from contraction_lab.poincare import (
     DEFAULT_Y_CELLS,
     SAMPLE_FAMILIES,
@@ -13,9 +12,7 @@ from contraction_lab.poincare import (
     _moments,
     _y_nodes,
 )
-from contraction_lab.wave import DomainError, profile_n
-
-from conftest import lab_grid
+from contraction_lab.wave import DomainError
 
 
 class TestRPoincare:
@@ -62,7 +59,7 @@ class TestRPoincare:
 class TestMoments:
     def test_cubes_exact_to_rounding(self):
         for i in range(30):
-            w = sample_W(i, 6.0, family=SAMPLE_FAMILIES[i % 3]).W
+            w, _ = _draw(i, 6.0, SAMPLE_FAMILIES[i % 3], DEFAULT_Y_CELLS)
             _, _, i3, iabs3, _ = _moments(w)
             dy = 1.0 / (len(w) - 1)
             assert abs(i3 - np.trapezoid(w**3, dx=dy)) <= 1e-14 * iabs3
@@ -117,36 +114,38 @@ class TestDrawIsItsOracle:
         assert not y.flags.writeable and not weight.flags.writeable
         assert np.array_equal(y, np.linspace(0.0, 1.0, n_cells + 1))
         assert np.array_equal(weight, y * (1.0 - y))
-        sample_W(3, 1.0, n_cells=n_cells)
+        _draw(3, 1.0, "fourier", n_cells)
         assert _y_nodes(n_cells) is y and _h1_weight(n_cells) is weight
 
 
 class TestSampleW:
+    """The scan's seeded draw: a test function with int W^2 in [M/2, M], and its moments."""
+
     def test_deterministic(self):
-        a = sample_W(17, 1.0, family="fourier")
-        b = sample_W(17, 1.0, family="fourier")
-        np.testing.assert_array_equal(a.W, b.W)
+        a, moms_a = _draw(17, 1.0, "fourier", DEFAULT_Y_CELLS)
+        b, moms_b = _draw(17, 1.0, "fourier", DEFAULT_Y_CELLS)
+        np.testing.assert_array_equal(a, b)
+        assert moms_a == moms_b
 
     def test_norm_budget_respected(self):
         for i in range(300):
-            fam = SAMPLE_FAMILIES[i % 3]
-            s = sample_W(i, 1.0, family=fam)
-            assert s.l2_sq <= 1.0 + 1e-12
-            assert s.l2_sq >= 0.5 - 1e-12
+            _, (l2_sq, *_) = _draw(i, 1.0, SAMPLE_FAMILIES[i % 3], DEFAULT_Y_CELLS)
+            assert l2_sq <= 1.0 + 1e-12
+            assert l2_sq >= 0.5 - 1e-12
 
     def test_bump_concentrates_near_center(self):
         for seed in range(20):
-            s = sample_W(seed, 1.0, family="bump")
-            y = np.linspace(0, 1, len(s.W))
+            w, _ = _draw(seed, 1.0, "bump", DEFAULT_Y_CELLS)
+            y = np.linspace(0, 1, len(w))
             inner = (y >= 0.25) & (y <= 0.75)
-            total = np.trapezoid(s.W**2, dx=y[1] - y[0])
-            inside = np.trapezoid(np.where(inner, s.W**2, 0.0), dx=y[1] - y[0])
+            total = np.trapezoid(w**2, dx=y[1] - y[0])
+            inside = np.trapezoid(np.where(inner, w**2, 0.0), dx=y[1] - y[0])
             assert inside >= 0.9 * total
 
     def test_finite_weighted_h1(self):
         for fam in SAMPLE_FAMILIES:
-            s = sample_W(3, 2.0, family=fam)
-            assert np.isfinite(s.weighted_h1)
+            _, moms = _draw(3, 2.0, fam, DEFAULT_Y_CELLS)
+            assert np.isfinite(moms[4])
 
     def test_fourier_matches_uncached_evaluation(self):
         seed, M, n_cells = 29, 3.0, DEFAULT_Y_CELLS
@@ -156,16 +155,11 @@ class TestSampleW:
         for k in range(1, 9):
             w += rng.normal() / k * np.sin(np.pi * k * y) + rng.normal() / k * np.cos(np.pi * k * y)
         w = w * np.sqrt(rng.uniform(0.5 * M, M) / float(np.trapezoid(w * w, dx=1.0 / n_cells)))
-        np.testing.assert_array_equal(sample_W(seed, M, family="fourier").W, w)
+        np.testing.assert_array_equal(_draw(seed, M, "fourier", n_cells)[0], w)
 
     def test_bad_inputs(self):
-        with pytest.raises(DomainError):
-            sample_W(0, -1.0)
-        with pytest.raises(DomainError, match=r"\(0, 1\)"):
-            sample_W(0, 1.0, delta=3.0)
-        assert sample_W(0, 1.0).delta == 1e-3
-        with pytest.raises(ValueError):
-            sample_W(0, 1.0, family="chirp")
+        with pytest.raises(ValueError, match="unknown family"):
+            _draw(0, 1.0, "chirp", DEFAULT_Y_CELLS)
 
 
 class TestScan:
@@ -199,14 +193,11 @@ class TestScan:
         }
 
     def test_matches_per_sample_reference(self):
-        # every sample drawn through the public sample_W and judged by R_poincare
+        # every sample drawn on its own and judged by the public R_poincare
         M, n, seed, n_cells = 6.0, 60, 5, 1024
         grid_d = np.geomspace(1e-4, 0.3, 12)
         res = scan_delta_star(M, n, grid_d, seed=seed, n_cells=n_cells)
-        samples = [
-            sample_W(seed + i, M, family=SAMPLE_FAMILIES[i % 3], n_cells=n_cells).W
-            for i in range(n)
-        ]
+        samples = [_draw(seed + i, M, SAMPLE_FAMILIES[i % 3], n_cells)[0] for i in range(n)]
         counts, worst_seed, worst = [], None, -np.inf
         for d in sorted(grid_d):
             values = [R_poincare(W, d) for W in samples]
@@ -246,68 +237,9 @@ class TestScan:
         # delta = 0.1
         hits = 0
         for seed in range(200):
-            s = sample_W(seed, 1.0, family=SAMPLE_FAMILIES[seed % 3])
-            i2, i1, _, _, _ = _moments(s.W)
+            w, _ = _draw(seed, 1.0, SAMPLE_FAMILIES[seed % 3], DEFAULT_Y_CELLS)
+            i2, i1, _, _, _ = _moments(w)
             if abs(i2 + 2 * i1) >= 0.5:
                 hits += 1
-                assert R_poincare(s.W, 0.1) < 0.0
+                assert R_poincare(w, 0.1) < 0.0
         assert hits > 50  # the family produces plenty of off-kernel samples
-
-
-class TestWFromState:
-    def test_wave_maps_to_zero(self, small_params):
-        grid = lab_grid(small_params, num_cells=2048)
-        n = GridField(grid, np.asarray(profile_n(small_params, grid.nodes())))
-        s = W_from_state(small_params, n, n_cells=1024)
-        assert np.max(np.abs(s.W)) == 0.0
-
-    def test_delta_outside_unit_interval_rejected(self, small_params):
-        grid = lab_grid(small_params, num_cells=256)
-        n = GridField(grid, np.asarray(profile_n(small_params, grid.nodes())))
-        with pytest.raises(DomainError, match=r"\(0, 1\)"):
-            W_from_state(small_params, n, n_cells=256, delta=1.0)
-        assert W_from_state(small_params, n, n_cells=256).delta == 1e-3
-
-    def test_constructed_inverse_image(self, small_params):
-        # seed the state with W = g(y) pulled back through the coordinate
-        # map; pushing forward must recover g up to interpolation error
-        p = small_params
-        grid = lab_grid(p, num_cells=2**15)
-        xi = grid.nodes()
-        y_xi = np.asarray(cl.y_of_xi(p, xi))
-        g = np.sin(2 * np.pi * y_xi) * y_xi * (1 - y_xi)  # vanishes at the ends
-        scale = p.eps / (p.lam * p.n_minus)
-        n = GridField(grid, np.asarray(profile_n(p, xi)) * (1.0 + scale * g))
-        s = W_from_state(p, n, n_cells=1024)
-        y = np.linspace(0, 1, 1025)
-        expected = np.sin(2 * np.pi * y) * y * (1 - y)
-        assert np.max(np.abs(s.W - expected)) < 1e-5
-
-    def test_dual_coordinate_l2(self, small_params):
-        # int_0^1 W^2 dy computed on the y-grid against the xi-side integral
-        # with the exact Jacobian dy/dxi
-        p = small_params
-        grid = lab_grid(p, num_cells=2**16)
-        xi = grid.nodes()
-        y_xi = np.asarray(cl.y_of_xi(p, xi))
-        g = np.exp(-((y_xi - 0.5) ** 2) / 0.02) * 0.7
-        scale = p.eps / (p.lam * p.n_minus)
-        ntil = np.asarray(profile_n(p, xi))
-        n = GridField(grid, ntil * (1.0 + scale * g))
-        s = W_from_state(p, n, n_cells=2**14)
-
-        w_xi = n.values / ntil - 1.0
-        W_xi = (p.lam * p.n_minus / p.eps) * w_xi
-        dy_dxi = (p.eps / (p.nu * p.sigma)) * y_xi * (1.0 - y_xi)
-        xi_side = np.trapezoid(W_xi**2 * dy_dxi, dx=grid.dx)
-        assert s.l2_sq == pytest.approx(xi_side, rel=1e-6)
-
-    def test_invariants_of_sample(self, small_params):
-        grid = lab_grid(small_params, num_cells=2048)
-        state_n = GridField(
-            grid,
-            np.asarray(profile_n(small_params, grid.nodes())) * 1.1,
-        )
-        s = W_from_state(small_params, state_n, n_cells=512)
-        assert s.l2_sq >= 0 and s.weighted_h1 >= 0
-        assert s.M == s.l2_sq

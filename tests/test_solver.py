@@ -12,8 +12,6 @@ from contraction_lab import (
     SolverConfig,
     StabilityError,
     State,
-    initial_state,
-    reconstruct_concentration,
     run,
 )
 from contraction_lab.functionals import (
@@ -23,10 +21,16 @@ from contraction_lab.functionals import (
     evaluate_report,
     reference_arrays,
 )
-from contraction_lab.grid import ddx_central, integrate
+from contraction_lab.grid import integrate_values
 from contraction_lab.identities import random_state
 from contraction_lab.shift import phi_eps, phi_regime
-from contraction_lab.solver import EVALUATION_COLUMNS, _check_state, _stable_dt, _Stepper
+from contraction_lab.solver import (
+    EVALUATION_COLUMNS,
+    _check_state,
+    _stable_dt,
+    _Stepper,
+    initial_state,
+)
 from contraction_lab.wave import profile_n_second
 
 from conftest import lab_grid
@@ -41,33 +45,37 @@ def bump_spec(amp_n=0.2, amp_q=0.2, width=5.0, **kw):
 class TestInitialState:
     def test_wave_plus_bump_positive(self, small_params):
         grid = lab_grid(small_params, num_cells=512)
-        state = initial_state(small_params, grid, bump_spec())
+        refs = reference_arrays(small_params, grid)
+        state = initial_state(small_params, grid, bump_spec(), refs)
         assert np.all(state.n.values > 0)
 
     def test_negative_density_rejected(self, small_params):
         grid = lab_grid(small_params, num_cells=512)
+        refs = reference_arrays(small_params, grid)
         with pytest.raises(ValueError, match="non-positive"):
-            initial_state(small_params, grid, bump_spec(amp_n=-5.0))
+            initial_state(small_params, grid, bump_spec(amp_n=-5.0), refs)
 
     def test_non_decaying_perturbation_rejected(self, small_params):
         grid = lab_grid(small_params, num_cells=512)
         wide = bump_spec(width=0.5 * (grid.xi_max - grid.xi_min))
+        refs = reference_arrays(small_params, grid)
         with pytest.raises(ValueError, match="decay"):
-            initial_state(small_params, grid, wide)
+            initial_state(small_params, grid, wide, refs)
 
     def test_random_fourier_deterministic(self, small_params):
         grid = lab_grid(small_params, num_cells=512)
         spec = PerturbationSpec(kind="random_fourier", amplitude_n=0.1, width=20.0, seed=5)
-        a = initial_state(small_params, grid, spec)
-        b = initial_state(small_params, grid, spec)
+        refs = reference_arrays(small_params, grid)
+        a = initial_state(small_params, grid, spec, refs)
+        b = initial_state(small_params, grid, spec, refs)
         np.testing.assert_array_equal(a.n.values, b.n.values)
 
     def test_shifted_wave_kind(self, small_params):
         grid = lab_grid(small_params, num_cells=512)
         spec = PerturbationSpec(kind="shifted_wave", center=3.0)
-        state = initial_state(small_params, grid, spec)
-        refs = reference_arrays(small_params, grid, shift=3.0)
-        np.testing.assert_allclose(state.n.values, refs.ntil, rtol=1e-12)
+        state = initial_state(small_params, grid, spec, reference_arrays(small_params, grid))
+        shifted = reference_arrays(small_params, grid, shift=3.0)
+        np.testing.assert_allclose(state.n.values, shifted.ntil, rtol=1e-12)
 
     def test_custom_file_kind(self, small_params, tmp_path):
         grid = lab_grid(small_params, num_cells=512)
@@ -79,8 +87,8 @@ class TestInitialState:
             for row in zip(xi, dn, 0.0 * xi):
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
         spec = PerturbationSpec(kind="custom_file", path=str(path))
-        state = initial_state(small_params, grid, spec)
         refs = reference_arrays(small_params, grid)
+        state = initial_state(small_params, grid, spec, refs)
         assert np.max(state.n.values - refs.ntil) == pytest.approx(0.05, abs=1e-3)
 
     def test_unknown_kind_rejected(self):
@@ -246,19 +254,20 @@ class TestStep:
         # divergence form: interior stencils telescope, boundary strips stay
         # at wave values, so the perturbation integrals drift only at rounding
         grid = lab_grid(small_params, num_cells=2048)
-        state = initial_state(small_params, grid, bump_spec(amp_n=0.1, amp_q=0.1))
         refs = reference_arrays(small_params, grid)
-        mass_n0 = integrate(GridField(grid, state.n.values - refs.ntil))
-        mass_q0 = integrate(GridField(grid, state.q.values - refs.qtil))
+        state = initial_state(small_params, grid, bump_spec(amp_n=0.1, amp_q=0.1), refs)
+        mass_n0 = integrate_values(state.n.values - refs.ntil, grid.dx)
+        mass_q0 = integrate_values(state.q.values - refs.qtil, grid.dx)
         n, q = take_steps(make_stepper(small_params, grid, 0.02), state, 50)
-        mass_n = integrate(GridField(grid, n - refs.ntil))
-        mass_q = integrate(GridField(grid, q - refs.qtil))
+        mass_n = integrate_values(n - refs.ntil, grid.dx)
+        mass_q = integrate_values(q - refs.qtil, grid.dx)
         assert abs(mass_n - mass_n0) < 1e-8
         assert abs(mass_q - mass_q0) < 1e-8
 
     def test_blowup_raises_stability_error(self, small_params):
         grid = lab_grid(small_params, num_cells=256)
-        state = initial_state(small_params, grid, bump_spec(amp_n=1.5, amp_q=1.5, width=3.0))
+        refs = reference_arrays(small_params, grid)
+        state = initial_state(small_params, grid, bump_spec(amp_n=1.5, amp_q=1.5, width=3.0), refs)
         stepper = make_stepper(small_params, grid, 5.0)
         with pytest.raises(StabilityError):
             take_steps(stepper, state, 50)
@@ -534,7 +543,7 @@ class TestRun:
         cfg = SolverConfig(params=small_params, grid=grid, t_end=1.0, dt=0.05, perturbation=spec)
         res = run(cfg)
         assert len(calls) == 2 + 4 * len(res.times)
-        fresh = initial_state(small_params, grid, spec)
+        fresh = initial_state(small_params, grid, spec, original(small_params, grid))
         assert np.array_equal(res.initial_state.n.values, fresh.n.values)
         assert np.array_equal(res.initial_state.q.values, fresh.q.values)
 
@@ -561,35 +570,3 @@ class TestRun:
         assert info.value.t == 3 * 0.1
         assert info.value.node == 17
         assert len(steps) == 3
-
-
-class TestConcentration:
-    def test_zero_velocity_gives_reference(self):
-        g = Grid(-2.0, 2.0, 128)
-        c = reconstruct_concentration(GridField(g, np.zeros(129)), c_ref=3.5)
-        np.testing.assert_array_equal(c.values, 3.5)
-
-    def test_constant_velocity_gives_exponential(self):
-        g = Grid(-1.0, 3.0, 256)
-        k = 0.7
-        c = reconstruct_concentration(GridField(g, np.full(257, k)), c_ref=2.0)
-        expected = 2.0 * np.exp(-k * (g.nodes() - g.xi_min))
-        np.testing.assert_allclose(c.values, expected, rtol=1e-12)
-
-    def test_round_trip_inverts_transform(self):
-        g = Grid(-4.0, 4.0, 2048)
-        q = GridField(g, 0.3 * np.tanh(g.nodes()) + 0.1)
-        c = reconstruct_concentration(q, c_ref=1.0)
-        back = -ddx_central(GridField(g, np.log(c.values))).values
-        assert np.max(np.abs(back[1:-1] - q.values[1:-1])) < 5e-5  # O(dx^2)
-
-    def test_positive_everywhere(self):
-        g = Grid(-2.0, 2.0, 128)
-        q = GridField(g, 3.0 * np.sin(5 * g.nodes()))
-        c = reconstruct_concentration(q, c_ref=1e-3)
-        assert np.all(c.values > 0)
-
-    def test_requires_positive_anchor(self):
-        g = Grid(-1.0, 1.0, 32)
-        with pytest.raises(ValueError):
-            reconstruct_concentration(GridField(g, np.zeros(33)), c_ref=0.0)
