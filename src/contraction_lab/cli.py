@@ -1,8 +1,10 @@
 """Config-driven command line: wave construction, runs, identity and
 threshold scans.
 
-Exit codes: 0 success, 2 config error, 3 stability error, 4 verification
-failure (a failed check, or functionals that break an exact identity).
+Exit codes: 0 success, 2 config error (the schema, an override, or an
+initial state that fails its checks), 3 stability error, 4 verification
+failure (a failed check, functionals that break an exact identity, or any
+other error raised inside a run).
 """
 
 from __future__ import annotations
@@ -130,9 +132,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int | None = None) 
     if want_snapshots:
         xi = solver_cfg.grid.nodes()
         header = ["xi", "n", "q"]
-        # NNNNNN counts reported steps: kept state j is reported step j * stride
-        for j, (t, snap) in enumerate(result.states):
-            path = out_dir / f"fields_{j * stride:06d}.csv"
+        # NNNNNN is the solver step whose end state the file holds: t = step * dt
+        for t, snap in result.states:
+            path = out_dir / f"fields_{round(t / result.dt):06d}.csv"
             _write_table(path, header, [xi, snap.n.values, snap.q.values])
         final = result.final_state
         _write_table(out_dir / "fields_final.csv", header, [xi, final.n.values, final.q.values])
@@ -140,6 +142,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int | None = None) 
     verdict["config"] = cfg.data
     if "json" in formats:
         _write_json(out_dir / "final.json", verdict)
+        _write_json(out_dir / "timings.json", result.timings)
     print(
         "simulate: contraction_held={contraction_held} max_violation={max_violation:.3e} "
         "factor4_held={factor4_held} final_X={final_X:.6g}".format(**verdict)

@@ -10,11 +10,14 @@ fields are ever differenced.  Every integral is the same composite
 trapezoid rule, so the algebraic identities between these functionals hold
 at machine precision on any grid.
 
-Every functional of one (state, shift) pair reads one `_Core`, which builds
-each nodewise array and each shared integral at most once, on first use, and
-keeps it for as long as the core lives (one evaluation).  Two arrays outlive
-a core: d/dxi log n is kept on its State for the state's life, and the node
-coordinates on their Grid.
+Every functional of one (state, shift) pair comes from one straight-line
+kernel that writes each nodewise array into a row of its grid's workspace
+(`_Rows`), allocated once per grid.  Its first stage, `_core`, builds the
+references and the arrays that Y and I_bad read, and is where every
+evaluation starts; the shift substeps stop there.  A report goes on to
+`_complete` and `_split`, which read the same rows.  Two arrays outlive an
+evaluation: d/dxi log n is kept on its State for the state's life, and the
+node coordinates on their Grid.
 
 `evaluate_report` is the one way to read the functionals of a pair: it
 returns one flat `FunctionalReport` whose field order is the column order of
@@ -25,6 +28,7 @@ the run table.  The shift substeps need only Y and I_bad, and read them with
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -55,30 +59,6 @@ __all__ = [
 ]
 
 
-class _cached:
-    """`functools.cached_property` as Python 3.12 has it: without a lock.
-
-    On 3.10 and 3.11 the first read of a cached_property on any instance
-    takes one RLock that all instances share, and a run reads ~67 of them
-    for the first time each step.  This descriptor defines no __set__, so
-    the first read stores the value in the instance's __dict__ and every
-    later read finds it there without calling the descriptor.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value
-
-
 @dataclass
 class State:
     """Solution pair U = (n, q) on one grid; n strictly positive."""
@@ -96,7 +76,7 @@ class State:
     def grid(self) -> Grid:
         return self.n.grid
 
-    @_cached
+    @cached_property
     def _dlog_n(self) -> np.ndarray:
         """d/dxi log n by the central stencil: built on first use, then kept
         (read-only) for the life of the state, whatever the shift."""
@@ -118,27 +98,34 @@ class ReferenceArrays:
     a_prime: np.ndarray
 
 
+def _references_into(params: WaveParams, ntil, a, ntil_second, ntil_prime, qtil, a_prime) -> None:
+    """The references other than n~, from n~, into the five rows given, by
+    the expressions of the pointwise functions of `wave`.  The offsets
+    n~ - n_-, n~ - n_+ go into the rows of a and n~'', and become them once
+    nothing else reads them.  a'' is not among them: B1, its one reader,
+    builds it."""
+    below, above = _offsets_of(params, ntil, a, ntil_second)
+    _n_prime_of(params, below, above, out=ntil_prime)
+    _q_of(params, below, out=qtil)
+    _n_second_of(params, ntil_prime, below, above, out=above)
+    _a_of(params, below, out=below)
+    _a_derivative_of(params, ntil_prime, out=a_prime)
+
+
 def reference_arrays(params: WaveParams, grid: Grid, shift: float = 0.0) -> ReferenceArrays:
     """Evaluate all reference objects at the grid nodes minus the shift.
 
     Functionals of the shifted state U^X use references translated by X;
     translating the analytic objects is exact and never interpolates U.
-    The profile and its offsets n~ - n_-, n~ - n_+ are evaluated once; the
-    other five arrays are algebraic in them, through the same expressions as
-    the pointwise functions of `wave`, each written into its own array (the
-    offsets become n~'' and a once nothing else reads them).  a'' is not
-    among them: the split's B1, its only reader, builds it.  The arrays are
-    read-only, so an in-place operation aimed at one raises.
+    The arrays are new and read-only, so an in-place operation aimed at one
+    raises; an evaluation builds its own references in its grid's rows.
     """
-    xi = grid._nodes - shift
-    n = np.asarray(profile_n(params, xi, ascending=True))
-    below, above = _offsets_of(params, n)
-    n_prime = _n_prime_of(params, below, above, out=np.empty_like(n))
-    qtil = _q_of(params, below, out=np.empty_like(n))
-    # the offsets' last reads: they become n~'' and a
-    n_second = _n_second_of(params, n_prime, below, above, out=above)
-    a = _a_of(params, below, out=below)
-    arrays = (xi, n, n_prime, n_second, qtil, a, _a_derivative_of(params, n_prime))
+    # at shift 0 the nodes are xi to the bit: their read-only array serves
+    xi = grid._nodes - shift if shift else grid._nodes
+    arrays = [xi, *(np.empty(grid.num_nodes) for _ in range(6))]
+    _, ntil, ntil_prime, ntil_second, qtil, a, a_prime = arrays
+    profile_n(params, xi, ascending=True, out=ntil)
+    _references_into(params, ntil, a, ntil_second, ntil_prime, qtil, a_prime)
     for array in arrays:
         array.flags.writeable = False
     return ReferenceArrays(*arrays)
@@ -159,226 +146,174 @@ def pi_rel(n1, n2):
     return float(out) if out.ndim == 0 else out
 
 
-def _product_integral(dx: float, *factors, out: np.ndarray | None = None) -> float:
-    """The trapezoid integral of the product of `factors`, multiplied left to
-    right in one array: `out`, or a new one."""
-    w = np.multiply(factors[0], factors[1], out=out)
-    for f in factors[2:]:
-        w *= f
-    return integrate_values(w, dx)
+class _Rows:
+    """The rows of one grid: every nodewise array of an evaluation, and the
+    evaluation's integrals as attributes beside them.
 
-
-class _Core:
-    """The nodewise arrays and shared integrals of one (state, shift) pair.
-
-    The references are built with the core; every other array and integral
-    is a cached property, filled on first use from the ones it reads and
-    kept for the life of the core (one evaluation: a report, or the
-    (Y, I_bad) of one shift substep).  So each is built at most once per
-    pair, and a core asked only for Y and I_bad never builds phi or the
-    split's arrays.  Each piece keeps the left-to-right operation order of
-    the formulas that read it, so every value is bit-identical to writing
-    those formulas out in full.  Each array, and each integrand, is one
-    chain of in-place operations on the one array it allocates; a second
-    array holds a computed term that a formula adds, subtracts or multiplies
-    in.  The one shift-independent array, d/dxi log n, is kept on the State
-    and shared by its cores at every shift.
+    They are allocated once per grid (`_rows`), and each evaluation on the
+    grid writes them again.  A row whose value is dead takes a later one:
+    the second names below are the same rows as the first, written by the
+    report stage (`_complete`) or the split.  So an array read off the rows
+    holds its value until the next evaluation on the grid, or until a later
+    stage reuses its row.  The stepper borrows rows for its stage arrays,
+    since no evaluation runs during a step.
     """
 
-    def __init__(self, params: WaveParams, state: State, shift: float):
-        self.params = params
-        self.state = state
-        self.refs = reference_arrays(params, state.grid, shift)
-        self.dx = state.grid.dx
-        self.n = state.n.values
-        self.q = state.q.values
-        self.ratio = params.eps / params.lam
-
-    @_cached
-    def u(self) -> np.ndarray:
-        return self.q - self.refs.qtil
-
-    @_cached
-    def dn(self) -> np.ndarray:
-        """n - n~"""
-        return self.n - self.refs.ntil
-
-    @_cached
-    def dn_rel(self) -> np.ndarray:
-        """(n - n~) / n~"""
-        return self.dn / self.refs.ntil
-
-    @_cached
-    def n_over_ntil(self) -> np.ndarray:
-        return self.n / self.refs.ntil
-
-    @_cached
-    def logratio(self) -> np.ndarray:
-        """log(n / n~)"""
-        return np.log(self.n_over_ntil)
-
-    @_cached
-    def pi(self) -> np.ndarray:
-        """Pi(n | n~) = max(n log(n/n~) - (n - n~), 0)"""
-        out = self.n * self.logratio
-        out -= self.dn
-        return np.maximum(out, 0.0, out=out)
-
-    @_cached
-    def dlog(self) -> np.ndarray:
-        """d/dxi log(n/n~): only the solution part is differenced."""
-        # n~'/n~ analytic avoids cancellation
-        out = self.refs.ntil_prime / self.refs.ntil
-        return np.subtract(self.state._dlog_n, out, out=out)
-
-    @_cached
-    def eta(self) -> np.ndarray:
-        """0.5 u u + Pi(n | n~)"""
-        out = 0.5 * self.u
-        out *= self.u
-        out += self.pi
-        return out
-
-    @_cached
-    def neg_a_prime(self) -> np.ndarray:
-        return -self.refs.a_prime
-
-    @_cached
-    def a_prime_pi(self) -> np.ndarray:
-        return self.refs.a_prime * self.pi
-
-    @_cached
-    def ratio_a(self) -> np.ndarray:
-        """(eps/lam) a"""
-        return self.ratio * self.refs.a
-
-    @_cached
-    def ratio_a_a_prime(self) -> np.ndarray:
-        """(eps/lam) a a'"""
-        return self.ratio_a * self.refs.a_prime
-
-    @_cached
-    def coeff(self) -> np.ndarray:
-        """1 + (eps/lam) a / n~"""
-        out = self.ratio_a / self.refs.ntil
-        out += 1.0
-        return out
-
-    @_cached
-    def sigma_phi(self) -> np.ndarray:
-        """sigma phi = Pi(n|n~) + (1 + (eps/lam) a/n~)(n - n~)"""
-        out = self.coeff * self.dn
-        out += self.pi
-        return out
-
-    @_cached
-    def phi(self) -> np.ndarray:
-        return self.sigma_phi / self.params.sigma
-
-    @_cached
-    def a_prime_phi(self) -> np.ndarray:
-        return self.refs.a_prime * self.phi
-
-    @_cached
-    def u_plus_phi(self) -> np.ndarray:
-        return self.u + self.phi
-
-    @_cached
-    def u_plus_phi_sq(self) -> np.ndarray:
-        return self.u_plus_phi**2
-
-    @_cached
-    def y_integrand(self) -> np.ndarray:
-        """-a' eta - (eps/lam) a a' ((n - n~)/n~ - u/sigma), the integrand of
-        Y; restricted to the tube's complement it is Y_s's."""
-        out = self.neg_a_prime * self.eta
-        rel = self.u / self.params.sigma
-        np.subtract(self.dn_rel, rel, out=rel)
-        rel *= self.ratio_a_a_prime
-        out -= rel
-        return out
-
-    @_cached
-    def qtil_term(self) -> float:
-        """int -a' q~ Pi(n|n~): a term of I_bad and of B1."""
-        return _product_integral(self.dx, self.neg_a_prime, self.refs.qtil, self.pi)
-
-    @_cached
-    def G_pi(self) -> float:
-        """sigma int a' Pi(n|n~): a term of I_good, and G2."""
-        return self.params.sigma * integrate_values(self.a_prime_pi, self.dx)
-
-    @_cached
-    def B1(self) -> float:
-        """int -a' q~ Pi - (eps/lam) int a'' (a/n~) Pi: tube-free, like B3."""
-        r = self.refs
-        w = _a_derivative_of(self.params, r.ntil_second)
-        w *= -self.ratio
-        w *= r.a / r.ntil
-        w *= self.pi
-        return self.qtil_term + integrate_values(w, self.dx)
-
-    @_cached
-    def B3(self) -> float:
-        """int -a' (1 + (eps/lam) a/n~) n log(n/n~) d/dxi log(n/n~)."""
-        return _product_integral(
-            self.dx, self.neg_a_prime, self.coeff, self.n, self.logratio, self.dlog
-        )
-
-    @_cached
-    def D(self) -> float:
-        """The dissipation int a n |d/dxi log(n/n~)|^2."""
-        return _product_integral(self.dx, self.refs.a, self.n, self.dlog, self.dlog)
-
-    @_cached
-    def eta_weighted(self) -> float:
-        return integrate_values(self.refs.a * self.eta, self.dx)
-
-    @_cached
-    def eta_unweighted(self) -> float:
-        return integrate_values(self.eta, self.dx)
-
-    @_cached
-    def Y(self) -> float:
-        """Shift-sensitivity functional Y(U) in its explicit rewritten form."""
-        return integrate_values(self.y_integrand, self.dx)
-
-    @_cached
-    def I_bad(self) -> float:
-        """Sign-indefinite terms of the entropy-evolution identity:
-        int -(a' Pi + (a' - a n~'/n~)(n - n~)) u, the q~ term,
-        int (a n~'/n~ - a') n log(n/n~) d/dxi log(n/n~) and int a (n~''/n~) Pi.
-        """
-        r, dx = self.refs, self.dx
-        a_ntil_prime = r.a * r.ntil_prime
-        a_ntil_prime /= r.ntil
-        # -(a' Pi + (a' - a n~'/n~)(n - n~)) u
-        w = np.subtract(r.a_prime, a_ntil_prime)
-        w *= self.dn
-        w += self.a_prime_pi
-        np.negative(w, out=w)
-        w *= self.u
-        t1 = integrate_values(w, dx)
-        # (a n~'/n~ - a') n log(n/n~) d/dxi log(n/n~), over a n~'/n~
-        t3_factor = np.subtract(a_ntil_prime, r.a_prime, out=a_ntil_prime)
-        t3 = _product_integral(dx, t3_factor, self.n, self.logratio, self.dlog, out=t3_factor)
-        # a (n~''/n~) Pi, over the first integrand
-        np.divide(r.ntil_second, r.ntil, out=w)
-        w *= r.a
-        w *= self.pi
-        t4 = integrate_values(w, dx)
-        return t1 + self.qtil_term + t3 + t4
-
-    @_cached
-    def I_good(self) -> float:
-        """Sum of the three nonnegative dissipative terms."""
-        u = self.u
-        g_q = self.params.sigma * _product_integral(self.dx, 0.5, self.refs.a_prime, u, u)
-        return g_q + self.G_pi + self.D
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.dx = grid.dx
+        # one array each, not one block: rows of one grid's size come from
+        # the heap, where a block of them would be a mapping of its own
+        self.rows = [np.empty(grid.num_nodes) for _ in range(21)]
+        (self.ntil, self.a, self.ntil_second, self.ntil_prime, self.qtil, self.a_prime,
+         self.u, self.dn, self.dn_rel, self.n_over_ntil, self.logratio, self.pi, self.dlog,
+         self.eta, self.neg_a_prime, self.a_prime_pi, self.ratio_a, self.ratio_a_a_prime,
+         self.y_integrand, self.w, buf) = self.rows
+        self.buf = buf[:-1]  # the trapezoid's m - 1 sums
+        # q~ is dead once int -a' q~ Pi is taken: its row is the scratch v
+        self.v = self.qtil
+        # the report stage's arrays, over arrays only the first stage reads;
+        # sigma phi's row holds (eps/lam) a, then 1 + (eps/lam) a/n~ first
+        self.phi, self.a_prime_phi, self.u_plus_phi = self.logratio, self.dlog, self.dn
+        self.u_plus_phi_sq, self.sigma_phi = self.ntil_second, self.ratio_a
+        self.deviation = self.n_over_ntil  # |n/n~ - 1|, the tube's test
+        # the split's tube masks
+        self.inside, self.outside = self.ntil_prime, self.a_prime_pi
 
 
-def _core(params: WaveParams, state: State, shift: float) -> _Core:
-    return _Core(params, state, shift)
+_workspace: list[_Rows] = []
+
+
+def _rows(grid: Grid) -> _Rows:
+    """The rows of `grid`, kept for the last grid asked for only."""
+    if not _workspace or (_workspace[0].grid is not grid and _workspace[0].grid != grid):
+        _workspace.clear()  # the last grid's rows go before the next are made
+        _workspace.append(_Rows(grid))
+    return _workspace[0]
+
+
+def _release_rows() -> None:
+    """Free the rows once a run or an identity suite has made its last
+    evaluation, for what comes next (the next run's set-up, the output)."""
+    _workspace.clear()
+
+
+def _core(params: WaveParams, state: State, shift: float) -> _Rows:
+    """The first stage of an evaluation of (state, shift): the references
+    and the arrays that Y and I_bad read, and those two integrals.
+
+    Every evaluation, a report or the (Y, I_bad) of a shift substep, starts
+    here, once.  Each array is one chain of in-place operations on its row,
+    in the left-to-right order of the formula it belongs to, so each value is
+    bit-identical to writing the formula out in full.  The one
+    shift-independent array, d/dxi log n, is kept on the State.
+    """
+    c = _rows(state.grid)
+    c.params, c.n = params, state.n.values
+    n, q, dx, buf, w = c.n, state.q.values, c.dx, c.buf, c.w
+    ntil, a, ntil_prime, qtil, a_prime = c.ntil, c.a, c.ntil_prime, c.qtil, c.a_prime
+    ratio, sigma = params.eps / params.lam, params.sigma
+    np.subtract(state.grid._nodes, shift, out=ntil)  # xi, until the profile overwrites it
+    profile_n(params, ntil, ascending=True, out=ntil)
+    _references_into(params, ntil, a, c.ntil_second, ntil_prime, qtil, a_prime)
+
+    u = np.subtract(q, qtil, out=c.u)
+    dn = np.subtract(n, ntil, out=c.dn)
+    np.divide(dn, ntil, out=c.dn_rel)
+    logratio = np.log(np.divide(n, ntil, out=c.n_over_ntil), out=c.logratio)
+    # Pi(n | n~) = max(n log(n/n~) - (n - n~), 0)
+    pi = np.multiply(n, logratio, out=c.pi)
+    pi -= dn
+    np.maximum(pi, 0.0, out=pi)
+    # d/dxi log(n/n~): only the solution part is differenced, n~'/n~ is analytic
+    dlog = np.divide(ntil_prime, ntil, out=c.dlog)
+    np.subtract(state._dlog_n, dlog, out=dlog)
+    # eta = 0.5 u u + Pi
+    eta = np.multiply(0.5, u, out=c.eta)
+    eta *= u
+    eta += pi
+    neg_a_prime = np.negative(a_prime, out=c.neg_a_prime)
+    a_prime_pi = np.multiply(a_prime, pi, out=c.a_prime_pi)
+    ratio_a_a_prime = np.multiply(np.multiply(ratio, a, out=c.ratio_a), a_prime, out=c.ratio_a_a_prime)
+
+    # Y: int -a' eta - (eps/lam) a a' ((n - n~)/n~ - u/sigma); restricted to
+    # the tube's complement its integrand is Y_s's
+    y = np.multiply(neg_a_prime, eta, out=c.y_integrand)
+    np.divide(u, sigma, out=w)
+    np.subtract(c.dn_rel, w, out=w)
+    w *= ratio_a_a_prime
+    y -= w
+    c.Y = integrate_values(y, dx, buf)
+    # int -a' q~ Pi: a term of I_bad and of B1; q~ is dead after it
+    np.multiply(neg_a_prime, qtil, out=w)
+    w *= pi
+    c.qtil_term = integrate_values(w, dx, buf)
+
+    # I_bad = int -(a' Pi + (a' - a n~'/n~)(n - n~)) u, the q~ term,
+    # int (a n~'/n~ - a') n log(n/n~) d/dxi log(n/n~) and int a (n~''/n~) Pi
+    a_ntil_prime = np.multiply(a, ntil_prime, out=c.v)
+    a_ntil_prime /= ntil
+    np.subtract(a_prime, a_ntil_prime, out=w)
+    w *= dn
+    w += a_prime_pi
+    np.negative(w, out=w)
+    w *= u
+    t1 = integrate_values(w, dx, buf)
+    f = np.subtract(a_ntil_prime, a_prime, out=a_ntil_prime)
+    f *= n
+    f *= logratio
+    f *= dlog
+    t3 = integrate_values(f, dx, buf)
+    np.divide(c.ntil_second, ntil, out=w)
+    w *= a
+    w *= pi
+    c.I_bad = t1 + c.qtil_term + t3 + integrate_values(w, dx, buf)
+    return c
+
+
+def _complete(c: _Rows) -> None:
+    """The report stage of the evaluation in `c`: I_good, D, the tube-free
+    B1 and B3, both entropies, and the arrays that the split reads."""
+    params = c.params
+    n, dx, buf, w = c.n, c.dx, c.buf, c.w
+    ntil, a, a_prime, u, pi, dlog = c.ntil, c.a, c.a_prime, c.u, c.pi, c.dlog
+    ratio, sigma = params.eps / params.lam, params.sigma
+    # I_good: sigma int a' u u / 2, sigma int a' Pi (G2) and the dissipation
+    # D = int a n |d/dxi log(n/n~)|^2
+    np.multiply(0.5, a_prime, out=w)
+    w *= u
+    w *= u
+    g_q = sigma * integrate_values(w, dx, buf)
+    c.G_pi = sigma * integrate_values(c.a_prime_pi, dx, buf)
+    np.multiply(a, n, out=w)
+    w *= dlog
+    w *= dlog
+    c.D = integrate_values(w, dx, buf)
+    c.I_good = g_q + c.G_pi + c.D
+    # B1 = int -a' q~ Pi - (eps/lam) int a'' (a/n~) Pi
+    _a_derivative_of(params, c.ntil_second, out=w)
+    w *= -ratio
+    w *= np.divide(a, ntil, out=c.v)
+    w *= pi
+    c.B1 = c.qtil_term + integrate_values(w, dx, buf)
+    # B3 = int -a' (1 + (eps/lam) a/n~) n log(n/n~) d/dxi log(n/n~)
+    coeff = np.divide(c.ratio_a, ntil, out=c.ratio_a)
+    coeff += 1.0
+    np.multiply(c.neg_a_prime, coeff, out=w)
+    w *= n
+    w *= c.logratio
+    w *= dlog
+    c.B3 = integrate_values(w, dx, buf)
+    # sigma phi = Pi(n|n~) + (1 + (eps/lam) a/n~)(n - n~)
+    sigma_phi = np.multiply(coeff, c.dn, out=c.sigma_phi)
+    sigma_phi += pi
+    phi = np.divide(sigma_phi, sigma, out=c.phi)
+    np.multiply(a_prime, phi, out=c.a_prime_phi)
+    np.square(np.add(u, phi, out=c.u_plus_phi), out=c.u_plus_phi_sq)
+    c.eta_weighted = integrate_values(np.multiply(a, c.eta, out=w), dx, buf)
+    c.eta_unweighted = integrate_values(c.eta, dx, buf)
+    deviation = np.subtract(c.n_over_ntil, 1.0, out=c.deviation)
+    np.abs(deviation, out=deviation)
 
 
 class _Split(NamedTuple):
@@ -407,49 +342,58 @@ class _Split(NamedTuple):
         return self.G1_in + self.G1_out + self.G2 + self.G_D
 
 
-def _split(c: _Core, delta: float) -> _Split:
-    """The tube parts at threshold delta; B1, B3, G2 and D come off the core.
-
-    The eight tube integrands are built in two work arrays, reused from
-    integral to integral.
+def _split(c: _Rows, delta: float) -> _Split:
+    """The tube parts at threshold delta of the completed evaluation in `c`;
+    B1, B3, G2 and D come off it.  The eight tube integrands are built in two
+    scratch rows, so a completed evaluation can be split at many deltas.
     """
-    r = c.refs
-    sigma, dx = c.params.sigma, c.dx
-    inside = c.n_over_ntil - 1.0
-    np.abs(inside, out=inside)
-    np.less_equal(inside, delta, out=inside)  # 1.0 or 0.0; ties go inside
-    outside = np.subtract(1.0, inside)
-    w = np.empty_like(inside)
-    v = np.empty_like(inside)
+    sigma, dx, buf, w, v = c.params.sigma, c.dx, c.buf, c.w, c.v
+    a_prime, phi, a_prime_phi, u = c.a_prime, c.phi, c.a_prime_phi, c.u
+    upp, upp_sq = c.u_plus_phi, c.u_plus_phi_sq
+    inside = np.less_equal(c.deviation, delta, out=c.inside)  # 1.0 or 0.0; ties go inside
+    outside = np.subtract(1.0, inside, out=c.outside)
 
-    b2_in = 0.5 * sigma * _product_integral(dx, c.a_prime_phi, c.phi, inside, out=w)
-    b2_out = _product_integral(dx, c.neg_a_prime, c.sigma_phi, c.u, outside, out=w)
-    g1_in = 0.5 * sigma * _product_integral(dx, r.a_prime, c.u_plus_phi_sq, inside, out=w)
-    g1_out = 0.5 * sigma * _product_integral(dx, r.a_prime, c.u, c.u, outside, out=w)
+    np.multiply(a_prime_phi, phi, out=w)
+    w *= inside
+    b2_in = 0.5 * sigma * integrate_values(w, dx, buf)
+    np.multiply(c.neg_a_prime, c.sigma_phi, out=w)
+    w *= u
+    w *= outside
+    b2_out = integrate_values(w, dx, buf)
+    np.multiply(a_prime, upp_sq, out=w)
+    w *= inside
+    g1_in = 0.5 * sigma * integrate_values(w, dx, buf)
+    np.multiply(a_prime, u, out=w)
+    w *= u
+    w *= outside
+    g1_out = 0.5 * sigma * integrate_values(w, dx, buf)
 
     # (-a' (phi^2/2 + Pi) - (eps/lam) a a' ((n - n~)/n~ + phi/sigma)) inside
-    np.multiply(0.5, c.phi, out=w)
-    w *= c.phi
+    np.multiply(0.5, phi, out=w)
+    w *= phi
     w += c.pi
     w *= c.neg_a_prime
-    np.divide(c.phi, sigma, out=v)
+    np.divide(phi, sigma, out=v)
     np.add(c.dn_rel, v, out=v)
     v *= c.ratio_a_a_prime
     w -= v
     w *= inside
-    y_g = integrate_values(w, dx)
+    y_g = integrate_values(w, dx, buf)
 
     # (-a' (u + phi)^2 / 2 + a' phi (u + phi)) inside
-    np.multiply(-0.5, r.a_prime, out=w)
-    w *= c.u_plus_phi_sq
-    np.multiply(c.a_prime_phi, c.u_plus_phi, out=v)
-    w += v
+    np.multiply(-0.5, a_prime, out=w)
+    w *= upp_sq
+    w += np.multiply(a_prime_phi, upp, out=v)
     w *= inside
-    y_b = integrate_values(w, dx)
+    y_b = integrate_values(w, dx, buf)
 
-    y_l = (c.ratio / sigma) * _product_integral(dx, r.a, r.a_prime, c.u_plus_phi, inside, out=w)
-    y_s = _product_integral(dx, c.y_integrand, outside, out=w)
+    np.multiply(c.a, a_prime, out=w)
+    w *= upp
+    w *= inside
+    y_l = (c.params.eps / c.params.lam / sigma) * integrate_values(w, dx, buf)
+    y_s = integrate_values(np.multiply(c.y_integrand, outside, out=w), dx, buf)
     return _Split(y_g, y_b, y_l, y_s, c.B1, b2_in, b2_out, c.B3, g1_in, g1_out, c.G_pi, c.D)
+
 
 
 class NumericsError(RuntimeError):
@@ -519,6 +463,7 @@ def evaluate_report(
     if not delta1 > 0.0:
         raise DomainError("delta1 must be positive")
     c = _core(params, state, shift)
+    _complete(c)
     s = _split(c, delta1)
     y, b, g = c.Y, s.B, s.G
     r = -(y * y) / params.eps**4 + b + delta0 * (params.eps / params.lam) * abs(b) - g + delta0 * s.G_D

@@ -65,20 +65,22 @@ class GridField:
         self.values = vals
 
 
-def integrate_values(values: np.ndarray, dx: float) -> float:
+def integrate_values(values: np.ndarray, dx: float, out: np.ndarray | None = None) -> float:
     """Composite trapezoid rule on raw node values: the package's one trapezoid.
 
     Bit-equal to `np.trapezoid(values, dx=dx)`, which sums
     `dx * (v[1:] + v[:-1]) / 2.0`: the halving is a multiplication by 0.5
     here, the correctly rounded value of the same real number, and the
     scaling happens in place on the one temporary, so the sum reads the same
-    array in the same order.
+    array in the same order.  The temporary is `out` (m - 1 values) when the
+    caller owns one, and a new array otherwise.
     """
     v = np.asarray(values, dtype=float)
-    buf = np.add(v[1:], v[:-1])
+    buf = np.add(v[1:], v[:-1], out=out)
     buf *= dx
     buf *= 0.5
-    return float(buf.sum())
+    # what buf.sum() calls, without its Python-level wrapper
+    return float(np.add.reduce(buf))
 
 
 def _cumulative_trapezoid(values: np.ndarray, d) -> np.ndarray:
@@ -92,9 +94,10 @@ def _cumulative_trapezoid(values: np.ndarray, d) -> np.ndarray:
     return np.cumsum(d * (values[1:] + values[:-1]) * 0.5)
 
 
-def _ddx_central(v: np.ndarray, dx: float) -> np.ndarray:
-    """Second-order central derivative; second-order one-sided at boundaries."""
-    out = np.empty_like(v)
+def _ddx_central(v: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Second-order central derivative; second-order one-sided at boundaries.
+    Written into `out`, or into a new array."""
+    out = np.empty_like(v) if out is None else out
     interior = np.subtract(v[2:], v[:-2], out=out[1:-1])
     interior /= 2.0 * dx
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dx)
@@ -102,11 +105,13 @@ def _ddx_central(v: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _ddx_forward_biased(v: np.ndarray, dx: float) -> np.ndarray:
-    """Second-order three-point forward stencil; central where it does not fit."""
-    out = np.empty_like(v)
+def _ddx_forward_biased(v: np.ndarray, dx: float, out=None, scratch=None) -> np.ndarray:
+    """Second-order three-point forward stencil; central where it does not fit.
+    Written into `out`, or into a new array; `scratch` (len(v) values, or
+    None for a temporary) holds the 4 v term."""
+    out = np.empty_like(v) if out is None else out
     body = np.multiply(-3.0, v[:-2], out=out[:-2])
-    body += 4.0 * v[1:-1]
+    body += np.multiply(4.0, v[1:-1], out=None if scratch is None else scratch[:-2])
     body -= v[2:]
     body /= 2.0 * dx
     # the last two nodes of the central stencil, from the last three values

@@ -8,8 +8,8 @@ of the same nodewise integrands, so on any grid the identities
 
 hold to rounding.  This module samples large rough states and measures the
 worst relative error of each identity.  Each state is evaluated once (one
-nodewise core at shift 0) and split once per delta; every functional of the
-suite is read off that core and those splits.
+report-stage evaluation at shift 0) and split once per delta; every
+functional of the suite is read off that evaluation and those splits.
 
 B_delta and G_delta are defined as the sums of their parts (B_delta = B1 +
 B2_in + B2_out + B3), so summing the parts again would compare a number with
@@ -24,7 +24,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import functionals
-from .functionals import ReferenceArrays, State, _split, reference_arrays
+from .functionals import ReferenceArrays, State, _complete, _release_rows, _split, reference_arrays
 from .grid import Grid, GridField
 from .wave import DomainError, WaveParams
 
@@ -78,6 +78,7 @@ def _check_one(params: WaveParams, grid: Grid, seed: int, deltas) -> dict:
     state = random_state(params, grid, seed)
     # looked up at call time, so a wrapper installed on the module sees every build
     c = functionals._core(params, state, 0.0)
+    _complete(c)
     ibad, igood, y = c.I_bad, c.I_good, c.Y
     errors = {"max_split": 0.0, "sum_Y": 0.0}
     for d in deltas:
@@ -104,6 +105,7 @@ def check_identities(
     if not all(d > 0.0 for d in deltas):
         raise DomainError("delta must be positive")
     per_state = [_check_one(params, grid, seed + i, deltas) for i in range(n_states)]
+    _release_rows()
 
     names = {
         "max_split": "I_bad - I_good == B_delta - G_delta",

@@ -26,15 +26,15 @@ stays identically zero, shift included.
 
 Monitoring evaluates each (state, shift) pair once, and stores it once.  The
 evaluation at time level j, (U_j, X_j), is row j of one preallocated table,
-`RunResult.evaluations`; it also gives the first shift substep of step j.
-Only the later shift substeps, at new shifts, evaluate again.  The per-step
-columns, the CSV rows and the verdict are derived from the table.
+`RunResult.evaluations` (`results`); it also gives the first shift substep
+of step j.  Only the later shift substeps, at new shifts, evaluate again.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -45,19 +45,17 @@ from numpy.random import default_rng
 
 from .functionals import (
     REPORT_COLUMNS,
+    NumericsError,
     ReferenceArrays,
     State,
+    _release_rows,
+    _rows,
     evaluate_report,
     reference_arrays,
 )
-from .grid import (
-    Grid,
-    GridField,
-    _cumulative_trapezoid,
-    _ddx_central,
-    _ddx_forward_biased,
-)
-from .shift import advance, phi_eps, phi_regime
+from .grid import Grid, GridField, _ddx_central, _ddx_forward_biased
+from .results import EVALUATION_COLUMNS, RunResult, _reported_steps
+from .shift import advance
 from .wave import WaveParams, characteristic_speeds
 
 
@@ -96,13 +94,8 @@ dgttrf = _flapack.dgttrf
 dgttrs = _flapack.dgttrs
 
 __all__ = [
-    "StabilityError",
-    "PerturbationSpec",
-    "SolverConfig",
-    "RunResult",
-    "EVALUATION_COLUMNS",
-    "initial_state",
-    "run",
+    "StabilityError", "PerturbationSpec", "SolverConfig", "RunResult", "EVALUATION_COLUMNS",
+    "TIMINGS", "initial_state", "run",
 ]
 
 # The perturbation must be below this floor outside the inner 80% of the domain.
@@ -253,18 +246,21 @@ def solve_banded(lu: tuple, rhs: np.ndarray) -> np.ndarray:
 class _Stepper:
     """The step of one run: its grid, references and dt are fixed when it is
     built, and so is the matrix of the implicit diffusion solve, factored
-    once.  Each step writes its stages in place on the arrays it allocates,
-    and returns new arrays."""
+    once.  Each step writes its stages in place on rows borrowed from the
+    grid's evaluation workspace (no evaluation runs during a step), and
+    returns new arrays."""
 
     def __init__(self, params: WaveParams, grid: Grid, refs: ReferenceArrays, dt: float):
         self.sigma = params.sigma
+        self.grid = grid
         self.dx = grid.dx
         self.refs = refs
         self.dt = dt
         # hyperbolic residuals of the sampled wave
-        self.residual_n, self.residual_q = self._hyperbolic(refs.ntil, refs.qtil)
-        # the tridiagonal matrix I - r D2, with Dirichlet rows at both ends
         m = grid.num_nodes
+        self.residual_n, self.residual_q = np.empty(m), np.empty(m)
+        self._hyperbolic(refs.ntil, refs.qtil, self.residual_n, self.residual_q, *np.empty((2, m)))
+        # the tridiagonal matrix I - r D2, with Dirichlet rows at both ends
         r = params.nu * dt / (self.dx * self.dx)
         lower = np.full(m - 1, -r)
         diag = np.full(m, 1.0 + 2.0 * r)
@@ -276,34 +272,36 @@ class _Stepper:
             raise LinAlgError("singular diffusion matrix")
         self.lu = tuple(lu)
 
-    def _hyperbolic(self, n: np.ndarray, q: np.ndarray):
-        """First-order terms: sigma-advection upwinded (forward), coupling central."""
-        rn = _ddx_forward_biased(n, self.dx)
+    def _hyperbolic(self, n, q, rn, rq, s0, s1):
+        """First-order terms into rn and rq: sigma-advection upwinded
+        (forward), coupling central; s0 and s1 are scratch."""
+        dx = self.dx
+        _ddx_forward_biased(n, dx, out=rn, scratch=s0)
         rn *= self.sigma
-        rn += _ddx_central(n * q, self.dx)
-        rq = _ddx_forward_biased(q, self.dx)
+        rn += _ddx_central(np.multiply(n, q, out=s0), dx, out=s1)
+        _ddx_forward_biased(q, dx, out=rq, scratch=s0)
         rq *= self.sigma
-        rq += _ddx_central(n, self.dx)
-        return rn, rq
+        rq += _ddx_central(n, dx, out=s0)
 
-    def _rhs(self, n: np.ndarray, q: np.ndarray):
-        rn, rq = self._hyperbolic(n, q)
+    def _rhs(self, n, q, rn, rq, s0, s1):
+        self._hyperbolic(n, q, rn, rq, s0, s1)
         rn -= self.residual_n
         rq -= self.residual_q
         rn[0] = rn[-1] = 0.0
         rq[0] = rq[-1] = 0.0
-        return rn, rq
 
     def step(self, n: np.ndarray, q: np.ndarray):
         dt = self.dt
+        n_stage, q_stage, rn_stage, rq_stage, s0, s1 = _rows(self.grid).rows[:6]
         # two-stage (Heun) update of the first-order terms: the stage is
         # U + dt R(U), and the update U + (dt/2) (R(U) + R(stage))
-        rn, rq = self._rhs(n, q)
-        n_stage = np.multiply(dt, rn)
+        rn, rq = np.empty_like(n), np.empty_like(q)
+        self._rhs(n, q, rn, rq, s0, s1)
+        np.multiply(dt, rn, out=n_stage)
         n_stage += n
-        q_stage = np.multiply(dt, rq)
+        np.multiply(dt, rq, out=q_stage)
         q_stage += q
-        rn_stage, rq_stage = self._rhs(n_stage, q_stage)
+        self._rhs(n_stage, q_stage, rn_stage, rq_stage, s0, s1)
         rn += rn_stage
         rn *= 0.5 * dt
         rn += n
@@ -343,150 +341,19 @@ def _check_state(n: np.ndarray, q: np.ndarray, t: float | None = None):
         raise StabilityError(f"density lost positivity (min {n[bad]:.3e})", t=t, node=bad)
 
 
-# Columns of RunResult.evaluations: row j is the evaluation at time level j.
-EVALUATION_COLUMNS = ("t", "X", *REPORT_COLUMNS)
-
-
-def _reported_steps(n_steps: int, stride: int) -> list[int]:
-    """Steps k whose end is reported: every stride-th step and the last one."""
-    return [k for k in range(n_steps) if (k + 1) % stride == 0 or k == n_steps - 1]
-
-
-@dataclass
-class RunResult:
-    """The evaluation table and final state of one run.
-
-    `evaluations` has one row per time level j = 0..n_steps: t_j, X_j and
-    the report of (U_j, X_j) in REPORT_COLUMNS order.  It is the run's one
-    store of monitored numbers; `monitor`, the CSV columns and the verdict are
-    derived from it.
-    """
-
-    config: SolverConfig
-    dt: float
-    evaluations: np.ndarray  # (n_steps + 1, len(EVALUATION_COLUMNS))
-    initial_state: State
-    final_state: State
-    states: Optional[list] = None  # (t, State) at every keep_states-th reported step
-
-    def column(self, name: str) -> np.ndarray:
-        """One column of the evaluation table, over every time level."""
-        return self.evaluations[:, EVALUATION_COLUMNS.index(name)]
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.column("t")[1:]
-
-    @property
-    def e0(self) -> float:
-        return float(self.column("eta_weighted")[0])
-
-    @property
-    def eta0_unweighted(self) -> float:
-        return float(self.column("eta_unweighted")[0])
-
-    @property
-    def monitor(self) -> dict:
-        """Per-step columns (regime is a list of str).
-
-        Entry k describes step k, from t_k to t_{k+1}: t, X, lab_shift and
-        the entropies are taken at level k + 1; X_dot, regime, xdot_bound
-        and the functionals Y, I_bad, I_good, B_delta, G_delta, D, R_main
-        at level k, where the step starts; violation and balance_residual
-        compare the two.
-        """
-        params = self.config.params
-        col = self.column
-        t, x, e = col("t")[1:], col("X"), col("eta_weighted")
-        functionals = ("Y", "I_bad", "I_good", "B_delta", "G_delta", "D", "R_main")
-        at_start = {name: col(name)[:-1] for name in functionals}
-        y, ibad = at_start["Y"], at_start["I_bad"]
-        gain = 2.0 * np.abs(ibad) + 1.0
-        de = np.diff(e)
-        xdot_eff = np.diff(x) / self.dt
-        return {
-            "t": t,
-            "X": x[1:],
-            "X_dot": np.array([phi_eps(v, params.eps) for v in y.tolist()]) * gain,
-            "regime": [phi_regime(v, params.eps) for v in y.tolist()],
-            "lab_shift": params.sigma * t - x[1:],
-            "eta_weighted": e[1:],
-            **at_start,
-            "eta_unweighted": col("eta_unweighted")[1:],
-            "violation": np.maximum(de, 0.0),
-            "balance_residual": de / self.dt - (xdot_eff * y + ibad - at_start["I_good"]),
-            "xdot_bound": gain / params.eps**2,
-        }
-
-    def csv_header(self) -> list[str]:
-        return [
-            "t",
-            "X",
-            "X_dot",
-            "regime",
-            "lab_shift",
-            *REPORT_COLUMNS,
-            "violation",
-            "balance_residual",
-        ]
-
-    def csv_columns(self) -> list:
-        """The run table's columns in csv_header() order, one entry per
-        reported step k: the step's shift velocity and checks beside the
-        evaluation at its end.  regime is a list of str, the rest arrays."""
-        m = self.monitor
-        steps = _reported_steps(len(self.times), self.config.report_stride)
-        at = np.array(steps, dtype=np.intp)
-        ends = self.evaluations[at + 1]
-        return [
-            ends[:, 0],
-            ends[:, 1],
-            m["X_dot"][at],
-            [m["regime"][k] for k in steps],
-            m["lab_shift"][at],
-            *ends[:, 2:].T,
-            m["violation"][at],
-            m["balance_residual"][at],
-        ]
-
-    def verdict(self) -> dict:
-        m = self.monitor
-        tol = self.config.violation_tol
-        # int_0^{t_j} D, with D at each time level
-        cum_d = _cumulative_trapezoid(self.column("D"), np.diff(self.column("t")))
-        # signed: <= 0 is the margin by which the inequality held
-        dissipation_excess = float(np.max(m["eta_weighted"] + self.config.delta0 * cum_d - self.e0))
-        violations = m["violation"]
-        eta_unw = m["eta_unweighted"]
-        monitored = np.abs(m["Y"]) <= self.config.params.eps**2
-        r_monitored = m["R_main"][monitored]
-        xdot_ok = np.all(np.abs(m["X_dot"]) <= m["xdot_bound"] * (1.0 + 1e-12))
-        if self.eta0_unweighted > 0.0:
-            max_eta_ratio = float(np.max(eta_unw, initial=0.0) / self.eta0_unweighted)
-        else:
-            max_eta_ratio = 0.0
-        return {
-            "contraction_held": bool(np.all(violations <= tol)),
-            "max_violation": float(np.max(violations, initial=0.0)),
-            "dissipation_inequality_held": bool(dissipation_excess <= tol),
-            "dissipation_excess": dissipation_excess,
-            "factor4_held": bool(np.all(eta_unw <= 4.0 * self.eta0_unweighted + tol)),
-            "max_eta_ratio": max_eta_ratio,
-            "Rmain_sign_profile": {
-                "steps_monitored": int(np.sum(monitored)),
-                "steps_positive": int(np.sum(r_monitored > 0.0)),
-                "max_R_main": float(np.max(r_monitored)) if r_monitored.size else None,
-            },
-            "shift_bound_held": bool(xdot_ok),
-            "final_X": float(m["X"][-1]),
-            "violation_tol": tol,
-            "steps": int(len(self.times)),
-            "dt": self.dt,
-        }
+# The phases of the run loop that RunResult.timings sums: the PDE steps, the
+# shift substeps, the reports (t = 0 included), and the rest of the loop
+# (each new State and its checks, the table rows, the kept states).
+TIMINGS = ("step_s", "shift_s", "evaluate_s", "bookkeeping_s")
 
 
 def run(config: SolverConfig) -> RunResult:
-    """Integrate PDE and shift ODE in lockstep, evaluating every time level."""
+    """Integrate PDE and shift ODE in lockstep, evaluating every time level.
+
+    Past the checks of the config and the initial state, a ValueError (a
+    DomainError from an evaluation, say) fails the run, not its input: it is
+    raised again as a NumericsError that names the step.
+    """
     params = config.params
     refs = reference_arrays(params, config.grid)
     state = initial_state(params, config.grid, config.perturbation, refs)
@@ -498,30 +365,49 @@ def run(config: SolverConfig) -> RunResult:
 
     x = 0.0
     current = state
-    report = evaluate_report(params, current, config.delta0, config.delta1, shift=0.0)
     evaluations = np.empty((n_steps + 1, len(EVALUATION_COLUMNS)))
-    evaluations[0] = (0.0, x, *(getattr(report, name) for name in REPORT_COLUMNS))
     keep = int(config.keep_states)
     kept = set(_reported_steps(n_steps, config.report_stride)[::keep]) if keep else set()
     states = [] if keep else None
+    clock = time.perf_counter
+    step_s = shift_s = book_s = 0.0
 
     n = state.n.values.copy()
     q = state.q.values.copy()
-    for k in range(n_steps):
-        x = advance(x, current, dt, params, start=(report.Y, report.I_bad))
-        n, q = stepper.step(n, q)
-        t = (k + 1) * dt
-        # the fields and the state check finiteness and positivity; only a
-        # failed check looks again, to name the time and the node
-        try:
-            current = State(n=GridField(config.grid, n), q=GridField(config.grid, q))
-        except ValueError:
-            _check_state(n, q, t=t)
-            raise
-        report = evaluate_report(params, current, config.delta0, config.delta1, shift=x)
-        evaluations[k + 1] = (t, x, *(getattr(report, name) for name in REPORT_COLUMNS))
-        if k in kept:
-            states.append((t, current))
+    k = -1
+    try:
+        evaluate_s = -clock()
+        report = evaluate_report(params, current, config.delta0, config.delta1, shift=0.0)
+        evaluate_s += clock()
+        evaluations[0] = (0.0, x, *(getattr(report, name) for name in REPORT_COLUMNS))
+        for k in range(n_steps):
+            t0 = clock()
+            x = advance(x, current, dt, params, start=(report.Y, report.I_bad))
+            t1 = clock()
+            n, q = stepper.step(n, q)
+            t2 = clock()
+            t = (k + 1) * dt
+            # the fields and the state check finiteness and positivity; only a
+            # failed check looks again, to name the time and the node
+            try:
+                current = State(n=GridField(config.grid, n), q=GridField(config.grid, q))
+            except ValueError:
+                _check_state(n, q, t=t)
+                raise
+            t3 = clock()
+            report = evaluate_report(params, current, config.delta0, config.delta1, shift=x)
+            t4 = clock()
+            evaluations[k + 1] = (t, x, *(getattr(report, name) for name in REPORT_COLUMNS))
+            if k in kept:
+                states.append((t, current))
+            shift_s += t1 - t0
+            step_s += t2 - t1
+            evaluate_s += t4 - t3
+            book_s += clock() - t4 + (t3 - t2)
+    except ValueError as exc:
+        raise NumericsError(f"{exc} (run failed at step {k + 1} of {n_steps})") from exc
+    finally:
+        _release_rows()
 
     return RunResult(
         config=config,
@@ -530,4 +416,5 @@ def run(config: SolverConfig) -> RunResult:
         initial_state=state,
         final_state=current,
         states=states,
+        timings=dict(zip(TIMINGS, (step_s, shift_s, evaluate_s, book_s))),
     )

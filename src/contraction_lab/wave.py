@@ -171,15 +171,15 @@ def make_wave_params(
     return params
 
 
-def _logistic_arg(params: WaveParams, xi, ascending: bool = False):
-    """eps xi / (nu sigma) clamped to +-EXP_CLAMP, in one new array (0-d for
-    a scalar xi) that the caller may overwrite.
+def _logistic_arg(params: WaveParams, xi, ascending: bool = False, out=None):
+    """eps xi / (nu sigma) clamped to +-EXP_CLAMP, in `out` (it may be xi) or
+    in one new array (0-d for a scalar xi) that the caller may overwrite.
 
     For an `ascending` xi the argument ascends too, so its two ends are its
     extremes: when both lie inside the clamp, the clamp would change nothing
     and is skipped.
     """
-    z = np.multiply(params.eps, xi, out=np.empty(np.shape(xi)))
+    z = np.multiply(params.eps, xi, out=np.empty(np.shape(xi)) if out is None else out)
     z /= params.nu * params.sigma
     if ascending and z.size and -EXP_CLAMP <= z.flat[0] and z.flat[-1] <= EXP_CLAMP:
         return z
@@ -190,14 +190,15 @@ def _maybe_scalar(x, arr):
     return float(arr) if np.isscalar(x) or np.ndim(x) == 0 else arr
 
 
-def profile_n(params: WaveParams, xi, *, ascending: bool = False):
+def profile_n(params: WaveParams, xi, *, ascending: bool = False, out=None):
     """Density profile n~(xi) = n_+ + eps / (1 + exp(eps xi / (nu sigma))).
 
     Monotone decreasing, n~(0) = (n_- + n_+)/2, limits n_- and n_+.  A
     caller whose xi is sorted ascending says so with `ascending`, which
     spares the clamp of the exponent when the ends show it is not needed.
+    With `out` (it may be xi) the profile is written there.
     """
-    n = _logistic_arg(params, xi, ascending)
+    n = _logistic_arg(params, xi, ascending, out)
     np.exp(n, out=n)
     n += 1.0
     np.divide(params.eps, n, out=n)
@@ -205,10 +206,10 @@ def profile_n(params: WaveParams, xi, *, ascending: bool = False):
     return _maybe_scalar(xi, n)
 
 
-def _offsets_of(params: WaveParams, n):
+def _offsets_of(params: WaveParams, n, below=None, above=None):
     """(n~ - n_-, n~ - n_+), <= 0 and >= 0: the differences every formula
-    below reads, named `below` and `above` there."""
-    return n - params.n_minus, n - params.n_plus
+    below reads, named `below` and `above` there (and the optional outputs)."""
+    return np.subtract(n, params.n_minus, out=below), np.subtract(n, params.n_plus, out=above)
 
 
 def _n_prime_of(params: WaveParams, below, above, out=None):
@@ -244,9 +245,9 @@ def _a_of(params: WaveParams, below, out=None):
     return np.subtract(1.0, a, out=out)
 
 
-def _a_derivative_of(params: WaveParams, n_derivative):
+def _a_derivative_of(params: WaveParams, n_derivative, out=None):
     """a' from n~', or a'' from n~''."""
-    return -(params.lam / params.eps) * n_derivative
+    return np.multiply(-(params.lam / params.eps), n_derivative, out=out)
 
 
 def profile_n_prime(params: WaveParams, xi):

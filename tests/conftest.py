@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from contraction_lab import Grid, make_wave_params
+from contraction_lab.functionals import _complete, _core
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +30,12 @@ def grid(params):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(1234)
+
+
+def report_core(params, state, shift):
+    """The evaluation of (state, shift) through its report stage: the rows
+    and integrals a report reads, before the split.  Its arrays hold until
+    the next evaluation on the grid."""
+    c = _core(params, state, shift)
+    _complete(c)
+    return c

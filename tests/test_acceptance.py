@@ -20,7 +20,6 @@ from contraction_lab import (
     run,
     scan_delta_star,
 )
-from contraction_lab.functionals import _core
 from contraction_lab.identities import check_identities, random_state
 from contraction_lab.poincare import R_poincare
 from contraction_lab.wave import (
@@ -31,7 +30,7 @@ from contraction_lab.wave import (
     profile_n_second,
 )
 
-from conftest import lab_grid
+from conftest import lab_grid, report_core
 
 
 def report(criterion: int, passed: bool, detail: str):
@@ -244,8 +243,8 @@ class TestCriterion6:
                     n=GridField(grid_nu, state.n.values.copy()),
                     q=GridField(grid_nu, state.q.values.copy()),
                 )
-                lhs = _core(scaled, state_nu, 0.0).eta_weighted
-                rhs = nu * _core(params, state, 0.0).eta_weighted
+                lhs = report_core(scaled, state_nu, 0.0).eta_weighted
+                rhs = nu * report_core(params, state, 0.0).eta_weighted
                 worst = max(worst, abs(lhs - rhs) / abs(rhs))
         elapsed = time.time() - t0
         report(

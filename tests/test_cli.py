@@ -221,7 +221,46 @@ class TestCommands:
         reported = len(result.times)
         assert reported > 6
         assert len(result.states) == len(written)
-        assert written == [f"fields_{j:06d}.csv" for j in range(0, reported, 3)]
+        # reported step j (every step is reported) ends at solver step j + 1
+        assert written == [f"fields_{j + 1:06d}.csv" for j in range(0, reported, 3)]
+
+    def test_snapshot_files_are_named_by_solver_step(self, tmp_path, monkeypatch):
+        import contraction_lab.cli as cli_mod
+        from contraction_lab.solver import run
+
+        results = []
+        monkeypatch.setattr(cli_mod, "run", lambda cfg: results.append(run(cfg)) or results[-1])
+        cfg_path = write_config(
+            tmp_path,
+            {
+                "solver": {"t_end": 2.0, "dt": 0.1, "perturbation": {"amplitude_n": 0.2, "width": 5.0}},
+                "functionals": {"report_stride": 2},
+                "output": {"snapshot_stride": 3},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out), "simulate"]) == 0
+        # reported steps end at solver steps 2, 4, ..., 20; every third is written
+        written = sorted(p.name for p in out.glob("fields_0*.csv"))
+        assert written == ["fields_000002.csv", "fields_000008.csv", "fields_000014.csv",
+                           "fields_000020.csv"]
+        (result,) = results
+        for name, (t, state) in zip(written, result.states):
+            assert t == int(name[7:13]) * 0.1
+            n = np.loadtxt(out / name, delimiter=",", skiprows=1, usecols=1)
+            assert np.array_equal(n, state.n.values)
+
+    def test_timings_beside_final_json(self, tmp_path):
+        import importlib.resources
+
+        cfg_path = write_config(tmp_path, {"solver": {"t_end": 0.5}})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out), "simulate"]) == 0
+        timings = json.loads((out / "timings.json").read_text())
+        ref = importlib.resources.files("contraction_lab") / "schema" / "output_columns.json"
+        assert sorted(timings) == sorted(json.loads(ref.read_text())["timings_json"]["keys"])
+        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+        assert not set(timings) & set(json.loads((out / "final.json").read_text()))
 
     def test_identities_pass(self, tmp_path):
         cfg_path = write_config(tmp_path, {"identities": {"n_states": 5, "num_cells": 256}})
@@ -350,6 +389,56 @@ class TestCommands:
         code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "simulate"])
         assert code == 4
         assert "decomposition" in capsys.readouterr().err
+
+    def test_error_inside_run_is_not_a_config_error(self, tmp_path, monkeypatch, capsys):
+        # a DomainError (a ValueError) raised by an evaluation at step 3 is
+        # a failure of the run: exit 4, not 2
+        import contraction_lab.functionals as fn
+        from contraction_lab.wave import DomainError
+
+        split, calls = fn._split, []
+
+        def failing(c, delta):
+            calls.append(delta)
+            if len(calls) == 4:  # the reports at t = 0 and after steps 1, 2, 3
+                raise DomainError("a functional left its domain")
+            return split(c, delta)
+
+        monkeypatch.setattr(fn, "_split", failing)
+        cfg_path = write_config(tmp_path, {"solver": {"t_end": 1.0, "dt": 0.1}})
+        code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "simulate"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "verification error: a functional left its domain (run failed at step 3 of 10)" in err
+        assert "config error" not in err
+
+    def test_error_from_the_step_is_not_a_config_error(self, tmp_path, monkeypatch, capsys):
+        from contraction_lab.solver import _Stepper
+
+        step, steps = _Stepper.step, []
+
+        def failing(self, n, q):
+            steps.append(None)
+            if len(steps) == 3:
+                raise ValueError("illegal value in argument 7 of dgttrs")
+            return step(self, n, q)
+
+        monkeypatch.setattr(_Stepper, "step", failing)
+        cfg_path = write_config(tmp_path, {"solver": {"t_end": 1.0, "dt": 0.1}})
+        code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "simulate"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "(run failed at step 3 of 10)" in err and "config error" not in err
+
+    def test_initial_state_error_is_a_config_error(self, tmp_path, capsys):
+        # a perturbation that does not decay fails the initial state's checks
+        cfg_path = write_config(
+            tmp_path, {"solver": {"t_end": 1.0, "perturbation": {"amplitude_n": 0.2, "width": 400.0}}}
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out), "simulate"]) == 2
+        assert "config error: perturbation does not decay" in capsys.readouterr().err
+        assert not (out / "final.json").exists()
 
     def test_override_flag(self, tmp_path):
         cfg_path = write_config(tmp_path)

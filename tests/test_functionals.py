@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from contraction_lab import (
     evaluate_report,
     pi_rel,
 )
-from contraction_lab.functionals import _core, _split, reference_arrays
+from contraction_lab.functionals import _complete, _core, _split, reference_arrays
 from contraction_lab.grid import _ddx_central, integrate_values
 from contraction_lab.identities import random_state
 from contraction_lab.wave import (
@@ -31,7 +32,7 @@ from contraction_lab.wave import (
     weight_a_prime,
 )
 
-from conftest import lab_grid
+from conftest import lab_grid, report_core
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:.*outside eps < lam < 1/2.*:UserWarning"
@@ -153,7 +154,7 @@ def near_wave_state(params, grid, ratio=1.0, q_gap=0.0):
 
 
 class TestEtaRel:
-    """The core's nodewise relative entropy |q - q~|^2 / 2 + Pi(n | n~)."""
+    """The kernel's nodewise relative entropy |q - q~|^2 / 2 + Pi(n | n~)."""
 
     def test_coincidence(self, params, grid):
         assert np.all(_core(params, wave_state(params, grid), 0.0).eta == 0.0)
@@ -175,17 +176,17 @@ class TestEtaRel:
 
 
 class TestPhi:
-    """The core's phi = (1/sigma) (Pi(n|n~) + (1 + (eps/lam) a/n~)(n - n~))."""
+    """The kernel's phi = (1/sigma) (Pi(n|n~) + (1 + (eps/lam) a/n~)(n - n~))."""
 
     def test_zero_on_wave(self, params):
         grid = Grid(-3.0, 7.5, 7)
         np.testing.assert_allclose(
-            _core(params, wave_state(params, grid), 0.0).phi, 0.0, rtol=0.0, atol=1e-15
+            report_core(params, wave_state(params, grid), 0.0).phi, 0.0, rtol=0.0, atol=1e-15
         )
 
     def test_positive_above_wave(self, params):
         grid = Grid(-20.0, 20.0, 100)
-        assert np.all(_core(params, near_wave_state(params, grid, ratio=1.3), 0.0).phi > 0.0)
+        assert np.all(report_core(params, near_wave_state(params, grid, ratio=1.3), 0.0).phi > 0.0)
 
     def test_linearization_bound(self, params):
         # |phi(n) - (n~/sigma) w| <= C delta |w| on |w| <= delta with
@@ -201,7 +202,7 @@ class TestPhi:
                 for w in np.linspace(-tube, tube, n_w):
                     if abs(w) <= 1e-12:
                         continue
-                    phi = _core(params, near_wave_state(params, grid, ratio=1.0 + w), 0.0).phi
+                    phi = report_core(params, near_wave_state(params, grid, ratio=1.0 + w), 0.0).phi
                     gap = np.abs(phi - (ntil / params.sigma) * w)
                     worst = max(worst, np.max(gap / (delta * abs(w))))
             return worst
@@ -220,11 +221,11 @@ class TestEvolutionFunctionals:
         # I_good and D keep only the squared O(dx^2) mismatch between the
         # discrete and analytic log-derivative of the wave itself; it is
         # tiny and shrinks at fourth order
-        dust = _core(params, st_wave, 0.0).I_good
+        dust = report_core(params, st_wave, 0.0).I_good
         assert dust < 1e-10
-        assert _core(params, st_wave, 0.0).D < 1e-10
+        assert report_core(params, st_wave, 0.0).D < 1e-10
         finer = lab_grid(params, num_cells=4 * grid.num_cells)
-        dust_fine = _core(params, wave_state(params, finer), 0.0).I_good
+        dust_fine = report_core(params, wave_state(params, finer), 0.0).I_good
         assert dust_fine < dust / 100.0
 
     def test_constant_density_ratio_kills_dissipation(self, params, grid):
@@ -233,14 +234,14 @@ class TestEvolutionFunctionals:
         state = State(
             n=GridField(grid, 2.0 * refs.ntil), q=GridField(grid, refs.qtil.copy())
         )
-        dust = _core(params, state, 0.0).D
+        dust = report_core(params, state, 0.0).D
         assert dust < 1e-10
         finer = lab_grid(params, num_cells=4 * grid.num_cells)
         refs_f = reference_arrays(params, finer)
         state_f = State(
             n=GridField(finer, 2.0 * refs_f.ntil), q=GridField(finer, refs_f.qtil.copy())
         )
-        assert _core(params, state_f, 0.0).D < dust / 100.0
+        assert report_core(params, state_f, 0.0).D < dust / 100.0
 
     def test_dissipation_against_refined_quadrature(self, params):
         # oracle: the same integral with the derivative taken analytically;
@@ -253,7 +254,7 @@ class TestEvolutionFunctionals:
             n=GridField(grid, ntil * (1.0 + 0.1 * np.sin(xi))),
             q=GridField(grid, np.asarray(profile_q(params, xi))),
         )
-        value = _core(params, state, 0.0).D
+        value = report_core(params, state, 0.0).D
 
         a = 1.0 + (params.lam / params.eps) * (params.n_minus - ntil)
         ratio = 1.0 + 0.1 * np.sin(xi)
@@ -265,7 +266,7 @@ class TestEvolutionFunctionals:
     def test_i_good_nonnegative_on_random_states(self, params, grid):
         for seed in range(100):
             state = random_state(params, grid, seed)
-            assert _core(params, state, 0.0).I_good >= 0.0
+            assert report_core(params, state, 0.0).I_good >= 0.0
 
     def test_y_matches_entropy_weighted_form(self, params, grid):
         # the rewritten Y must agree with its defining form
@@ -316,7 +317,7 @@ def expansion_split(params, n):
     inside the tube: its Y_g, B1, B2_in, G2 and G_D are the wave-strength
     expansion functionals Y_g, I1, I2, G2 and D."""
     q = GridField(n.grid, reference_arrays(params, n.grid).qtil.copy())
-    return _split(_core(params, State(n=n, q=q), 0.0), np.inf)
+    return _split(report_core(params, State(n=n, q=q), 0.0), np.inf)
 
 
 class TestExpansionFunctionals:
@@ -359,7 +360,7 @@ class TestDecompositions:
             rep = evaluate_report(params, state, delta1=0.25)
             # the totals from cores of their own
             y = _core(params, state, 0.0).Y
-            s = _split(_core(params, state, 0.0), 0.25)
+            s = _split(report_core(params, state, 0.0), 0.25)
             b, g = s.B, s.G
             assert abs(y - (rep.Y_g + rep.Y_b + rep.Y_l + rep.Y_s)) <= 1e-10 * max(1.0, abs(y))
             assert abs(b - (rep.B1 + rep.B2_in + rep.B2_out + rep.B3)) <= 1e-10 * max(1.0, abs(b))
@@ -432,7 +433,7 @@ class TestSignFunctionals:
             params.eps / params.lam
         ) / params.sigma * integrate_values(refs.a * refs.a_prime * u, grid.dx)
         g_hand = params.sigma * integrate_values(refs.a_prime * 0.5 * u * u, grid.dx)
-        d_dust = _core(params, state, 0.0).D
+        d_dust = report_core(params, state, 0.0).D
         expected = -(y_hand**2) / params.eps**4 - g_hand + 0.01 * d_dust - (1 - 0.0) * d_dust + d_dust
         # i.e. R = -Y^2/eps^4 + 0 + 0 - (G1_in + G2 + D) + delta0 D with
         # G1_in = g_hand (phi = 0), G2 = 0
@@ -514,8 +515,8 @@ class TestNuScaling:
             n=GridField(grid_nu, state.n.values.copy()),
             q=GridField(grid_nu, state.q.values.copy()),
         )
-        lhs = _core(scaled, state_nu, 0.0).eta_weighted
-        rhs = nu * _core(base, state, 0.0).eta_weighted
+        lhs = report_core(scaled, state_nu, 0.0).eta_weighted
+        rhs = nu * report_core(base, state, 0.0).eta_weighted
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
@@ -525,10 +526,10 @@ class TestReport:
         rep = evaluate_report(params, state, 0.01, 0.25)
         assert rep.I_good >= 0 and rep.G_delta >= 0 and rep.D >= 0
         assert rep.Y == pytest.approx(_core(params, state, 0.0).Y, rel=1e-14)
-        split = _split(_core(params, state, 0.0), 0.25)
+        split = _split(report_core(params, state, 0.0), 0.25)
         assert rep.B_delta == pytest.approx(split.B, rel=1e-14)
         assert rep.G_D == rep.D
-        assert rep.eta_unweighted == _core(params, state, 0.0).eta_unweighted
+        assert rep.eta_unweighted == report_core(params, state, 0.0).eta_unweighted
         assert rep.delta_used == 0.25
 
     @pytest.mark.parametrize(
@@ -559,7 +560,7 @@ class TestReport:
             for shift in (0.0, 2.5):
                 rep = evaluate_report(params, state, 0.01, 0.2, shift=shift)
                 y = _core(params, state, shift).Y
-                s = _split(_core(params, state, shift), 0.2)
+                s = _split(report_core(params, state, shift), 0.2)
                 want = -(y * y) / params.eps**4 + s.B + 0.01 * ratio * abs(s.B) - s.G + 0.01 * s.G_D
                 assert rep.R_main == want
 
@@ -633,9 +634,10 @@ class TestReferenceArrays:
         assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
 
-# The eager core, split and report as they were before the core filled its
-# arrays lazily: every array of the core built up front, every formula
-# written out in full.  The oracle for the bit-identity of the lazy core.
+# The core, split and report written out eagerly: every array of the core
+# built up front as a new array, every formula written out in full.  The
+# oracle for the bit-identity of the kernel, which writes the same operations
+# into its grid's rows.
 def _eager_core(params, state, shift):
     refs = reference_arrays(params, state.grid, shift)
     n = state.n.values
@@ -743,16 +745,21 @@ def _eager_report(params, c, delta0, delta1):
 
 
 class TestLazyCore:
-    SHIFTS = ("zero", "plus", "minus", "past_clamp_plus", "past_clamp_minus")
+    """The kernel (`_core`, `_complete`, `_split` on a grid's rows) against
+    the eager oracle, and what it keeps between evaluations."""
+
+    SHIFTS = ("zero", "plus", "minus", "plus_small", "minus_small",
+              "past_clamp_plus", "past_clamp_minus")
+    DELTAS = (0.05, 0.25, 0.49, np.inf)
 
     @staticmethod
     def shift_of(params, grid, kind):
         beyond = 2.0 * EXP_CLAMP * params.nu * params.sigma / params.eps + grid.xi_max
-        return {"zero": 0.0, "plus": 3.7, "minus": -3.7,
+        return {"zero": 0.0, "plus": 3.7, "minus": -3.7, "plus_small": 1.5, "minus_small": -1.5,
                 "past_clamp_plus": beyond, "past_clamp_minus": -beyond}[kind]
 
     @pytest.mark.parametrize("shift_kind", SHIFTS)
-    @pytest.mark.parametrize("delta1", [0.05, 0.25, 0.49, np.inf])
+    @pytest.mark.parametrize("delta1", DELTAS)
     def test_report_equals_eager_oracle(self, params, grid, shift_kind, delta1):
         shift = self.shift_of(params, grid, shift_kind)
         for seed in (3, 17, 40):
@@ -767,49 +774,82 @@ class TestLazyCore:
                 _eager_Y(params, c), _eager_I_bad(params, c)
             )
 
-    def test_shift_substep_core_builds_no_split_arrays(self, params, grid):
+    @pytest.mark.parametrize("shift_kind", ["zero", "plus_small", "minus_small", "past_clamp_plus"])
+    def test_one_evaluation_split_at_every_delta(self, params, grid, shift_kind):
+        # the identity suite's path: one evaluation, completed once, then
+        # split at each delta in turn; no split may disturb the next
+        shift = self.shift_of(params, grid, shift_kind)
+        for seed in (3, 17):
+            state = random_state(params, grid, seed)
+            oracle = _eager_core(params, state, shift)
+            c = report_core(params, state, shift)
+            for delta in self.DELTAS:
+                b_parts, g_parts, y_parts = _eager_split(params, oracle, delta)
+                s = _split(c, delta)
+                assert (s.Y_g, s.Y_b, s.Y_l, s.Y_s) == y_parts
+                assert (s.B1, s.B2_in, s.B2_out, s.B3) == b_parts
+                assert (s.G1_in, s.G1_out, s.G2, s.G_D) == g_parts
+            assert (c.Y, c.I_bad, c.I_good) == (
+                _eager_Y(params, oracle), _eager_I_bad(params, oracle), _eager_I_good(params, oracle)
+            )
+
+    def test_shift_substep_core_builds_no_split_arrays(self, params, monkeypatch):
+        # a shift substep stops at Y and I_bad: on a grid's new rows it sets
+        # no report-stage integral, and advance() never completes one
+        grid = lab_grid(params, num_cells=96)
         state = random_state(params, grid, 5)
         c = cl.functionals._core(params, state, 1.5)
-        c.Y, c.I_bad
         built = set(vars(c))
-        assert {"eta", "pi", "dlog", "y_integrand", "Y", "I_bad"} <= built
-        assert not built & {
-            "phi", "sigma_phi", "a_prime_phi", "u_plus_phi", "u_plus_phi_sq", "coeff",
-            "G_pi", "D", "I_good", "eta_weighted", "eta_unweighted", "B1", "B3",
-        }
+        assert {"Y", "I_bad", "qtil_term"} <= built
+        assert not built & {"G_pi", "D", "I_good", "eta_weighted", "eta_unweighted", "B1", "B3"}
+        stages = []
+        complete, core = cl.functionals._complete, cl.functionals._core
+        monkeypatch.setattr(cl.functionals, "_complete", lambda c: stages.append("complete") or complete(c))
+        monkeypatch.setattr(cl.functionals, "_core",
+                            lambda *args: stages.append("core") or core(*args))
+        cl.shift.advance(0.0, state, 0.1, params)
+        assert stages == ["core"] * 4
 
     def test_tube_free_parts_built_once_per_core(self, params, grid, monkeypatch):
         c = cl.functionals._core(params, random_state(params, grid, 5), 0.0)
         calls = []
         a_derivative = cl.functionals._a_derivative_of
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return a_derivative(*args)
+            return a_derivative(*args, **kwargs)
 
         monkeypatch.setattr(cl.functionals, "_a_derivative_of", counting)
+        _complete(c)
         splits = [_split(c, d) for d in (0.05, 0.25, 0.49)]
         assert len(calls) == 1
         assert {(s.B1, s.B3) for s in splits} == {(c.B1, c.B3)}
 
-    def test_second_read_is_the_stored_object(self, params, grid):
-        c = cl.functionals._core(params, random_state(params, grid, 7), 0.4)
-        for name in ("dn", "pi", "y_integrand", "Y"):
-            first = getattr(c, name)
-            assert vars(c)[name] is first
-            assert getattr(c, name) is first
-            # no __set__: the instance __dict__ answers every later read
-            assert not hasattr(type(c).__dict__[name], "__set__")
+    def test_second_read_is_the_stored_object(self, params):
+        # the rows are allocated once per grid: a second evaluation on an
+        # equal grid writes the same arrays; another grid replaces them
+        grid = lab_grid(params, num_cells=128)
+        first = cl.functionals._core(params, random_state(params, grid, 7), 0.4)
+        rows = [id(row) for row in first.rows]
+        twin = Grid(grid.xi_min, grid.xi_max, grid.num_cells)
+        second = cl.functionals._core(params, random_state(params, twin, 8), -0.4)
+        assert second is first and [id(row) for row in second.rows] == rows
+        assert len(rows) == len(set(rows)) and not any(
+            np.shares_memory(a, b) for i, a in enumerate(first.rows) for b in first.rows[i + 1:]
+        )
+        other = cl.functionals._core(params, random_state(params, lab_grid(params, 64), 7), 0.0)
+        assert other is not first and cl.functionals._workspace == [other]
 
     def test_log_n_slope_is_per_state(self, params, grid):
         a = random_state(params, grid, 5)
         b = random_state(params, grid, 6)
         fresh = _ddx_central(np.log(a.n.values), grid.dx)
-        cl.functionals._core(params, a, 0.0).dlog
-        cl.functionals._core(params, b, 0.0).dlog
+        cl.functionals._core(params, a, 0.0)
+        cl.functionals._core(params, b, 0.0)
         kept = a._dlog_n
         assert np.array_equal(kept, fresh)
-        assert cl.functionals._core(params, a, 2.0).state._dlog_n is kept
+        cl.functionals._core(params, a, 2.0)
+        assert a._dlog_n is kept
         assert b._dlog_n is not kept
         assert np.array_equal(b._dlog_n, _ddx_central(np.log(b.n.values), grid.dx))
         copy = State(n=GridField(grid, a.n.values.copy()), q=a.q)
@@ -824,3 +864,32 @@ class TestLazyCore:
         assert np.array_equal(
             fresh, np.linspace(grid.xi_min, grid.xi_max, grid.num_cells + 1)
         )
+
+    @pytest.mark.parametrize("shift", [0.0, 1.5, 1e6])
+    def test_y_and_ibad_allocates_no_grid_array(self, params, shift):
+        # after its first call on a grid (which makes the rows and the
+        # state's d/dxi log n), an evaluation allocates nothing of grid size
+        grid = lab_grid(params, num_cells=4096)
+        state = random_state(params, grid, 11)
+        cl.functionals.y_and_ibad(params, state, 0.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cl.functionals.y_and_ibad(params, state, shift)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            # the probe sees a grid array when one is made
+            np.empty(grid.num_nodes).fill(0.0)
+            seen = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * grid.num_nodes // 4 <= seen
+
+    def test_later_evaluation_leaves_earlier_report_unchanged(self, params, grid):
+        a = random_state(params, grid, 21)
+        b = random_state(params, grid, 22)
+        rep = evaluate_report(params, a, 0.01, 0.25, 0.5)
+        copy = dataclasses.replace(rep)
+        cl.functionals.y_and_ibad(params, b, -1.0)
+        other = evaluate_report(params, b, 0.01, 0.1, 2.0)
+        assert rep == copy and rep != other
+        assert rep == evaluate_report(params, a, 0.01, 0.25, 0.5)

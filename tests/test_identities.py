@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from contraction_lab import identities, make_wave_params
-from contraction_lab.functionals import State, _core, _split, evaluate_report, reference_arrays
+from contraction_lab.functionals import State, _split, evaluate_report, reference_arrays
 from contraction_lab.grid import GridField
 from contraction_lab.identities import (
     _phase_ramps,
@@ -13,7 +13,7 @@ from contraction_lab.identities import (
 )
 from contraction_lab.wave import DomainError
 
-from conftest import lab_grid
+from conftest import lab_grid, report_core
 
 
 class TestRandomState:
@@ -92,13 +92,13 @@ class TestCheckIdentities:
 
 def _reference_check_one(params, grid, seed, deltas):
     state = random_state(params, grid, seed)
-    ibad = _core(params, state, 0.0).I_bad
-    igood = _core(params, state, 0.0).I_good
-    y = _core(params, state, 0.0).Y
+    ibad = report_core(params, state, 0.0).I_bad
+    igood = report_core(params, state, 0.0).I_good
+    y = report_core(params, state, 0.0).Y
     errors = {"max_split": 0.0, "sum_Y": 0.0}
     for d in deltas:
-        b = _split(_core(params, state, 0.0), d).B
-        g = _split(_core(params, state, 0.0), d).G
+        b = _split(report_core(params, state, 0.0), d).B
+        g = _split(report_core(params, state, 0.0), d).G
         scale = max(abs(ibad), igood, abs(b), g, 1.0)
         errors["max_split"] = max(errors["max_split"], _rel_err(ibad - igood, b - g, scale))
         rep = evaluate_report(params, state, delta1=d)

@@ -13,10 +13,10 @@ from contraction_lab import (
     phi_eps,
     run,
 )
-from contraction_lab.functionals import _core, reference_arrays, y_and_ibad
+from contraction_lab.functionals import reference_arrays, y_and_ibad
 from contraction_lab.identities import random_state
 
-from conftest import lab_grid
+from conftest import lab_grid, report_core
 
 
 class TestPhiEps:
@@ -156,8 +156,8 @@ class TestShiftedFunctionalConsistency:
         # the perturbation is compactly supported, so the pads sit on the
         # flat tail where the profile is constant to rounding
         shifted = State(n=GridField(grid, n_shift), q=GridField(grid, q_shift))
-        lhs = _core(small_params, shifted, 0.0).eta_weighted
-        rhs = _core(small_params, state, x).eta_weighted
+        lhs = report_core(small_params, shifted, 0.0).eta_weighted
+        rhs = report_core(small_params, state, x).eta_weighted
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_run_reports_shift_bound_every_step(self, small_params):

@@ -1,3 +1,4 @@
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,7 +18,6 @@ from contraction_lab import (
 from contraction_lab.functionals import (
     REPORT_COLUMNS,
     FunctionalReport,
-    _core,
     evaluate_report,
     reference_arrays,
 )
@@ -26,6 +26,7 @@ from contraction_lab.identities import random_state
 from contraction_lab.shift import phi_eps, phi_regime
 from contraction_lab.solver import (
     EVALUATION_COLUMNS,
+    TIMINGS,
     _check_state,
     _stable_dt,
     _Stepper,
@@ -33,7 +34,8 @@ from contraction_lab.solver import (
 )
 from contraction_lab.wave import profile_n_second
 
-from conftest import lab_grid
+from conftest import lab_grid, report_core
+from test_functionals import _eager_core, _eager_I_bad, _eager_report, _eager_Y
 
 
 def bump_spec(amp_n=0.2, amp_q=0.2, width=5.0, **kw):
@@ -431,8 +433,8 @@ class TestRun:
             rep = evaluate_report(small_params, st, cfg.delta0, cfg.delta1, shift=x[j])
             assert row[0] == t
             assert row[2:] == [getattr(rep, name) for name in REPORT_COLUMNS]
-            assert row[-1] == _core(small_params, st, x[j]).eta_unweighted
-            assert rep.eta_weighted == _core(small_params, st, x[j]).eta_weighted
+            assert row[-1] == report_core(small_params, st, x[j]).eta_unweighted
+            assert rep.eta_weighted == report_core(small_params, st, x[j]).eta_weighted
             fresh.append(rep)
         for k in range(len(res.states)):
             # step k ends at level k + 1 and starts at level k
@@ -445,7 +447,7 @@ class TestRun:
             assert m["D"][k] == fresh[k].D
         rep0 = evaluate_report(small_params, res.initial_state, cfg.delta0, cfg.delta1)
         assert res.e0 == rep0.eta_weighted and m["D"][0] == rep0.D
-        assert res.eta0_unweighted == _core(small_params, res.initial_state, 0.0).eta_unweighted
+        assert res.eta0_unweighted == report_core(small_params, res.initial_state, 0.0).eta_unweighted
 
     def test_dissipation_integral_pairs_D_with_its_time_level(self, small_params):
         # with eta_weighted held at e0 the excess is delta0 times the whole
@@ -492,6 +494,48 @@ class TestRun:
                 xdot_eff * y + ibad - igood
             )
 
+    @pytest.mark.parametrize("cells", [256, 1024])
+    def test_run_equals_eager_oracle(self, small_params, cells):
+        # the whole evaluation table of run(), against a loop built from the
+        # eager step, the eager report, and four forward-Euler shift
+        # substeps written out, each at the state where its step starts
+        p = small_params
+        grid = lab_grid(p, num_cells=cells)
+        spec = bump_spec(0.4, 0.4)
+        refs = reference_arrays(p, grid)
+        state = initial_state(p, grid, spec, refs)
+        t_end = 20 * _stable_dt(p, grid, state, 0.4)
+        cfg = SolverConfig(params=p, grid=grid, t_end=t_end, perturbation=spec, delta1=0.2)
+        res = run(cfg)
+        dt, steps = res.dt, len(res.times)
+        assert steps == 20
+        x, want = 0.0, []
+        for j in range(steps + 1):
+            report = _eager_report(p, _eager_core(p, state, x), cfg.delta0, cfg.delta1)
+            want.append([j * dt, x, *report.values()])
+            if j == steps:
+                break
+            for _ in range(4):
+                c = _eager_core(p, state, x)
+                y, ibad = _eager_Y(p, c), _eager_I_bad(p, c)
+                x += dt / 4 * (phi_eps(y, p.eps) * (2.0 * abs(ibad) + 1.0))
+            n, q = _eager_step(p, grid, refs, dt, state.n.values, state.q.values)
+            state = State(n=GridField(grid, n), q=GridField(grid, q))
+        assert res.evaluations.tolist() == want
+        assert want[-1][1] != 0.0
+
+    def test_timings_sum_the_loop_phases(self, small_params):
+        grid = lab_grid(small_params, num_cells=256)
+        cfg = SolverConfig(
+            params=small_params, grid=grid, t_end=1.0, dt=0.05, perturbation=bump_spec(0.3, 0.3)
+        )
+        start = time.perf_counter()
+        res = run(cfg)
+        wall = time.perf_counter() - start
+        assert list(res.timings) == list(TIMINGS)
+        assert all(v > 0.0 for v in res.timings.values())
+        assert sum(res.timings.values()) < wall
+
     def test_repeat_runs_are_identical(self, small_params):
         # what a run keeps on its grid (the nodes) and states (d/dxi log n)
         # must not leak into a later run on the same grid
@@ -523,14 +567,15 @@ class TestRun:
             replace(cfg, keep_states=-1)
 
     def test_references_built_once_per_evaluation(self, small_params, monkeypatch):
-        # one set-up build shared by the stepper and the initial state, then
-        # one per evaluated (state, shift) pair: t = 0, and per step the
-        # evaluation at its end and shift substeps 2..4
+        # one set-up build of the reference arrays, shared by the stepper and
+        # the initial state; then the kernel builds the references once per
+        # evaluated (state, shift) pair, in its first stage: t = 0, and per
+        # step the evaluation at its end and shift substeps 2..4
         import contraction_lab.functionals as fn
         import contraction_lab.solver as solver_mod
 
-        calls = []
-        original = fn.reference_arrays
+        calls, cores = [], []
+        original, core = fn.reference_arrays, fn._core
 
         def counting(*args, **kwargs):
             calls.append(args)
@@ -538,11 +583,14 @@ class TestRun:
 
         monkeypatch.setattr(fn, "reference_arrays", counting)
         monkeypatch.setattr(solver_mod, "reference_arrays", counting)
+        monkeypatch.setattr(fn, "_core", lambda *args: cores.append(args[2]) or core(*args))
         grid = lab_grid(small_params, num_cells=512)
         spec = bump_spec(0.3, 0.3)
         cfg = SolverConfig(params=small_params, grid=grid, t_end=1.0, dt=0.05, perturbation=spec)
         res = run(cfg)
-        assert len(calls) == 2 + 4 * len(res.times)
+        assert len(calls) == 1
+        assert len(cores) == 1 + 4 * len(res.times)
+        assert cores[0] == 0.0 and cores[4::4] == res.column("X")[1:].tolist()
         fresh = initial_state(small_params, grid, spec, original(small_params, grid))
         assert np.array_equal(res.initial_state.n.values, fresh.n.values)
         assert np.array_equal(res.initial_state.q.values, fresh.q.values)
