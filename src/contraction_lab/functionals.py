@@ -146,6 +146,26 @@ def pi_rel(n1, n2):
     return float(out) if out.ndim == 0 else out
 
 
+_PAGE = 4096
+# Page offsets of the rows, 64-byte aligned and spread over the page.
+_ROW_SPACING = 192
+
+
+def _placed_row(n: int, page_offset: int) -> np.ndarray:
+    """A new array of n values that starts `page_offset` bytes into a page.
+
+    Rows of 2^k + 1 values allocated one after another land 16 bytes apart
+    modulo the page, so a ufunc that reads one row and writes another
+    stores where it is about to load, modulo 4 KiB, and the core stalls
+    the load on the store (4K aliasing).  Where the run of rows starts in
+    the page depends on what the process allocated before them.  Spread
+    over the page, the rows keep clear of each other whatever came before.
+    """
+    raw = np.empty(n + _PAGE // 8)
+    start = (page_offset - raw.ctypes.data) % _PAGE // 8
+    return raw[start : start + n]
+
+
 class _Rows:
     """The rows of one grid: every nodewise array of an evaluation, and the
     evaluation's integrals as attributes beside them.
@@ -164,7 +184,7 @@ class _Rows:
         self.dx = grid.dx
         # one array each, not one block: rows of one grid's size come from
         # the heap, where a block of them would be a mapping of its own
-        self.rows = [np.empty(grid.num_nodes) for _ in range(21)]
+        self.rows = [_placed_row(grid.num_nodes, i * _ROW_SPACING) for i in range(21)]
         (self.ntil, self.a, self.ntil_second, self.ntil_prime, self.qtil, self.a_prime,
          self.u, self.dn, self.dn_rel, self.n_over_ntil, self.logratio, self.pi, self.dlog,
          self.eta, self.neg_a_prime, self.a_prime_pi, self.ratio_a, self.ratio_a_a_prime,
@@ -273,7 +293,7 @@ def _core(params: WaveParams, state: State, shift: float) -> _Rows:
 
 def _complete(c: _Rows) -> None:
     """The report stage of the evaluation in `c`: I_good, D, the tube-free
-    B1 and B3, both entropies, and the arrays that the split reads."""
+    B1 and B3, and the arrays that the split reads."""
     params = c.params
     n, dx, buf, w = c.n, c.dx, c.buf, c.w
     ntil, a, a_prime, u, pi, dlog = c.ntil, c.a, c.a_prime, c.u, c.pi, c.dlog
@@ -310,10 +330,16 @@ def _complete(c: _Rows) -> None:
     phi = np.divide(sigma_phi, sigma, out=c.phi)
     np.multiply(a_prime, phi, out=c.a_prime_phi)
     np.square(np.add(u, phi, out=c.u_plus_phi), out=c.u_plus_phi_sq)
-    c.eta_weighted = integrate_values(np.multiply(a, c.eta, out=w), dx, buf)
-    c.eta_unweighted = integrate_values(c.eta, dx, buf)
     deviation = np.subtract(c.n_over_ntil, 1.0, out=c.deviation)
     np.abs(deviation, out=deviation)
+
+
+def _entropies(c: _Rows) -> tuple[float, float]:
+    """int a eta and int eta of the evaluation in `c`: the report's two
+    relative entropies, which the identity suite does not read.  The rows of
+    a and eta hold through `_complete` and the split."""
+    weighted = integrate_values(np.multiply(c.a, c.eta, out=c.w), c.dx, c.buf)
+    return weighted, integrate_values(c.eta, c.dx, c.buf)
 
 
 class _Split(NamedTuple):
@@ -465,10 +491,11 @@ def evaluate_report(
     c = _core(params, state, shift)
     _complete(c)
     s = _split(c, delta1)
+    eta_weighted, eta_unweighted = _entropies(c)
     y, b, g = c.Y, s.B, s.G
     r = -(y * y) / params.eps**4 + b + delta0 * (params.eps / params.lam) * abs(b) - g + delta0 * s.G_D
     return FunctionalReport(
-        c.eta_weighted, y, c.I_bad, c.I_good, b, g, c.D, *s, r, delta1, c.eta_unweighted
+        eta_weighted, y, c.I_bad, c.I_good, b, g, c.D, *s, r, delta1, eta_unweighted
     )
 
 

@@ -65,7 +65,7 @@ class GridField:
         self.values = vals
 
 
-def integrate_values(values: np.ndarray, dx: float, out: np.ndarray | None = None) -> float:
+def integrate_values(values: np.ndarray, dx: float, out: np.ndarray | None = None):
     """Composite trapezoid rule on raw node values: the package's one trapezoid.
 
     Bit-equal to `np.trapezoid(values, dx=dx)`, which sums
@@ -74,13 +74,23 @@ def integrate_values(values: np.ndarray, dx: float, out: np.ndarray | None = Non
     scaling happens in place on the one temporary, so the sum reads the same
     array in the same order.  The temporary is `out` (m - 1 values) when the
     caller owns one, and a new array otherwise.
+
+    A (k, m) array is k rows of node values, and the result is an array of
+    their k integrals, each bit-equal to the call on its row alone.  That
+    holds while each row of the temporary is contiguous, so the sum runs
+    over it as one inner loop: a new temporary is C-ordered, and an `out`
+    of (k, m - 1) values must have unit stride along its rows.
     """
     v = np.asarray(values, dtype=float)
-    buf = np.add(v[1:], v[:-1], out=out)
+    if v.ndim == 1:
+        buf = np.add(v[1:], v[:-1], out=out)
+    else:
+        buf = np.add(v[:, 1:], v[:, :-1], out=out, order="C")
     buf *= dx
     buf *= 0.5
-    # what buf.sum() calls, without its Python-level wrapper
-    return float(np.add.reduce(buf))
+    # what buf.sum(axis=-1) calls, without its Python-level wrapper
+    total = np.add.reduce(buf, -1)
+    return float(total) if v.ndim == 1 else total
 
 
 def _cumulative_trapezoid(values: np.ndarray, d) -> np.ndarray:
@@ -114,6 +124,9 @@ def _ddx_forward_biased(v: np.ndarray, dx: float, out=None, scratch=None) -> np.
     body += np.multiply(4.0, v[1:-1], out=None if scratch is None else scratch[:-2])
     body -= v[2:]
     body /= 2.0 * dx
-    # the last two nodes of the central stencil, from the last three values
-    out[-2:] = _ddx_central(v[-3:], dx)[1:]
+    # the last two nodes of the central stencil (`_ddx_central`'s interior
+    # and right end), written out on the last three values
+    a, b, c = v[-3:].tolist()
+    out[-2] = (c - a) / (2.0 * dx)
+    out[-1] = (3.0 * c - 4.0 * b + a) / (2.0 * dx)
     return out

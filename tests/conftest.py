@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from contraction_lab import Grid, make_wave_params
-from contraction_lab.functionals import _complete, _core
+from contraction_lab.functionals import _complete, _core, _entropies
 
 
 @pytest.fixture(scope="session")
@@ -34,8 +34,10 @@ def rng():
 
 def report_core(params, state, shift):
     """The evaluation of (state, shift) through its report stage: the rows
-    and integrals a report reads, before the split.  Its arrays hold until
-    the next evaluation on the grid."""
+    and integrals a report reads, before the split, with the two entropies
+    set on it as eta_weighted and eta_unweighted.  Its arrays hold until the
+    next evaluation on the grid."""
     c = _core(params, state, shift)
     _complete(c)
+    c.eta_weighted, c.eta_unweighted = _entropies(c)
     return c

@@ -113,14 +113,17 @@ def test_import_loads_no_scipy_integrate():
     # importing scipy.integrate or scipy.linalg is most of a fresh import; the
     # package's running integrals are grid._cumulative_trapezoid, and the
     # solver loads only scipy's compiled LAPACK wrapper, without scipy/__init__
-    # and the numpy.f2py that scipy.linalg's array-API layer imports
+    # and the numpy.f2py that scipy.linalg's array-API layer imports; the
+    # Poincare scan evaluates its polynomials by its own Horner loop, so
+    # numpy.polynomial is not loaded either
     code = (
         "import sys, contraction_lab, contraction_lab.cli\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
         "print('numpy.f2py' in sys.modules)\n"
         "print(callable(contraction_lab.solver.solve_banded))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
     )
-    assert _run_fresh(code)[:3] == ["['scipy.linalg._flapack']", "False", "True"]
+    assert _run_fresh(code)[:4] == ["['scipy.linalg._flapack']", "False", "True", "[]"]
 
 
 def test_work_imports_no_module(tmp_path):

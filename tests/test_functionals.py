@@ -840,6 +840,18 @@ class TestLazyCore:
         other = cl.functionals._core(params, random_state(params, lab_grid(params, 64), 7), 0.0)
         assert other is not first and cl.functionals._workspace == [other]
 
+    @pytest.mark.parametrize("cells", [64, 2048, 8192])
+    def test_rows_sit_apart_in_the_page(self, cells):
+        # every row starts at its own 64-byte aligned offset in a 4 KiB page,
+        # whatever was allocated before it
+        for before in (0, 1, 37, 4096):
+            held = np.empty(before)
+            rows = cl.functionals._Rows(Grid(-1.0, 1.0, cells)).rows
+            offsets = [row.ctypes.data % 4096 for row in rows]
+            assert offsets == [192 * i for i in range(len(rows))], before
+            assert all(row.shape == (cells + 1,) and row.flags.c_contiguous for row in rows)
+            del held
+
     def test_log_n_slope_is_per_state(self, params, grid):
         a = random_state(params, grid, 5)
         b = random_state(params, grid, 6)

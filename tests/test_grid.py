@@ -112,6 +112,28 @@ class TestIntegrateValuesIsNumpys:
         assert np.signbit(got) == np.signbit(want)
 
     @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize(
+        "kind", ["normal", "signed_zeros", "negative_zeros", "subnormal", "huge"]
+    )
+    @pytest.mark.parametrize("layout", ["C", "F", "strided_out"])
+    def test_rows_bit_equal(self, kind, size, layout):
+        # a (k, m) block: each row's integral is the 1-D call's, bit for bit,
+        # whatever the order of the values or of a caller's temporary
+        dx = 1.0 / 4096
+        v = self._values(kind, 5 * size).reshape(5, size)
+        values, out = v, None
+        if layout == "F":
+            values = np.asfortranarray(v)
+        elif layout == "strided_out":
+            out = np.empty((5, size + 1))[:, 1:size]
+        got = integrate_values(values, dx, out)
+        want = np.trapezoid(v, dx=dx, axis=-1)
+        assert got.shape == (5,)
+        for row, g, w in zip(v, got, want):
+            assert g == w == integrate_values(row, dx)
+            assert np.signbit(g) == np.signbit(w)
+
+    @pytest.mark.parametrize("size", SIZES)
     def test_python_list(self, size):
         v = self._values("normal", size).tolist()
         assert integrate_values(v, 0.25) == float(np.trapezoid(v, dx=0.25))

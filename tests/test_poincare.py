@@ -1,15 +1,23 @@
+import json
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from contraction_lab import R_poincare, scan_delta_star
 from contraction_lab.poincare import (
+    BLOCK_SAMPLES,
     DEFAULT_Y_CELLS,
     SAMPLE_FAMILIES,
+    SCAN_TOL,
     _draw,
+    _dominant,
+    _draw_block,
     _h1_weight,
     _moments,
+    _r_values,
+    _scratch,
     _y_nodes,
 )
 from contraction_lab.wave import DomainError
@@ -243,3 +251,96 @@ class TestScan:
                 hits += 1
                 assert R_poincare(w, 0.1) < 0.0
         assert hits > 50  # the family produces plenty of off-kernel samples
+
+
+def _reference_scan(M, n, grid_d, seed, n_cells):
+    """The scan one sample at a time: each drawn alone by the oracle, and R
+    taken on its moments in Python floats.  (pass counts, threshold, worst
+    seed, worst value), as ScanResult holds them."""
+    moments = [_oracle_draw(seed + i, M, SAMPLE_FAMILIES[i % 3], n_cells)[1] for i in range(n)]
+    counts, delta_star, worst_seed, worst = [], 0.0, None, -np.inf
+    all_passed = True
+    for d in sorted(grid_d):
+        count = 0
+        for i, (i2, i1, i3, iabs3, ih1) in enumerate(moments):
+            r = -(i2 + 2.0 * i1) ** 2 / d + (1.0 + d) * i2 + (2.0 / 3.0) * i3 + d * iabs3 - (1.0 - d) * ih1
+            if r <= SCAN_TOL:
+                count += 1
+            elif r > worst:
+                worst, worst_seed = r, seed + i
+        counts.append(count)
+        if count == n and all_passed:
+            delta_star = d
+        else:
+            all_passed = False
+    return counts, delta_star, worst_seed, worst if np.isfinite(worst) else 0.0
+
+
+def _outcome(res):
+    return res.pass_counts, res.delta_star_empirical, res.worst_sample_seed, res.worst_value
+
+
+class TestBlockScan:
+    """Samples drawn in blocks of one family equal the same samples drawn one by one."""
+
+    SIZES = sorted({1, 2, BLOCK_SAMPLES - 1, BLOCK_SAMPLES, BLOCK_SAMPLES + 1, 3 * BLOCK_SAMPLES + 2})
+    GRID = np.geomspace(1e-3, 0.9, 10)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("M", [1.0, 6.0, 20.0])
+    def test_matches_per_sample_reference(self, n, M):
+        # every family, whole and partial blocks, and a last block of each size
+        res = scan_delta_star(M, n, self.GRID, seed=11, n_cells=512)
+        assert _outcome(res) == _reference_scan(M, n, self.GRID, 11, 512)
+        if n == 3 * BLOCK_SAMPLES + 2:
+            assert res.worst_sample_seed is not None  # the reference's worst is exercised
+
+    @pytest.mark.parametrize("block", [1, 3, 16])
+    def test_block_size_does_not_move_the_result(self, block, monkeypatch):
+        want = _outcome(scan_delta_star(6.0, 41, self.GRID, seed=4, n_cells=256))
+        monkeypatch.setattr("contraction_lab.poincare.BLOCK_SAMPLES", block)
+        assert _outcome(scan_delta_star(6.0, 41, self.GRID, seed=4, n_cells=256)) == want
+
+    def test_all_pass(self):
+        n = 3 * BLOCK_SAMPLES + 2
+        res = scan_delta_star(1.0, n, [1e-4, 1e-3], seed=0, n_cells=512)
+        assert res.worst_sample_seed is None and res.worst_value == 0.0
+        assert res.pass_counts == [n, n] and res.delta_star_empirical == 1e-3
+        assert _outcome(res) == _reference_scan(1.0, n, [1e-4, 1e-3], 0, 512)
+
+    @pytest.mark.parametrize("family", SAMPLE_FAMILIES)
+    def test_block_rows_are_the_oracle(self, family):
+        # each row of a block, the last one partial, is its sample drawn alone
+        n_cells, seeds = 1024, [5 + 3 * j for j in range(BLOCK_SAMPLES - 1)]
+        w, s1, s2 = (r[: len(seeds)] for r in _scratch(BLOCK_SAMPLES, n_cells + 1))
+        moments = _draw_block(seeds, 6.0, family, w, s1, s2)
+        for j, seed in enumerate(seeds):
+            want_w, want_moms = _oracle_draw(seed, 6.0, family, n_cells)
+            assert np.array_equal(w[j], want_w)
+            assert tuple(moments[:, j].tolist()) == want_moms
+
+    def test_r_values_are_python_float_arithmetic(self):
+        # R of every sample, taken at once, is the closed form in Python
+        # floats bit for bit; numpy's x * x for the square would differ from
+        # Python's ** in a few of these values
+        moments = np.random.default_rng(3).normal(size=(5, 20000))
+        moments[3:] = np.abs(moments[3:])
+        for d in (1e-3, 0.1, 0.7):
+            want = [
+                -(i2 + 2.0 * i1) ** 2 / d + (1.0 + d) * i2 + (2.0 / 3.0) * i3 + d * iabs3 - (1.0 - d) * ih1
+                for i2, i1, i3, iabs3, ih1 in zip(*moments.tolist())
+            ]
+            assert _r_values(moments, _dominant(moments), d).tolist() == want
+
+    def test_reproduces_recorded_benchmark_scans(self):
+        # two of the benchmark's recorded scans (M 6, 1000 samples, 4096 cells)
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "expected_poincare.json"
+        recorded = json.loads(path.read_text())
+        p = recorded["poincare"]
+        grid_d = np.geomspace(p["delta_min"], p["delta_max"], p["delta_points"])
+        seeds = sorted(recorded["scans"], key=int)
+        for key in (seeds[0], seeds[-1]):
+            res = scan_delta_star(p["M"], p["n_samples"], grid_d, seed=int(key), n_cells=p["y_cells"])
+            want = recorded["scans"][key]
+            assert res.delta_star_empirical == want["delta_star_empirical"]
+            assert res.pass_counts == want["pass_counts"]
