@@ -184,12 +184,11 @@ class _Rows:
         self.dx = grid.dx
         # one array each, not one block: rows of one grid's size come from
         # the heap, where a block of them would be a mapping of its own
-        self.rows = [_placed_row(grid.num_nodes, i * _ROW_SPACING) for i in range(21)]
+        self.rows = [_placed_row(grid.num_nodes, i * _ROW_SPACING) for i in range(20)]
         (self.ntil, self.a, self.ntil_second, self.ntil_prime, self.qtil, self.a_prime,
          self.u, self.dn, self.dn_rel, self.n_over_ntil, self.logratio, self.pi, self.dlog,
          self.eta, self.neg_a_prime, self.a_prime_pi, self.ratio_a, self.ratio_a_a_prime,
-         self.y_integrand, self.w, buf) = self.rows
-        self.buf = buf[:-1]  # the trapezoid's m - 1 sums
+         self.y_integrand, self.w) = self.rows
         # q~ is dead once int -a' q~ Pi is taken: its row is the scratch v
         self.v = self.qtil
         # the report stage's arrays, over arrays only the first stage reads;
@@ -230,7 +229,7 @@ def _core(params: WaveParams, state: State, shift: float) -> _Rows:
     """
     c = _rows(state.grid)
     c.params, c.n = params, state.n.values
-    n, q, dx, buf, w = c.n, state.q.values, c.dx, c.buf, c.w
+    n, q, dx, w = c.n, state.q.values, c.dx, c.w
     ntil, a, ntil_prime, qtil, a_prime = c.ntil, c.a, c.ntil_prime, c.qtil, c.a_prime
     ratio, sigma = params.eps / params.lam, params.sigma
     np.subtract(state.grid._nodes, shift, out=ntil)  # xi, until the profile overwrites it
@@ -263,11 +262,11 @@ def _core(params: WaveParams, state: State, shift: float) -> _Rows:
     np.subtract(c.dn_rel, w, out=w)
     w *= ratio_a_a_prime
     y -= w
-    c.Y = integrate_values(y, dx, buf)
+    c.Y = integrate_values(y, dx)
     # int -a' q~ Pi: a term of I_bad and of B1; q~ is dead after it
     np.multiply(neg_a_prime, qtil, out=w)
     w *= pi
-    c.qtil_term = integrate_values(w, dx, buf)
+    c.qtil_term = integrate_values(w, dx)
 
     # I_bad = int -(a' Pi + (a' - a n~'/n~)(n - n~)) u, the q~ term,
     # int (a n~'/n~ - a') n log(n/n~) d/dxi log(n/n~) and int a (n~''/n~) Pi
@@ -278,16 +277,16 @@ def _core(params: WaveParams, state: State, shift: float) -> _Rows:
     w += a_prime_pi
     np.negative(w, out=w)
     w *= u
-    t1 = integrate_values(w, dx, buf)
+    t1 = integrate_values(w, dx)
     f = np.subtract(a_ntil_prime, a_prime, out=a_ntil_prime)
     f *= n
     f *= logratio
     f *= dlog
-    t3 = integrate_values(f, dx, buf)
+    t3 = integrate_values(f, dx)
     np.divide(c.ntil_second, ntil, out=w)
     w *= a
     w *= pi
-    c.I_bad = t1 + c.qtil_term + t3 + integrate_values(w, dx, buf)
+    c.I_bad = t1 + c.qtil_term + t3 + integrate_values(w, dx)
     return c
 
 
@@ -295,7 +294,7 @@ def _complete(c: _Rows) -> None:
     """The report stage of the evaluation in `c`: I_good, D, the tube-free
     B1 and B3, and the arrays that the split reads."""
     params = c.params
-    n, dx, buf, w = c.n, c.dx, c.buf, c.w
+    n, dx, w = c.n, c.dx, c.w
     ntil, a, a_prime, u, pi, dlog = c.ntil, c.a, c.a_prime, c.u, c.pi, c.dlog
     ratio, sigma = params.eps / params.lam, params.sigma
     # I_good: sigma int a' u u / 2, sigma int a' Pi (G2) and the dissipation
@@ -303,19 +302,19 @@ def _complete(c: _Rows) -> None:
     np.multiply(0.5, a_prime, out=w)
     w *= u
     w *= u
-    g_q = sigma * integrate_values(w, dx, buf)
-    c.G_pi = sigma * integrate_values(c.a_prime_pi, dx, buf)
+    g_q = sigma * integrate_values(w, dx)
+    c.G_pi = sigma * integrate_values(c.a_prime_pi, dx)
     np.multiply(a, n, out=w)
     w *= dlog
     w *= dlog
-    c.D = integrate_values(w, dx, buf)
+    c.D = integrate_values(w, dx)
     c.I_good = g_q + c.G_pi + c.D
     # B1 = int -a' q~ Pi - (eps/lam) int a'' (a/n~) Pi
     _a_derivative_of(params, c.ntil_second, out=w)
     w *= -ratio
     w *= np.divide(a, ntil, out=c.v)
     w *= pi
-    c.B1 = c.qtil_term + integrate_values(w, dx, buf)
+    c.B1 = c.qtil_term + integrate_values(w, dx)
     # B3 = int -a' (1 + (eps/lam) a/n~) n log(n/n~) d/dxi log(n/n~)
     coeff = np.divide(c.ratio_a, ntil, out=c.ratio_a)
     coeff += 1.0
@@ -323,7 +322,7 @@ def _complete(c: _Rows) -> None:
     w *= n
     w *= c.logratio
     w *= dlog
-    c.B3 = integrate_values(w, dx, buf)
+    c.B3 = integrate_values(w, dx)
     # sigma phi = Pi(n|n~) + (1 + (eps/lam) a/n~)(n - n~)
     sigma_phi = np.multiply(coeff, c.dn, out=c.sigma_phi)
     sigma_phi += pi
@@ -338,8 +337,8 @@ def _entropies(c: _Rows) -> tuple[float, float]:
     """int a eta and int eta of the evaluation in `c`: the report's two
     relative entropies, which the identity suite does not read.  The rows of
     a and eta hold through `_complete` and the split."""
-    weighted = integrate_values(np.multiply(c.a, c.eta, out=c.w), c.dx, c.buf)
-    return weighted, integrate_values(c.eta, c.dx, c.buf)
+    weighted = integrate_values(np.multiply(c.a, c.eta, out=c.w), c.dx)
+    return weighted, integrate_values(c.eta, c.dx)
 
 
 class _Split(NamedTuple):
@@ -373,7 +372,7 @@ def _split(c: _Rows, delta: float) -> _Split:
     B1, B3, G2 and D come off it.  The eight tube integrands are built in two
     scratch rows, so a completed evaluation can be split at many deltas.
     """
-    sigma, dx, buf, w, v = c.params.sigma, c.dx, c.buf, c.w, c.v
+    sigma, dx, w, v = c.params.sigma, c.dx, c.w, c.v
     a_prime, phi, a_prime_phi, u = c.a_prime, c.phi, c.a_prime_phi, c.u
     upp, upp_sq = c.u_plus_phi, c.u_plus_phi_sq
     inside = np.less_equal(c.deviation, delta, out=c.inside)  # 1.0 or 0.0; ties go inside
@@ -381,18 +380,18 @@ def _split(c: _Rows, delta: float) -> _Split:
 
     np.multiply(a_prime_phi, phi, out=w)
     w *= inside
-    b2_in = 0.5 * sigma * integrate_values(w, dx, buf)
+    b2_in = 0.5 * sigma * integrate_values(w, dx)
     np.multiply(c.neg_a_prime, c.sigma_phi, out=w)
     w *= u
     w *= outside
-    b2_out = integrate_values(w, dx, buf)
+    b2_out = integrate_values(w, dx)
     np.multiply(a_prime, upp_sq, out=w)
     w *= inside
-    g1_in = 0.5 * sigma * integrate_values(w, dx, buf)
+    g1_in = 0.5 * sigma * integrate_values(w, dx)
     np.multiply(a_prime, u, out=w)
     w *= u
     w *= outside
-    g1_out = 0.5 * sigma * integrate_values(w, dx, buf)
+    g1_out = 0.5 * sigma * integrate_values(w, dx)
 
     # (-a' (phi^2/2 + Pi) - (eps/lam) a a' ((n - n~)/n~ + phi/sigma)) inside
     np.multiply(0.5, phi, out=w)
@@ -404,20 +403,20 @@ def _split(c: _Rows, delta: float) -> _Split:
     v *= c.ratio_a_a_prime
     w -= v
     w *= inside
-    y_g = integrate_values(w, dx, buf)
+    y_g = integrate_values(w, dx)
 
     # (-a' (u + phi)^2 / 2 + a' phi (u + phi)) inside
     np.multiply(-0.5, a_prime, out=w)
     w *= upp_sq
     w += np.multiply(a_prime_phi, upp, out=v)
     w *= inside
-    y_b = integrate_values(w, dx, buf)
+    y_b = integrate_values(w, dx)
 
     np.multiply(c.a, a_prime, out=w)
     w *= upp
     w *= inside
-    y_l = (c.params.eps / c.params.lam / sigma) * integrate_values(w, dx, buf)
-    y_s = integrate_values(np.multiply(c.y_integrand, outside, out=w), dx, buf)
+    y_l = (c.params.eps / c.params.lam / sigma) * integrate_values(w, dx)
+    y_s = integrate_values(np.multiply(c.y_integrand, outside, out=w), dx)
     return _Split(y_g, y_b, y_l, y_s, c.B1, b2_in, b2_out, c.B3, g1_in, g1_out, c.G_pi, c.D)
 
 

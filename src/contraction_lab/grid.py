@@ -65,32 +65,28 @@ class GridField:
         self.values = vals
 
 
-def integrate_values(values: np.ndarray, dx: float, out: np.ndarray | None = None):
+def integrate_values(values: np.ndarray, dx: float):
     """Composite trapezoid rule on raw node values: the package's one trapezoid.
 
-    Bit-equal to `np.trapezoid(values, dx=dx)`, which sums
-    `dx * (v[1:] + v[:-1]) / 2.0`: the halving is a multiplication by 0.5
-    here, the correctly rounded value of the same real number, and the
-    scaling happens in place on the one temporary, so the sum reads the same
-    array in the same order.  The temporary is `out` (m - 1 values) when the
-    caller owns one, and a new array otherwise.
+    `dx * (sum(v) - (v[0] + v[-1]) / 2)`, with the sum one pairwise
+    `np.add.reduce` over the nodes: one pass over the values.  It is the
+    rule of `np.trapezoid(values, dx=dx)` and agrees with it to rounding,
+    not bit for bit: the rounding error is a small multiple of
+    `eps * dx * sum(|v|)` (see the README).  An input of zeros only, of
+    either sign, integrates to +0.0.
 
     A (k, m) array is k rows of node values, and the result is an array of
     their k integrals, each bit-equal to the call on its row alone.  That
-    holds while each row of the temporary is contiguous, so the sum runs
-    over it as one inner loop: a new temporary is C-ordered, and an `out`
-    of (k, m - 1) values must have unit stride along its rows.
+    holds while each row is contiguous, so the sum runs over it as one
+    inner loop; an input that is not C-ordered is copied first.
     """
-    v = np.asarray(values, dtype=float)
+    v = np.ascontiguousarray(values, dtype=float)
     if v.ndim == 1:
-        buf = np.add(v[1:], v[:-1], out=out)
-    else:
-        buf = np.add(v[:, 1:], v[:, :-1], out=out, order="C")
-    buf *= dx
-    buf *= 0.5
-    # what buf.sum(axis=-1) calls, without its Python-level wrapper
-    total = np.add.reduce(buf, -1)
-    return float(total) if v.ndim == 1 else total
+        return dx * (float(np.add.reduce(v)) - 0.5 * (float(v[0]) + float(v[-1])))
+    total = np.add.reduce(v, -1)
+    total -= 0.5 * (v[:, 0] + v[:, -1])
+    total *= dx
+    return total
 
 
 def _cumulative_trapezoid(values: np.ndarray, d) -> np.ndarray:
@@ -98,8 +94,8 @@ def _cumulative_trapezoid(values: np.ndarray, d) -> np.ndarray:
     `d`: a scalar dx or the m-1 steps np.diff(x).
 
     The expression of `scipy.integrate.cumulative_trapezoid` without
-    `initial`, with its `/ 2.0` as `* 0.5` (see `integrate_values`), so the
-    two agree bit for bit.
+    `initial`, with its `/ 2.0` as `* 0.5` (the correctly rounded value of
+    the same real number), so the two agree bit for bit.
     """
     return np.cumsum(d * (values[1:] + values[:-1]) * 0.5)
 

@@ -80,22 +80,21 @@ def _moment_rows(w: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     """
     m = w.shape[1] - 1
     dy = 1.0 / m
-    buf = s2[:, :-1]
     out = np.empty((5, len(w)))
     w2 = np.multiply(w, w, out=s1)
-    out[0] = integrate_values(w2, dy, buf)
-    out[1] = integrate_values(w, dy, buf)
+    out[0] = integrate_values(w2, dy)
+    out[1] = integrate_values(w, dy)
     # products, not w**3: numpy's pow is far slower for negative bases
     w3 = np.multiply(w2, w, out=s1)
-    out[2] = integrate_values(w3, dy, buf)
-    out[3] = integrate_values(np.abs(w3, out=w3), dy, buf)
+    out[2] = integrate_values(w3, dy)
+    out[3] = integrate_values(np.abs(w3, out=w3), dy)
     dw = np.subtract(w[:, 2:], w[:, :-2], out=s1[:, 1:-1])
     dw /= 2.0 * dy
     h1 = np.multiply(_h1_weight(m)[1:-1], dw, out=s2[:, 1:-1])
     h1 *= dw
     s2[:, 0] = 0.0
     s2[:, -1] = 0.0
-    out[4] = integrate_values(s2, dy, s1[:, :-1])
+    out[4] = integrate_values(s2, dy)
     return out
 
 
@@ -213,7 +212,7 @@ def _draw_block(
     each rescaled to its target int W^2 in [M/2, M]; return their moments."""
     draws = [_sample_draws(s, M, family) for s in seeds]
     _fill_raw(family, [params for params, _ in draws], w, s1, s2)
-    i2_raw = integrate_values(np.multiply(w, w, out=s1), 1.0 / (w.shape[1] - 1), s2[:, :-1])
+    i2_raw = integrate_values(np.multiply(w, w, out=s1), 1.0 / (w.shape[1] - 1))
     targets = np.array([target for _, target in draws])
     w *= np.sqrt(targets / i2_raw)[:, None]
     return _moment_rows(w, s1, s2)

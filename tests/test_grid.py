@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -79,10 +82,35 @@ class TestIntegrate:
         )
 
 
+EPS = np.finfo(float).eps
+# the smallest subnormal: a product or quotient that lands among the
+# subnormals errs by up to ETA / 2, whatever its size (so bounds built on it
+# are taken in Fractions, where ETA / 2 does not round to zero)
+ETA = 2.0**-1074
+
+
+def _exact_trapezoid(v, dx) -> Fraction:
+    """The composite trapezoid rule on the float inputs, in exact arithmetic."""
+    values = [Fraction(x) for x in v]
+    return Fraction(dx) * (sum(values) - (values[0] + values[-1]) / 2)
+
+
+def _bound(v, dx) -> Fraction:
+    """The accuracy the tests hold the quadrature to on normal numbers:
+    (ceil(log2 m) + 4) eps dx sum|v|, for m nodes."""
+    m = len(v)
+    abs_sum = sum(abs(Fraction(x)) for x in v)
+    return (math.ceil(math.log2(m)) + 4) * Fraction(EPS) * Fraction(dx) * abs_sum
+
+
 class TestIntegrateValuesIsNumpys:
-    """The package's one trapezoid is np.trapezoid, bit for bit."""
+    """The package's one trapezoid is numpy's composite trapezoid rule, summed
+    in one pairwise pass: within rounding of the exact rule and of
+    np.trapezoid, each row of a block bit-equal to the call on the row, and
+    bit-exact where the rule's real arithmetic is."""
 
     SIZES = [2, 3, 4097, 8193]
+    KINDS = ["normal", "signed_zeros", "negative_zeros", "subnormal", "huge"]
 
     @staticmethod
     def _values(kind, size):
@@ -100,43 +128,90 @@ class TestIntegrateValuesIsNumpys:
         raise ValueError(kind)
 
     @pytest.mark.parametrize("size", SIZES)
-    @pytest.mark.parametrize(
-        "kind", ["normal", "signed_zeros", "negative_zeros", "subnormal", "huge"]
-    )
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("dx", [0.0137, 1.0 / 4096, 3.0])
-    def test_bit_equal(self, kind, size, dx):
+    def test_within_bound(self, kind, size, dx):
         v = self._values(kind, size)
         got = integrate_values(v, dx)
-        want = float(np.trapezoid(v, dx=dx))
-        assert got == want
-        assert np.signbit(got) == np.signbit(want)
+        bound = _bound(v, dx)
+        # on subnormal values the bound is below one subnormal step: add the
+        # absolute floor of the rounded halving (times dx) and the product
+        floor = (1 + Fraction(dx)) * Fraction(ETA) / 2
+        assert abs(Fraction(got) - _exact_trapezoid(v, dx)) <= bound + floor
+        # np.trapezoid rounds a product and a halving at each of its m - 1
+        # terms, so its subnormal floor grows with m
+        floor += size * (1 + Fraction(dx)) * Fraction(ETA)
+        assert abs(Fraction(got) - Fraction(float(np.trapezoid(v, dx=dx)))) <= bound + floor
 
     @pytest.mark.parametrize("size", SIZES)
-    @pytest.mark.parametrize(
-        "kind", ["normal", "signed_zeros", "negative_zeros", "subnormal", "huge"]
-    )
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dx", [0.0137, 1.0 / 4096, 3.0])
+    def test_bit_equal(self, kind, size, dx):
+        # the rule's operations are odd and commute with a power of two, and
+        # so does their rounding: only the sign of a zero result is fixed
+        v = self._values(kind, size)
+        got = integrate_values(v, dx)
+        negated = integrate_values(-v, dx)
+        assert negated == -got
+        assert np.signbit(negated) == (np.signbit(-got) and got != 0.0)
+        # the halving of an odd multiple of the smallest subnormal rounds,
+        # and the same halving scaled up does not, so subnormals are left out
+        if kind != "subnormal":
+            scale = 2.0**-40 if kind == "huge" else 2.0**40
+            scaled = integrate_values(v * scale, dx)
+            assert scaled == got * scale
+            assert np.signbit(scaled) == np.signbit(got)
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("layout", ["C", "F", "strided_out"])
     def test_rows_bit_equal(self, kind, size, layout):
         # a (k, m) block: each row's integral is the 1-D call's, bit for bit,
-        # whatever the order of the values or of a caller's temporary
+        # whatever the order of the block's values
         dx = 1.0 / 4096
         v = self._values(kind, 5 * size).reshape(5, size)
-        values, out = v, None
+        values = v
         if layout == "F":
             values = np.asfortranarray(v)
         elif layout == "strided_out":
-            out = np.empty((5, size + 1))[:, 1:size]
-        got = integrate_values(values, dx, out)
-        want = np.trapezoid(v, dx=dx, axis=-1)
+            # rows cut out of a wider array: each row contiguous, the block not
+            values = np.empty((5, size + 1))[:, 1:]
+            values[...] = v
+        got = integrate_values(values, dx)
         assert got.shape == (5,)
-        for row, g, w in zip(v, got, want):
-            assert g == w == integrate_values(row, dx)
-            assert np.signbit(g) == np.signbit(w)
+        for row, g in zip(v, got):
+            want = integrate_values(row, dx)
+            assert g == want
+            assert np.signbit(g) == np.signbit(want)
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("kind", ["signed_zeros", "negative_zeros", "positive_zeros"])
+    def test_zeros_integrate_to_positive_zero(self, kind, size):
+        # whatever sign the reduction gives a sum of -0.0 values, the endpoint
+        # correction's subtraction, -0.0 - (-0.0), is +0.0
+        v = np.zeros(size) if kind == "positive_zeros" else self._values(kind, size)
+        got = integrate_values(v, 0.0137)
+        assert got == 0.0 and not np.signbit(got)
+        rows = integrate_values(np.stack([v, -v]), 0.0137)
+        assert np.array_equal(rows, [0.0, 0.0]) and not np.signbit(rows).any()
+
+    def test_huge_values_stay_finite(self):
+        # the sum of |v| must stay below the largest float, 1.8e308; the
+        # integrand's scale alone never overflows
+        rng = np.random.default_rng(7)
+        v = 1e300 * rng.uniform(0.5, 1.0, size=16385)
+        for values in (v, np.where(rng.random(16385) < 0.5, -v, v)):
+            for dx in (1.0 / 16384, 3.0):
+                got = integrate_values(values, dx)
+                assert np.isfinite(got)
+                assert abs(Fraction(got) - _exact_trapezoid(values, dx)) <= _bound(values, dx)
 
     @pytest.mark.parametrize("size", SIZES)
     def test_python_list(self, size):
-        v = self._values("normal", size).tolist()
-        assert integrate_values(v, 0.25) == float(np.trapezoid(v, dx=0.25))
+        v = self._values("normal", size)
+        got = integrate_values(v.tolist(), 0.25)
+        assert got == integrate_values(v, 0.25)
+        assert isinstance(got, float)
 
 
 class TestCumulativeTrapezoid:
