@@ -9,6 +9,7 @@ other error raised inside a run).
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from dataclasses import asdict, replace
@@ -199,11 +200,6 @@ def cmd_poincare(cfg: ExperimentConfig, out_dir: Path, seed: int | None = None) 
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # argparse and the gettext it loads are imported here, not with the
-    # module: the cmd_* functions, which callers import this module for,
-    # never parse arguments
-    import argparse
-
     parser = argparse.ArgumentParser(
         prog="contraction-lab",
         description="Numerical laboratory for weighted-entropy contraction of viscous shocks.",

@@ -126,18 +126,6 @@ def test_import_loads_no_scipy_integrate():
     assert _run_fresh(code)[:4] == ["['scipy.linalg._flapack']", "False", "True", "[]"]
 
 
-def test_import_loads_no_argparse():
-    # callers import the cli for its cmd_* functions; only build_parser, and
-    # so main, loads argparse and the gettext it imports
-    code = (
-        "import sys, contraction_lab.cli\n"
-        "print(sorted(m for m in ('argparse', 'gettext') if m in sys.modules))\n"
-        "contraction_lab.cli.build_parser()\n"
-        "print('argparse' in sys.modules)\n"
-    )
-    assert _run_fresh(code)[:2] == ["[]", "True"]
-
-
 def test_work_imports_no_module(tmp_path):
     # set-up (the import and load_config) loads every module the work needs,
     # so the work of each subcommand adds no entry to sys.modules

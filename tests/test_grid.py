@@ -107,7 +107,9 @@ class TestIntegrateValuesIsNumpys:
     """The package's one trapezoid is numpy's composite trapezoid rule, summed
     in one pairwise pass: within rounding of the exact rule and of
     np.trapezoid, each row of a block bit-equal to the call on the row, and
-    bit-exact where the rule's real arithmetic is."""
+    bit-exact where the rule's real arithmetic is. The class is named for the
+    earlier rule, bit-equal to np.trapezoid; the name keeps its test ids
+    stable, and no test here compares bits with np.trapezoid."""
 
     SIZES = [2, 3, 4097, 8193]
     KINDS = ["normal", "signed_zeros", "negative_zeros", "subnormal", "huge"]
@@ -147,6 +149,8 @@ class TestIntegrateValuesIsNumpys:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("dx", [0.0137, 1.0 / 4096, 3.0])
     def test_bit_equal(self, kind, size, dx):
+        """integrate(-v) is -integrate(v), and integrate(2^k v) is
+        2^k integrate(v), bit for bit."""
         # the rule's operations are odd and commute with a power of two, and
         # so does their rounding: only the sign of a zero result is fixed
         v = self._values(kind, size)

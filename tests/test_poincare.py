@@ -170,7 +170,7 @@ class TestSampleW:
         w = np.zeros_like(y)
         for k in range(1, 9):
             w += rng.normal() / k * np.sin(np.pi * k * y) + rng.normal() / k * np.cos(np.pi * k * y)
-        w = w * np.sqrt(rng.uniform(0.5 * M, M) / float(np.trapezoid(w * w, dx=1.0 / n_cells)))
+        w = w * np.sqrt(rng.uniform(0.5 * M, M) / _trapezoid(w * w, 1.0 / n_cells))
         np.testing.assert_array_equal(_draw(seed, M, "fourier", n_cells)[0], w)
 
     def test_bad_inputs(self):
