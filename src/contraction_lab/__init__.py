@@ -22,9 +22,7 @@ from .solver import (
 )
 from .wave import (
     DomainError,
-    EndStates,
     WaveParams,
-    derive_end_state,
     make_wave_params,
     profile_n,
     profile_n_prime,

@@ -71,7 +71,7 @@ def cmd_wave(cfg: ExperimentConfig, out_dir: Path) -> int:
         [refs.xi, refs.ntil, refs.qtil, refs.a, refs.a_prime, y],
     )
 
-    r1, r2 = rankine_hugoniot_residuals(params.end_states)
+    r1, r2 = rankine_hugoniot_residuals(params)
     xi_dense = np.linspace(grid.xi_min, grid.xi_max, 10001)
     from .wave import _logistic_arg, profile_n_prime, profile_n_second
 

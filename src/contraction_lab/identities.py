@@ -102,6 +102,8 @@ def check_identities(
     """Worst relative error of every identity over n_states random states."""
     if len(deltas) == 0:
         raise DomainError("deltas must be non-empty")
+    if n_states < 1:
+        raise DomainError(f"n_states must be at least 1, got {n_states}")
     if not all(d > 0.0 for d in deltas):
         raise DomainError("delta must be positive")
     per_state = [_check_one(params, grid, seed + i, deltas) for i in range(n_states)]

@@ -251,15 +251,18 @@ def scan_delta_star(
 
     Sample i has seed `seed + i` and cycles through SAMPLE_FAMILIES.
 
-    A lower bound on the true threshold; the functional is monotone
-    increasing in delta, so the passing deltas form an initial segment of
-    the grid.
+    An upper bound on the true threshold at this M, up to the grid spacing:
+    R_delta increases with delta, so the passing deltas form an initial
+    segment of the grid, and a random sample can only miss a W that
+    violates the inequality, never invent one.
     """
     if not M > 0.0:
         raise DomainError("M must be positive")
     deltas = sorted(float(d) for d in delta_grid)
     if not deltas:
         raise ValueError("delta_grid must be non-empty")
+    if n_samples < 1:
+        raise DomainError(f"n_samples must be at least 1, got {n_samples}")
     for d in deltas:
         _check_delta(d)
     moments = np.empty((5, n_samples))

@@ -4,6 +4,7 @@ CSV rows and the verdict."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from .functionals import REPORT_COLUMNS, State
 from .grid import _cumulative_trapezoid
-from .shift import phi_eps, phi_regime
+from .shift import phi_regime, velocity
 
 if TYPE_CHECKING:
     from .solver import SolverConfig
@@ -62,9 +63,9 @@ class RunResult:
     def eta0_unweighted(self) -> float:
         return float(self.column("eta_unweighted")[0])
 
-    @property
+    @functools.cached_property
     def monitor(self) -> dict:
-        """Per-step columns (regime is a list of str).
+        """Per-step columns (regime is a list of str), built on first use.
 
         Entry k describes step k, from t_k to t_{k+1}: t, X, lab_shift and
         the entropies are taken at level k + 1; X_dot, regime, xdot_bound
@@ -78,13 +79,13 @@ class RunResult:
         functionals = ("Y", "I_bad", "I_good", "B_delta", "G_delta", "D", "R_main")
         at_start = {name: col(name)[:-1] for name in functionals}
         y, ibad = at_start["Y"], at_start["I_bad"]
-        gain = 2.0 * np.abs(ibad) + 1.0
         de = np.diff(e)
         xdot_eff = np.diff(x) / self.dt
+        xdot = [velocity(v, b, params.eps) for v, b in zip(y.tolist(), ibad.tolist())]
         return {
             "t": t,
             "X": x[1:],
-            "X_dot": np.array([phi_eps(v, params.eps) for v in y.tolist()]) * gain,
+            "X_dot": np.array(xdot),
             "regime": [phi_regime(v, params.eps) for v in y.tolist()],
             "lab_shift": params.sigma * t - x[1:],
             "eta_weighted": e[1:],
@@ -92,30 +93,34 @@ class RunResult:
             "eta_unweighted": col("eta_unweighted")[1:],
             "violation": np.maximum(de, 0.0),
             "balance_residual": de / self.dt - (xdot_eff * y + ibad - at_start["I_good"]),
-            "xdot_bound": gain / params.eps**2,
+            "xdot_bound": (2.0 * np.abs(ibad) + 1.0) / params.eps**2,
         }
 
-    def csv_header(self) -> list[str]:
-        return ["t", "X", "X_dot", "regime", "lab_shift", *REPORT_COLUMNS, "violation", "balance_residual"]
-
-    def csv_columns(self) -> list:
-        """The run table's columns in csv_header() order, one entry per
-        reported step k: the step's shift velocity and checks beside the
-        evaluation at its end.  regime is a list of str, the rest arrays."""
+    def _csv_table(self) -> list[tuple[str, object]]:
+        """The run table as (name, column) pairs, one entry per reported step
+        k: the step's shift velocity and checks beside the evaluation at its
+        end.  regime is a list of str, the rest arrays."""
         m = self.monitor
         steps = _reported_steps(len(self.times), self.config.report_stride)
         at = np.array(steps, dtype=np.intp)
-        ends = self.evaluations[at + 1]
+        ends = dict(zip(EVALUATION_COLUMNS, self.evaluations[at + 1].T))
         return [
-            ends[:, 0],
-            ends[:, 1],
-            m["X_dot"][at],
-            [m["regime"][k] for k in steps],
-            m["lab_shift"][at],
-            *ends[:, 2:].T,
-            m["violation"][at],
-            m["balance_residual"][at],
+            ("t", ends["t"]),
+            ("X", ends["X"]),
+            ("X_dot", m["X_dot"][at]),
+            ("regime", [m["regime"][k] for k in steps]),
+            ("lab_shift", m["lab_shift"][at]),
+            *((name, ends[name]) for name in REPORT_COLUMNS),
+            ("violation", m["violation"][at]),
+            ("balance_residual", m["balance_residual"][at]),
         ]
+
+    def csv_header(self) -> list[str]:
+        return [name for name, _ in self._csv_table()]
+
+    def csv_columns(self) -> list:
+        """The run table's columns in csv_header() order."""
+        return [column for _, column in self._csv_table()]
 
     def verdict(self) -> dict:
         m = self.monitor

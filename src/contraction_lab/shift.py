@@ -10,7 +10,10 @@ from __future__ import annotations
 from .functionals import State, y_and_ibad
 from .wave import WaveParams
 
-__all__ = ["phi_eps", "phi_regime", "advance"]
+__all__ = ["SUBSTEPS", "phi_eps", "phi_regime", "velocity", "advance"]
+
+# forward-Euler substeps of the shift ODE per PDE step
+SUBSTEPS = 4
 
 
 def phi_eps(y: float, eps: float) -> float:
@@ -35,33 +38,26 @@ def phi_regime(y: float, eps: float) -> str:
     return "linear"
 
 
+def velocity(y: float, ibad: float, eps: float) -> float:
+    """The shift velocity Xdot = Phi_eps(Y) (2 |I_bad| + 1) of a state's Y and I_bad."""
+    return phi_eps(y, eps) * (2.0 * abs(ibad) + 1.0)
+
+
 def advance(
-    x: float,
-    state: State,
-    dt: float,
-    params: WaveParams,
-    substeps: int = 4,
-    *,
-    start: tuple[float, float] | None = None,
+    x: float, state: State, dt: float, params: WaveParams, start: tuple[float, float]
 ) -> float:
     """Advance the shift X across one PDE step with the state frozen; return
     the new X.
 
-    Forward-Euler substeps of Xdot = Phi_eps(Y) (2 |I_bad| + 1), with
+    SUBSTEPS forward-Euler substeps of Xdot = velocity(Y, I_bad, eps), with
     eps = params.eps; Y and I_bad are re-evaluated with the references
     translated by each intermediate X, so the right-hand side stays smooth
     in X through the analytic profiles.  Each (state, X) pair is evaluated
-    once: a caller that already holds (Y, I_bad) at (state, x) passes it as
-    `start`, and only the later substeps evaluate; without it the first
-    substep evaluates as well.
+    once: `start` is (Y, I_bad) at (state, x), which the caller already
+    holds, and only the later substeps evaluate.
     """
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    h = dt / substeps
-    for i in range(substeps):
-        if i == 0 and start is not None:
-            y, ibad = start
-        else:
-            y, ibad = y_and_ibad(params, state, shift=x)
-        x += h * (phi_eps(y, params.eps) * (2.0 * abs(ibad) + 1.0))
+    h = dt / SUBSTEPS
+    x += h * velocity(*start, params.eps)
+    for _ in range(SUBSTEPS - 1):
+        x += h * velocity(*y_and_ibad(params, state, shift=x), params.eps)
     return x

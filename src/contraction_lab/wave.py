@@ -16,9 +16,7 @@ import numpy as np
 
 __all__ = [
     "DomainError",
-    "EndStates",
     "WaveParams",
-    "derive_end_state",
     "make_wave_params",
     "rankine_hugoniot_residuals",
     "profile_n",
@@ -53,69 +51,16 @@ def _wave_speed(n_plus: float, q_minus: float) -> float:
 
 
 @dataclass(frozen=True)
-class EndStates:
-    """Left/right constant states joined by the shock.
-
-    Normalized to the decreasing-density branch: n_- > n_+ > 0 and
-    q_- < q_+.  Construction enforces the jump conditions.
-    """
-
-    n_minus: float
-    n_plus: float
-    q_minus: float
-    q_plus: float
-
-    def __post_init__(self):
-        if not (self.n_minus > 0.0 and self.n_plus > 0.0):
-            raise DomainError("densities must be positive")
-        if not (self.n_minus > self.n_plus and self.q_minus < self.q_plus):
-            raise DomainError(
-                "end states must satisfy n_- > n_+ and q_- < q_+ "
-                "(normalize with x -> -x first)"
-            )
-        r1, r2 = rankine_hugoniot_residuals(self)
-        if max(abs(r1), abs(r2)) > 1e-12:
-            raise DomainError(f"jump-condition residuals too large: {r1:.3e}, {r2:.3e}")
-
-    @property
-    def sigma(self) -> float:
-        return _wave_speed(self.n_plus, self.q_minus)
-
-
-def rankine_hugoniot_residuals(end: EndStates) -> tuple[float, float]:
-    """Residuals of the two jump conditions at the end states' shock speed."""
-    sigma = _wave_speed(end.n_plus, end.q_minus)
-    r1 = -sigma * (end.n_plus - end.n_minus) - (
-        end.n_plus * end.q_plus - end.n_minus * end.q_minus
-    )
-    r2 = -sigma * (end.q_plus - end.q_minus) - (end.n_plus - end.n_minus)
-    return r1, r2
-
-
-def derive_end_state(n_minus: float, q_minus: float, eps: float) -> EndStates:
-    """Complete (n_-, q_-) and a shock strength eps to a full end-state pair.
-
-    n_+ = n_- - eps and q_+ follows from the jump condition
-    q_+ = q_- + eps / sigma with sigma the positive speed root.
-    """
-    if not eps > 0.0:
-        raise DomainError("eps must be positive")
-    if eps >= n_minus:
-        raise DomainError("eps >= n_minus would make n_+ non-positive")
-    n_plus = n_minus - eps
-    sigma = _wave_speed(n_plus, q_minus)
-    q_plus = q_minus + eps / sigma
-    return EndStates(n_minus=n_minus, n_plus=n_plus, q_minus=q_minus, q_plus=q_plus)
-
-
-@dataclass(frozen=True)
 class WaveParams:
     """The five inputs that fix the wave, and what follows from them.
 
     n_minus, q_minus are the left state, eps the shock strength
     n_- - n_+, lam the total variation of the weight, nu the viscosity
-    (profiles stretch as xi/nu).  The end states, the shock speed sigma and
-    the left sound-type speed sigma_minus are derived from them.
+    (profiles stretch as xi/nu).  The right state n_plus = n_- - eps and
+    q_plus = q_- + eps / sigma, the shock speed sigma (the positive root of
+    sigma^2 + q_- sigma - n_+ = 0) and the left sound-type speed sigma_minus
+    are derived from them.  Construction enforces the decreasing-density
+    branch n_- > n_+ > 0, q_- < q_+ and the jump conditions.
     """
 
     n_minus: float
@@ -123,29 +68,51 @@ class WaveParams:
     eps: float
     lam: float
     nu: float = 1.0
-    end_states: EndStates = field(init=False)
+    n_plus: float = field(init=False)
+    q_plus: float = field(init=False)
     sigma: float = field(init=False)
     sigma_minus: float = field(init=False)
 
     def __post_init__(self):
-        end = derive_end_state(self.n_minus, self.q_minus, self.eps)
+        if not self.eps > 0.0:
+            raise DomainError("eps must be positive")
+        if self.eps >= self.n_minus:
+            raise DomainError("eps >= n_minus would make n_+ non-positive")
+        n_plus = self.n_minus - self.eps
+        sigma = _wave_speed(n_plus, self.q_minus)
+        object.__setattr__(self, "n_plus", n_plus)
+        object.__setattr__(self, "q_plus", self.q_minus + self.eps / sigma)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma_minus", _wave_speed(self.n_minus, self.q_minus))
+        # n_+ > 0 follows from 0 < eps < n_-; this also refuses a NaN n_-
+        if not (self.n_minus > n_plus and self.q_minus < self.q_plus):
+            raise DomainError(
+                "end states must satisfy n_- > n_+ and q_- < q_+ "
+                "(normalize with x -> -x first)"
+            )
+        # the terms of the jump conditions (sigma n_-+, n_-+ q_-+; sigma q_-+,
+        # n_-+) grow like sigma n, so each residual is held to the largest term
+        # of its condition: r2 is 0 by algebra, and r1 equals
+        # (eps/sigma)(sigma^2 + q_- sigma - n_+), so it tests the speed's root
+        r1, r2 = rankine_hugoniot_residuals(self)
+        mass = max(sigma * self.n_minus, abs(n_plus * self.q_plus), abs(self.n_minus * self.q_minus))
+        momentum = max(sigma * abs(self.q_plus), sigma * abs(self.q_minus), self.n_minus)
+        if abs(r1) > 1e-12 * mass or abs(r2) > 1e-12 * momentum:
+            raise DomainError(f"jump-condition residuals too large: {r1:.3e}, {r2:.3e}")
         if not self.lam > 0.0:
             raise DomainError("lam must be positive")
         if not self.nu > 0.0:
             raise DomainError("nu must be positive")
-        object.__setattr__(self, "end_states", end)
-        object.__setattr__(self, "sigma", end.sigma)
-        object.__setattr__(self, "sigma_minus", _wave_speed(self.n_minus, self.q_minus))
-        if not (0.0 < self.sigma < self.sigma_minus):
+        if not (0.0 < sigma < self.sigma_minus):
             raise DomainError("expected 0 < sigma < sigma_minus")
 
-    @property
-    def n_plus(self) -> float:
-        return self.end_states.n_plus
 
-    @property
-    def q_plus(self) -> float:
-        return self.end_states.q_plus
+def rankine_hugoniot_residuals(params: WaveParams) -> tuple[float, float]:
+    """Residuals of the two jump conditions at the wave's end states and speed."""
+    p = params
+    r1 = -p.sigma * (p.n_plus - p.n_minus) - (p.n_plus * p.q_plus - p.n_minus * p.q_minus)
+    r2 = -p.sigma * (p.q_plus - p.q_minus) - (p.n_plus - p.n_minus)
+    return r1, r2
 
 
 def make_wave_params(

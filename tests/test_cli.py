@@ -129,6 +129,19 @@ class TestCommands:
         assert summary["decay_lower_bound_holds"] is True
         assert (out / "wave_profile.csv").exists()
 
+    def test_large_density_wave_is_not_a_config_error(self, tmp_path):
+        # a weak shock (eps 1% of n_-) whose jump-condition terms are ~1e4
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "out"
+        overrides = ["wave.n_minus=10000", "wave.q_minus=3", "wave.eps=100", "wave.lambda=0.3"]
+        args = ["--config", str(cfg_path), "--out", str(out)]
+        for item in overrides:
+            args += ["--override", item]
+        with pytest.warns(UserWarning, match="outside eps < lam < 1/2"):
+            assert main([*args, "wave"]) == 0
+        summary = json.loads((out / "wave_summary.json").read_text())
+        assert summary["n_plus"] == 9900.0
+
     def test_wave_ode_residual_measures_the_profile(self, tmp_path, monkeypatch):
         # a profile whose logistic rate is 1% off must show in the residual
         from contraction_lab import wave

@@ -807,8 +807,9 @@ class TestLazyCore:
         monkeypatch.setattr(cl.functionals, "_complete", lambda c: stages.append("complete") or complete(c))
         monkeypatch.setattr(cl.functionals, "_core",
                             lambda *args: stages.append("core") or core(*args))
-        cl.shift.advance(0.0, state, 0.1, params)
-        assert stages == ["core"] * 4
+        # the first substep reads the (Y, I_bad) it is given
+        cl.shift.advance(1.5, state, 0.1, params, (c.Y, c.I_bad))
+        assert stages == ["core"] * (cl.shift.SUBSTEPS - 1)
 
     def test_tube_free_parts_built_once_per_core(self, params, grid, monkeypatch):
         c = cl.functionals._core(params, random_state(params, grid, 5), 0.0)

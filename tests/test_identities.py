@@ -89,6 +89,12 @@ class TestCheckIdentities:
         with pytest.raises(DomainError):
             check_identities(params, grid, n_states=2, deltas=(0.0,))
 
+    def test_no_states_rejected(self, params):
+        # no state leaves no error to take the worst of
+        grid = lab_grid(params, num_cells=64)
+        with pytest.raises(DomainError, match="n_states"):
+            check_identities(params, grid, n_states=0)
+
 
 def _reference_check_one(params, grid, seed, deltas):
     state = random_state(params, grid, seed)

@@ -194,6 +194,11 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_delta_star(1.0, 10, [])
 
+    def test_no_samples_rejected(self):
+        # with no samples every delta would pass, and the grid's top be reported
+        with pytest.raises(DomainError, match="n_samples"):
+            scan_delta_star(1.0, 0, [0.1, 0.2])
+
     def test_json_payload_shape(self):
         res = scan_delta_star(1.0, 20, [1e-3, 1e-2], seed=1)
         payload = asdict(res)

@@ -15,6 +15,7 @@ from contraction_lab import (
 )
 from contraction_lab.functionals import reference_arrays, y_and_ibad
 from contraction_lab.identities import random_state
+from contraction_lab.shift import velocity
 
 from conftest import lab_grid, report_core
 
@@ -52,9 +53,8 @@ class TestPhiEps:
 
 
 def xdot(params, state):
-    """The shift velocity Phi_eps(Y) (2 |I_bad| + 1) of the state at shift 0,
-    read off one forward-Euler substep of unit length from X = 0."""
-    return advance(0.0, state, 1.0, params, substeps=1)
+    """The shift velocity Phi_eps(Y) (2 |I_bad| + 1) of the state at shift 0."""
+    return velocity(*y_and_ibad(params, state), params.eps)
 
 
 class TestXdot:
@@ -89,7 +89,7 @@ class TestAdvance:
         c = -3.7
         # phi_eps(y)*(2|ibad|+1) == c for y = -c*eps^4, ibad = 0
         monkeypatch.setattr(shift_mod, "y_and_ibad", lambda *a, **k: (c * params.eps**4, 0.0))
-        out = advance(0.0, state, dt=0.25, params=params, substeps=4)
+        out = advance(0.0, state, 0.25, params, (c * params.eps**4, 0.0))
         assert out == pytest.approx(-c * 0.25, rel=1e-15)
 
     def test_zero_perturbation_keeps_zero(self, params, grid):
@@ -97,16 +97,19 @@ class TestAdvance:
         state = State(n=GridField(grid, refs.ntil.copy()), q=GridField(grid, refs.qtil.copy()))
         x = 0.0
         for _ in range(20):
-            x = advance(x, state, 0.05, params)
+            x = advance(x, state, 0.05, params, y_and_ibad(params, state, shift=x))
         assert x == 0.0 and xdot(params, state) == 0.0
 
-    def test_substep_refinement_changes_x_at_order_dt(self, small_params):
+    def test_substep_refinement_changes_x_at_order_dt(self, small_params, monkeypatch):
         grid = lab_grid(small_params, num_cells=512)
         state = random_state(small_params, grid, 4)
+        start = y_and_ibad(small_params, state)
 
         def final_x(dt):
-            coarse = advance(0.0, state, dt, small_params, substeps=4)
-            fine = advance(0.0, state, dt, small_params, substeps=16)
+            coarse = advance(0.0, state, dt, small_params, start)
+            with monkeypatch.context() as m:
+                m.setattr(shift_mod, "SUBSTEPS", 4 * shift_mod.SUBSTEPS)
+                fine = advance(0.0, state, dt, small_params, start)
             return abs(coarse - fine)
 
         gap_1, gap_2 = final_x(0.04), final_x(0.02)
@@ -179,13 +182,17 @@ class TestShiftedFunctionalConsistency:
 
 class TestAdvanceStart:
     @pytest.mark.parametrize("seed,x0", [(0, 0.0), (3, 1.25), (5, -2.0)])
-    def test_known_first_values_change_nothing(self, params, grid, seed, x0):
+    def test_known_first_values_change_nothing(self, params, grid, seed, x0, monkeypatch):
+        # advance() from the caller's (Y, I_bad) equals every substep
+        # evaluated, its first one included
         state = random_state(params, grid, seed)
         start = y_and_ibad(params, state, shift=x0)
         for substeps in (1, 4):
-            plain = advance(x0, state, 0.05, params, substeps=substeps)
-            known = advance(x0, state, 0.05, params, substeps=substeps, start=start)
-            assert known == plain
+            monkeypatch.setattr(shift_mod, "SUBSTEPS", substeps)
+            plain = x0
+            for _ in range(substeps):
+                plain += 0.05 / substeps * velocity(*y_and_ibad(params, state, shift=plain), params.eps)
+            assert advance(x0, state, 0.05, params, start) == plain
 
     def test_known_first_values_skip_one_evaluation(self, params, grid, monkeypatch):
         state = random_state(params, grid, 1)
@@ -197,5 +204,5 @@ class TestAdvanceStart:
 
         monkeypatch.setattr(shift_mod, "y_and_ibad", counting)
         start = y_and_ibad(params, state, shift=0.0)
-        advance(0.0, state, 0.05, params, substeps=4, start=start)
+        advance(0.0, state, 0.05, params, start)
         assert len(shifts) == 3 and 0.0 not in shifts

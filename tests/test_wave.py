@@ -8,7 +8,6 @@ from scipy.integrate import solve_ivp
 
 from contraction_lab import (
     DomainError,
-    derive_end_state,
     make_wave_params,
     profile_n,
     profile_n_prime,
@@ -32,20 +31,20 @@ pytestmark = pytest.mark.filterwarnings(
 
 class TestEndStates:
     def test_unit_shock(self):
-        end = derive_end_state(2.0, 0.0, 1.0)
+        end = WaveParams(2.0, 0.0, 1.0, 0.3)
         assert end.n_plus == 1.0
         assert end.sigma == pytest.approx(1.0, abs=1e-15)
         assert end.q_plus == pytest.approx(1.0, abs=1e-15)
 
     def test_degenerate_shock_limit(self):
-        end = derive_end_state(1.0, 0.0, 1e-12)
+        end = WaveParams(1.0, 0.0, 1e-12, 0.3)
         assert end.sigma == pytest.approx(1.0, abs=1e-9)
         assert end.q_plus == pytest.approx(end.q_minus, abs=1e-9)
 
     def test_jump_conditions_direct_substitution(self):
         # independent oracle: plug the constructed states into both jump
         # conditions written out by hand
-        end = derive_end_state(2.0, 1.0, 0.5)
+        end = WaveParams(2.0, 1.0, 0.5, 0.3)
         sigma = end.sigma
         mass = -sigma * (end.n_plus - end.n_minus) - (
             end.n_plus * end.q_plus - end.n_minus * end.q_minus
@@ -55,15 +54,14 @@ class TestEndStates:
         assert abs(momentum) < 1e-12
 
     def test_rh_residuals_helper_agrees(self):
-        end = derive_end_state(5.0, -1.0, 0.25)
-        r1, r2 = rankine_hugoniot_residuals(end)
+        r1, r2 = rankine_hugoniot_residuals(WaveParams(5.0, -1.0, 0.25, 0.3))
         assert abs(r1) < 1e-12 and abs(r2) < 1e-12
 
     def test_eps_too_large_rejected(self):
         with pytest.raises(DomainError):
-            derive_end_state(1.0, 0.0, 1.0)
+            WaveParams(1.0, 0.0, 1.0, 0.3)
         with pytest.raises(DomainError):
-            derive_end_state(1.0, 0.0, 2.0)
+            WaveParams(1.0, 0.0, 2.0, 0.3)
 
     @given(
         n_minus=st.floats(0.2, 50.0),
@@ -71,9 +69,29 @@ class TestEndStates:
         frac=st.floats(1e-6, 0.999),
     )
     def test_lax_ordering_always_holds(self, n_minus, q_minus, frac):
-        end = derive_end_state(n_minus, q_minus, frac * n_minus)
+        end = WaveParams(n_minus, q_minus, frac * n_minus, 0.3)
         assert end.n_minus > end.n_plus > 0
         assert end.q_minus < end.q_plus
+
+    @pytest.mark.parametrize(
+        "n_minus, q_minus, eps, lam", [(1e4, 3.0, 100.0, 0.3), (1e4, 0.0, 3000.0, 0.25), (1e6, 3.0, 1e4, 0.25)]
+    )
+    def test_large_density_waves_build(self, n_minus, q_minus, eps, lam):
+        # the jump-condition terms grow like sigma n, so an absolute
+        # tolerance on the residuals refused these waves
+        p = make_wave_params(n_minus, q_minus, eps, lam)
+        r1, r2 = rankine_hugoniot_residuals(p)
+        assert abs(r1) <= 1e-14 * p.n_plus * p.q_plus and abs(r2) <= 1e-14 * eps
+
+    @pytest.mark.parametrize("n_minus, q_minus, eps", [(2.0, 0.0, 0.05), (1e4, 3.0, 100.0)])
+    def test_inexact_speed_refused(self, monkeypatch, n_minus, q_minus, eps):
+        # a speed 1e-9 off its quadratic's root breaks the mass condition
+        import contraction_lab.wave as wave_mod
+
+        exact = wave_mod._wave_speed
+        monkeypatch.setattr(wave_mod, "_wave_speed", lambda n, q: exact(n, q) * (1.0 + 1e-9))
+        with pytest.raises(DomainError, match="jump-condition"):
+            WaveParams(n_minus, q_minus, eps, 0.3)
 
     def test_speed_ordering(self, params):
         assert 0.0 < params.sigma < params.sigma_minus
@@ -94,7 +112,6 @@ class TestWaveParams:
         assert p.sigma_minus == _wave_speed(n_minus, q_minus)
         assert p.n_plus == n_minus - eps
         assert p.q_plus == q_minus + eps / p.sigma
-        assert p.end_states == derive_end_state(n_minus, q_minus, eps)
 
     def test_exactly_five_inputs(self):
         init = [f.name for f in dataclasses.fields(WaveParams) if f.init]
