@@ -126,9 +126,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int | None = None) 
         solver_cfg = replace(solver_cfg, keep_states=stride)
     result = run(solver_cfg)
     if "csv" in formats:
-        _write_table(
-            out_dir / "run.csv", result.csv_header(), result.csv_columns(), {"regime": "%s"}
-        )
+        header, columns = zip(*result.csv_table())
+        _write_table(out_dir / "run.csv", header, columns, {"regime": "%s"})
     if want_snapshots:
         xi = solver_cfg.grid.nodes()
         header = ["xi", "n", "q"]

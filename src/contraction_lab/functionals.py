@@ -428,7 +428,7 @@ class NumericsError(RuntimeError):
 @dataclass(frozen=True)
 class FunctionalReport:
     """Every functional of one (state, shift) pair, in the column order of
-    the run table; building one checks the signs and the tube sums."""
+    the run table; building one checks the signs and the sum of Y's parts."""
 
     eta_weighted: float
     Y: float
@@ -456,14 +456,11 @@ class FunctionalReport:
     def __post_init__(self):
         if self.I_good < 0 or self.G_delta < -1e-15 or self.D < 0:
             raise NumericsError("good terms must be nonnegative")
-        for total, parts in (
-            (self.Y, (self.Y_g, self.Y_b, self.Y_l, self.Y_s)),
-            (self.B_delta, (self.B1, self.B2_in, self.B2_out, self.B3)),
-            (self.G_delta, (self.G1_in, self.G1_out, self.G2, self.G_D)),
-        ):
-            gap = abs(total - sum(parts))
-            if gap > 1e-10 * max(1.0, abs(total)):
-                raise NumericsError(f"decomposition does not reproduce total: gap={gap:.3e}")
+        # B_delta and G_delta are the sums of their parts (_Split.B and .G);
+        # Y comes from its own integrand, so its parts can disagree with it
+        gap = abs(self.Y - (self.Y_g + self.Y_b + self.Y_l + self.Y_s))
+        if gap > 1e-10 * max(1.0, abs(self.Y)):
+            raise NumericsError(f"decomposition does not reproduce total: gap={gap:.3e}")
 
 
 REPORT_COLUMNS = tuple(f.name for f in fields(FunctionalReport))

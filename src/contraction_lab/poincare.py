@@ -98,18 +98,12 @@ def _moment_rows(w: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dominant(moments: np.ndarray) -> np.ndarray:
-    """(int W^2 + 2 int W)^2 of each sample, squared by Python's float `**`:
-    numpy's x * x rounds differently from it in about 1 in 1000 values."""
-    i2, i1 = moments[0].tolist(), moments[1].tolist()
-    return np.array([(a + 2.0 * b) ** 2 for a, b in zip(i2, i1)])
-
-
-def _r_values(moments: np.ndarray, dominant: np.ndarray, delta: float) -> np.ndarray:
-    """R_delta of each sample from its moments and its `_dominant` term."""
-    i2, _, i3, iabs3, ih1 = moments
+def _r_values(moments: np.ndarray, delta) -> np.ndarray:
+    """R_delta of each sample from its moments.  `delta` is a float, or a
+    column of deltas that gives one row of samples per delta."""
+    i2, i1, i3, iabs3, ih1 = moments
     return (
-        -dominant / delta
+        -np.square(i2 + 2.0 * i1) / delta
         + (1.0 + delta) * i2
         + (2.0 / 3.0) * i3
         + delta * iabs3
@@ -134,7 +128,7 @@ def R_poincare(W: np.ndarray, delta: float) -> float:
     if w.ndim != 1 or len(w) < 5:
         raise ValueError("W must be a 1-D sample with at least 5 nodes")
     moments = _moment_rows(w[None, :], *np.empty((2, 1, len(w))))
-    return float(_r_values(moments, _dominant(moments), delta)[0])
+    return float(_r_values(moments, delta)[0])
 
 
 def _moments(w: np.ndarray) -> tuple[float, float, float, float, float]:
@@ -226,6 +220,24 @@ def _draw(seed: int, M: float, family: str, n_cells: int) -> tuple[np.ndarray, t
     return w[0], tuple(moments[:, 0].tolist())
 
 
+def _sample_moments(M: float, n_samples: int, seed: int, n_cells: int) -> np.ndarray:
+    """The (5, n_samples) moments of the scan's samples, drawn in blocks of
+    one family.  The blocks' rows are freed on return, so the scan's
+    (deltas x samples) array of R reuses their memory."""
+    moments = np.empty((5, n_samples))
+    rows = _scratch(min(BLOCK_SAMPLES, n_samples), n_cells + 1)
+    stride = len(SAMPLE_FAMILIES)
+    for f, family in enumerate(SAMPLE_FAMILIES):
+        # a block is every stride-th sample from `first`, at most BLOCK_SAMPLES of them
+        for first in range(f, n_samples, stride * BLOCK_SAMPLES):
+            block = range(first, min(first + stride * BLOCK_SAMPLES, n_samples), stride)
+            w, s1, s2 = (r[: len(block)] for r in rows)
+            moments[:, block.start : block.stop : stride] = _draw_block(
+                [seed + i for i in block], M, family, w, s1, s2
+            )
+    return moments
+
+
 @dataclass
 class ScanResult:
     """Empirical threshold scan over a delta grid."""
@@ -234,6 +246,8 @@ class ScanResult:
     delta_grid: list
     pass_counts: list
     delta_star_empirical: float
+    # every sample passes at the grid's largest delta: delta_star_empirical is the grid's top
+    saturated: bool
     worst_sample_seed: int | None
     worst_value: float
     n_samples: int
@@ -263,47 +277,27 @@ def scan_delta_star(
         raise ValueError("delta_grid must be non-empty")
     if n_samples < 1:
         raise DomainError(f"n_samples must be at least 1, got {n_samples}")
+    if n_cells < 4:  # R_poincare's floor of 5 nodes
+        raise DomainError(f"n_cells must be at least 4, got {n_cells}")
     for d in deltas:
         _check_delta(d)
-    moments = np.empty((5, n_samples))
-    rows = _scratch(min(BLOCK_SAMPLES, n_samples), n_cells + 1)
-    stride = len(SAMPLE_FAMILIES)
-    for f, family in enumerate(SAMPLE_FAMILIES):
-        # a block is every stride-th sample from `first`, at most BLOCK_SAMPLES of them
-        for first in range(f, n_samples, stride * BLOCK_SAMPLES):
-            block = range(first, min(first + stride * BLOCK_SAMPLES, n_samples), stride)
-            w, s1, s2 = (r[: len(block)] for r in rows)
-            moments[:, block.start : block.stop : stride] = _draw_block(
-                [seed + i for i in block], M, family, w, s1, s2
-            )
-    dominant = _dominant(moments)
-
-    pass_counts = []
-    delta_star = 0.0
-    worst_seed = None
-    worst_value = -np.inf
-    all_passed_so_far = True
-    for d in deltas:
-        r = _r_values(moments, dominant, d)
-        failed = r > SCAN_TOL
-        count = int(np.count_nonzero(r <= SCAN_TOL))
-        if failed.any():
-            # the first sample of the largest failing value, as a loop over samples keeps
-            i = int(np.argmax(np.where(failed, r, -np.inf)))
-            if r[i] > worst_value:
-                worst_value = float(r[i])
-                worst_seed = seed + i
-        pass_counts.append(count)
-        if count == n_samples and all_passed_so_far:
-            delta_star = d
-        else:
-            all_passed_so_far = False
+    # one row of R per delta; a sample passes where R_delta(W) <= SCAN_TOL
+    r = _r_values(_sample_moments(M, n_samples, seed, n_cells), np.array(deltas)[:, None])
+    pass_counts = (r <= SCAN_TOL).sum(axis=1)
+    # the passing deltas: the leading run of the grid where every sample passes
+    leading = int(np.logical_and.accumulate(pass_counts == n_samples).sum())
+    # keep only the failing values (a NaN neither passes nor fails); the
+    # largest is the first by delta, then by sample, as argmax keeps
+    r[~(r > SCAN_TOL)] = -np.inf
+    worst = int(np.argmax(r))
+    worst_value = r.flat[worst]
     return ScanResult(
         M=M,
         delta_grid=deltas,
-        pass_counts=pass_counts,
-        delta_star_empirical=delta_star,
-        worst_sample_seed=worst_seed,
+        pass_counts=pass_counts.tolist(),
+        delta_star_empirical=deltas[leading - 1] if leading else 0.0,
+        saturated=bool(pass_counts[-1] == n_samples),
+        worst_sample_seed=seed + worst % n_samples if worst_value > -np.inf else None,
         worst_value=float(worst_value) if np.isfinite(worst_value) else 0.0,
         n_samples=n_samples,
         tol=SCAN_TOL,

@@ -34,7 +34,7 @@ class RunResult:
 
     `evaluations` has one row per time level j = 0..n_steps: t_j, X_j and
     the report of (U_j, X_j) in REPORT_COLUMNS order.  It is the run's one
-    store of monitored numbers; `monitor`, the CSV columns and the verdict are
+    store of monitored numbers; `monitor`, the CSV table and the verdict are
     derived from it.  `timings` says where the run loop's time went.
     """
 
@@ -96,7 +96,7 @@ class RunResult:
             "xdot_bound": (2.0 * np.abs(ibad) + 1.0) / params.eps**2,
         }
 
-    def _csv_table(self) -> list[tuple[str, object]]:
+    def csv_table(self) -> list[tuple[str, object]]:
         """The run table as (name, column) pairs, one entry per reported step
         k: the step's shift velocity and checks beside the evaluation at its
         end.  regime is a list of str, the rest arrays."""
@@ -115,13 +115,6 @@ class RunResult:
             ("balance_residual", m["balance_residual"][at]),
         ]
 
-    def csv_header(self) -> list[str]:
-        return [name for name, _ in self._csv_table()]
-
-    def csv_columns(self) -> list:
-        """The run table's columns in csv_header() order."""
-        return [column for _, column in self._csv_table()]
-
     def verdict(self) -> dict:
         m = self.monitor
         tol = self.config.violation_tol
@@ -131,7 +124,8 @@ class RunResult:
         dissipation_excess = float(np.max(m["eta_weighted"] + self.config.delta0 * cum_d - self.e0))
         violations = m["violation"]
         eta_unw = m["eta_unweighted"]
-        monitored = np.abs(m["Y"]) <= self.config.params.eps**2
+        # R_main is monitored in the linear band of the shift gain
+        monitored = np.array(m["regime"]) == "linear"
         r_monitored = m["R_main"][monitored]
         xdot_ok = np.all(np.abs(m["X_dot"]) <= m["xdot_bound"] * (1.0 + 1e-12))
         if self.eta0_unweighted > 0.0:

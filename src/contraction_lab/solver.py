@@ -146,7 +146,7 @@ class SolverConfig:
     report_stride: int = 1
     delta0: float = 0.01
     delta1: float = 0.25
-    # keep the state of every keep_states-th reported step (True: every one)
+    # keep the state of every keep_states-th reported step (1: every one)
     keep_states: int = 0
     violation_tol: float = 1e-7
 
@@ -161,6 +161,12 @@ class SolverConfig:
             raise ValueError("keep_states must be >= 0")
         if self.dt is not None and self.dt <= 0.0:
             raise ValueError("dt must be positive when given")
+        if not 0.0 < self.delta0 < 0.5:
+            raise ValueError("delta0 must lie in (0, 1/2)")
+        if not self.delta1 > 0.0:  # inf puts the whole line inside the tube
+            raise ValueError("delta1 must be positive")
+        if not self.violation_tol > 0.0:
+            raise ValueError("violation_tol must be positive")
         if not (self.grid.xi_min < 0.0 < self.grid.xi_max):
             raise ValueError("grid must bracket the wave center xi = 0")
 
@@ -256,10 +262,13 @@ class _Stepper:
         self.dx = grid.dx
         self.refs = refs
         self.dt = dt
-        # hyperbolic residuals of the sampled wave
+        # the first-order residual of the sampled wave: _rhs against a zero
+        # residual, which subtracts nothing (x - 0.0 is x)
         m = grid.num_nodes
-        self.residual_n, self.residual_q = np.empty(m), np.empty(m)
-        self._hyperbolic(refs.ntil, refs.qtil, self.residual_n, self.residual_q, *np.empty((2, m)))
+        self.residual_n = self.residual_q = 0.0
+        self.residual_n, self.residual_q = self._rhs(
+            refs.ntil, refs.qtil, np.empty(m), np.empty(m), *np.empty((2, m))
+        )
         # the tridiagonal matrix I - r D2, with Dirichlet rows at both ends
         r = params.nu * dt / (self.dx * self.dx)
         lower = np.full(m - 1, -r)
@@ -272,9 +281,11 @@ class _Stepper:
             raise LinAlgError("singular diffusion matrix")
         self.lu = tuple(lu)
 
-    def _hyperbolic(self, n, q, rn, rq, s0, s1):
-        """First-order terms into rn and rq: sigma-advection upwinded
-        (forward), coupling central; s0 and s1 are scratch."""
+    def _rhs(self, n, q, rn, rq, s0, s1):
+        """The first-order residual R_h(U) in delta form, written into and
+        returned as (rn, rq): sigma-advection upwinded (forward), coupling
+        central, less the wave's residual, with zero boundary rows; s0 and
+        s1 are scratch."""
         dx = self.dx
         _ddx_forward_biased(n, dx, out=rn, scratch=s0)
         rn *= self.sigma
@@ -282,21 +293,18 @@ class _Stepper:
         _ddx_forward_biased(q, dx, out=rq, scratch=s0)
         rq *= self.sigma
         rq += _ddx_central(n, dx, out=s0)
-
-    def _rhs(self, n, q, rn, rq, s0, s1):
-        self._hyperbolic(n, q, rn, rq, s0, s1)
         rn -= self.residual_n
         rq -= self.residual_q
         rn[0] = rn[-1] = 0.0
         rq[0] = rq[-1] = 0.0
+        return rn, rq
 
     def step(self, n: np.ndarray, q: np.ndarray):
         dt = self.dt
         n_stage, q_stage, rn_stage, rq_stage, s0, s1 = _rows(self.grid).rows[:6]
         # two-stage (Heun) update of the first-order terms: the stage is
         # U + dt R(U), and the update U + (dt/2) (R(U) + R(stage))
-        rn, rq = np.empty_like(n), np.empty_like(q)
-        self._rhs(n, q, rn, rq, s0, s1)
+        rn, rq = self._rhs(n, q, np.empty_like(n), np.empty_like(q), s0, s1)
         np.multiply(dt, rn, out=n_stage)
         n_stage += n
         np.multiply(dt, rq, out=q_stage)

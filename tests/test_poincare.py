@@ -1,5 +1,6 @@
 import json
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,6 @@ from contraction_lab.poincare import (
     SAMPLE_FAMILIES,
     SCAN_TOL,
     _draw,
-    _dominant,
     _draw_block,
     _h1_weight,
     _moments,
@@ -199,6 +199,21 @@ class TestScan:
         with pytest.raises(DomainError, match="n_samples"):
             scan_delta_star(1.0, 0, [0.1, 0.2])
 
+    @pytest.mark.parametrize("n_cells", [1, 2, 3])
+    def test_grid_below_five_nodes_rejected(self, n_cells):
+        # R_poincare refuses a sample of fewer than 5 nodes, so the scan does too
+        with pytest.raises(DomainError, match="n_cells"):
+            scan_delta_star(1.0, 6, [0.1, 0.2], n_cells=n_cells)
+        assert scan_delta_star(1.0, 6, [0.1, 0.2], n_cells=4).n_samples == 6
+
+    def test_saturated_when_every_sample_passes_at_the_top(self):
+        # at M 1 every sample passes at both deltas; at M 6 some fail inside the grid
+        low = scan_delta_star(1.0, 30, [1e-3, 0.05], seed=0, n_cells=512)
+        assert low.saturated and low.pass_counts[-1] == 30
+        high = scan_delta_star(6.0, 30, [1e-3, 0.2, 0.5], seed=0, n_cells=512)
+        assert not high.saturated and high.pass_counts[-1] < 30
+        assert high.delta_star_empirical < 0.5
+
     def test_json_payload_shape(self):
         res = scan_delta_star(1.0, 20, [1e-3, 1e-2], seed=1)
         payload = asdict(res)
@@ -207,6 +222,7 @@ class TestScan:
             "delta_grid",
             "pass_counts",
             "delta_star_empirical",
+            "saturated",
             "worst_sample_seed",
             "worst_value",
             "n_samples",
@@ -328,18 +344,31 @@ class TestBlockScan:
             assert np.array_equal(w[j], want_w)
             assert tuple(moments[:, j].tolist()) == want_moms
 
-    def test_r_values_are_python_float_arithmetic(self):
-        # R of every sample, taken at once, is the closed form in Python
-        # floats bit for bit; numpy's x * x for the square would differ from
-        # Python's ** in a few of these values
-        moments = np.random.default_rng(3).normal(size=(5, 20000))
+    def test_r_values_are_the_closed_form_to_rounding(self):
+        # R of every sample at every delta, taken at once, against the closed
+        # form in exact rational arithmetic on the same float moments and
+        # deltas.  To first order a term carries at most 8 unit roundoffs
+        # (2^-53): the dominant one 4 (the sum, doubled by the square, and the
+        # square and the division) and 4 from the additions.  So the error is
+        # within 10 unit roundoffs of the absolute sum of the terms; this
+        # sample reaches 4.75
+        moments = np.random.default_rng(3).normal(size=(5, 1000))
         moments[3:] = np.abs(moments[3:])
-        for d in (1e-3, 0.1, 0.7):
-            want = [
-                -(i2 + 2.0 * i1) ** 2 / d + (1.0 + d) * i2 + (2.0 / 3.0) * i3 + d * iabs3 - (1.0 - d) * ih1
-                for i2, i1, i3, iabs3, ih1 in zip(*moments.tolist())
-            ]
-            assert _r_values(moments, _dominant(moments), d).tolist() == want
+        deltas = [1e-3, 0.1, 0.7]
+        r = _r_values(moments, np.array(deltas)[:, None])
+        for d, row in zip(deltas, r):
+            assert np.array_equal(row, _r_values(moments, d))  # a row is its delta alone
+            fd = Fraction(d)
+            for got, (i2, i1, i3, iabs3, ih1) in zip(row.tolist(), moments.T.tolist()):
+                terms = [
+                    -((Fraction(i2) + 2 * Fraction(i1)) ** 2) / fd,
+                    (1 + fd) * Fraction(i2),
+                    Fraction(2, 3) * Fraction(i3),
+                    fd * Fraction(iabs3),
+                    -(1 - fd) * Fraction(ih1),
+                ]
+                bound = 10 * Fraction(2.0**-53) * sum(abs(t) for t in terms)
+                assert abs(Fraction(got) - sum(terms)) <= bound
 
     def test_reproduces_recorded_benchmark_scans(self):
         # two of the benchmark's recorded scans (M 6, 1000 samples, 4096 cells)

@@ -334,6 +334,43 @@ class TestRun:
                 perturbation=bump_spec(),
             )
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("delta0", 0.0), ("delta0", 0.5), ("delta0", 0.7), ("delta1", 0.0), ("delta1", -1.0),
+         ("delta1", np.nan), ("violation_tol", 0.0), ("violation_tol", -1.0)],
+    )
+    def test_thresholds_checked_at_config(self, small_params, name, value):
+        # a threshold out of range is a config error, not a numerics failure of the run
+        cfg = SolverConfig(
+            params=small_params, grid=lab_grid(small_params, num_cells=64), t_end=0.1,
+            perturbation=bump_spec(0.1, 0.0), delta1=np.inf,
+        )
+        with pytest.raises(ValueError, match=name):
+            replace(cfg, **{name: value})
+
+    def test_rmain_is_monitored_in_the_shift_gains_linear_band(self, small_params):
+        # Y = +-eps^2 exactly is saturated for the shift, so R_main is not
+        # monitored there; Y one ulp inside the band is linear and monitored
+        cfg = SolverConfig(
+            params=small_params, grid=lab_grid(small_params, num_cells=64), t_end=0.3, dt=0.05,
+            perturbation=bump_spec(0.1, 0.0),
+        )
+        res = run(cfg)
+        e2 = small_params.eps * small_params.eps
+        inside = np.nextafter(e2, 0.0)
+        table = res.evaluations.copy()
+        y = [e2, -e2, inside, -inside, 0.0, 2.0 * e2, 0.0]
+        table[:, EVALUATION_COLUMNS.index("Y")] = y
+        # positive R_main only where Y is on the band's edge
+        table[:, EVALUATION_COLUMNS.index("R_main")] = [1.0, 1.0, -1.0, -1.0, -1.0, 1.0, 1.0]
+        synthetic = replace(res, evaluations=table)
+        regime = synthetic.monitor["regime"]
+        assert regime == ["saturated_minus", "saturated_plus", "linear", "linear", "linear",
+                          "saturated_minus"]
+        profile = synthetic.verdict()["Rmain_sign_profile"]
+        assert profile["steps_monitored"] == regime.count("linear") == 3
+        assert profile["steps_positive"] == 0 and profile["max_R_main"] == -1.0
+
     def test_run_table_layout(self, small_params):
         # the report's fields are the run table's columns, and the run.csv
         # header is the same as before the report was flat
@@ -350,7 +387,7 @@ class TestRun:
             t_end=0.1,
             perturbation=bump_spec(0.1, 0.0),
         )
-        assert run(cfg).csv_header() == [
+        assert [name for name, _ in run(cfg).csv_table()] == [
             "t", "X", "X_dot", "regime", "lab_shift", *REPORT_COLUMNS,
             "violation", "balance_residual",
         ]
@@ -365,8 +402,8 @@ class TestRun:
             report_stride=5,
         )
         res = run(cfg)
-        header = res.csv_header()
-        rows = list(zip(*res.csv_columns()))
+        header, columns = zip(*res.csv_table())
+        rows = list(zip(*columns))
         n = len(res.times)
         assert res.evaluations.shape == (n + 1, len(EVALUATION_COLUMNS))
         assert all(len(row) == len(header) for row in rows)
