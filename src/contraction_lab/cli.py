@@ -1,10 +1,10 @@
 """Config-driven command line: wave construction, runs, identity and
 threshold scans.
 
-Exit codes: 0 success, 2 config error (the schema, an override, or an
-initial state that fails its checks), 3 stability error, 4 verification
-failure (a failed check, functionals that break an exact identity, or any
-other error raised inside a run).
+Exit codes: 0 success, 2 config error (the schema, an override, an output
+directory that cannot be made, or an initial state that fails its checks),
+3 stability error, 4 verification failure (a failed check, functionals that
+break an exact identity, or any other error raised inside a run).
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_wave(cfg: ExperimentConfig, out_dir: Path) -> int:
+    """Write the wave profile and its summary."""
     params = cfg.wave_params()
     grid = cfg.grid(params)
     refs = reference_arrays(params, grid)
@@ -115,20 +116,15 @@ def cmd_wave(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int | None = None) -> int:
-    solver_cfg = cfg.solver_config(seed)
+def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
+    """Run the PDE + shift ODE and verify contraction."""
+    solver_cfg = cfg.solver_config()
     formats = cfg.data["output"]["formats"]
-    snapshot_stride = cfg.data["output"]["snapshot_stride"]
-    want_snapshots = "snapshots" in formats or snapshot_stride > 0
-    stride = max(snapshot_stride, 1)
-    if want_snapshots:
-        # the run keeps only the reported states that are written
-        solver_cfg = replace(solver_cfg, keep_states=stride)
     result = run(solver_cfg)
     if "csv" in formats:
         header, columns = zip(*result.csv_table())
         _write_table(out_dir / "run.csv", header, columns, {"regime": "%s"})
-    if want_snapshots:
+    if result.states is not None:
         xi = solver_cfg.grid.nodes()
         header = ["xi", "n", "q"]
         # NNNNNN is the solver step whose end state the file holds: t = step * dt
@@ -156,19 +152,17 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed: int | None = None) 
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def cmd_identities(cfg: ExperimentConfig, out_dir: Path, n_random: int | None = None,
-                   seed: int | None = None) -> int:
-    if n_random is not None and n_random < 1:
-        raise ConfigError(f"--samples must be at least 1, got {n_random}")
+def cmd_identities(cfg: ExperimentConfig, out_dir: Path) -> int:
+    """Check the algebraic identity suite."""
     params = cfg.wave_params()
     ident = cfg.data["identities"]
     grid = replace(cfg.grid(params), num_cells=ident["num_cells"])
     report = check_identities(
         params,
         grid,
-        n_states=n_random if n_random is not None else ident["n_states"],
+        n_states=ident["n_states"],
         deltas=ident["deltas"],
-        seed=seed if seed is not None else ident["seed"],
+        seed=ident["seed"],
         tol=ident["tol"],
     )
     report["config"] = cfg.data
@@ -179,13 +173,14 @@ def cmd_identities(cfg: ExperimentConfig, out_dir: Path, n_random: int | None = 
     return EXIT_OK if report["all_passed"] else EXIT_VERIFICATION
 
 
-def cmd_poincare(cfg: ExperimentConfig, out_dir: Path, seed: int | None = None) -> int:
+def cmd_poincare(cfg: ExperimentConfig, out_dir: Path) -> int:
+    """Scan the empirical Poincare threshold."""
     p = cfg.data["poincare"]
     result = scan_delta_star(
         M=p["M"],
         n_samples=p["n_samples"],
         delta_grid=cfg.poincare_delta_grid(),
-        seed=seed if seed is not None else p["seed"],
+        seed=p["seed"],
         n_cells=p["y_cells"],
     )
     payload = asdict(result)
@@ -198,6 +193,10 @@ def cmd_poincare(cfg: ExperimentConfig, out_dir: Path, seed: int | None = None) 
     return EXIT_OK if result.delta_star_empirical > 0.0 else EXIT_VERIFICATION
 
 
+COMMANDS = {"wave": cmd_wave, "simulate": cmd_simulate, "identities": cmd_identities,
+            "poincare": cmd_poincare}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="contraction-lab",
@@ -207,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--out", type=str, default=None, help="output directory (default: the config's output.dir)"
     )
-    parser.add_argument("--seed", type=int, default=None, help="override random seeds")
     parser.add_argument(
         "--override",
         action="append",
@@ -216,11 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="dot-path override into the config, value parsed as JSON",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("wave", help="write the wave profile and its summary")
-    sub.add_parser("simulate", help="run the PDE + shift ODE and verify contraction")
-    ident = sub.add_parser("identities", help="check the algebraic identity suite")
-    ident.add_argument("--samples", type=int, default=None, help="number of random states")
-    sub.add_parser("poincare", help="scan the empirical Poincare threshold")
+    for name, command in COMMANDS.items():
+        sub.add_parser(name, help=command.__doc__)
     return parser
 
 
@@ -241,23 +236,15 @@ def main(argv=None) -> int:
                 key, value = item.split("=", 1)
                 apply_override(data, key, value)
             cfg = ExperimentConfig.from_dict(data)
-    except ConfigError as exc:
+        out_dir = Path(args.out if args.out is not None else cfg.data["output"]["dir"])
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_dir = Path(args.out if args.out is not None else cfg.data["output"]["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     try:
-        if args.command == "wave":
-            return cmd_wave(cfg, out_dir)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir, seed=args.seed)
-        if args.command == "identities":
-            return cmd_identities(cfg, out_dir, n_random=args.samples, seed=args.seed)
-        if args.command == "poincare":
-            return cmd_poincare(cfg, out_dir, seed=args.seed)
-    except (ConfigError, ValueError) as exc:
+        return COMMANDS[args.command](cfg, out_dir)
+    except ValueError as exc:  # a ConfigError, or a check of the run's inputs
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StabilityError as exc:
@@ -266,7 +253,6 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -189,13 +189,7 @@ class ExperimentConfig:
         half_width = g["half_width_factor"] * params.nu * params.sigma / params.eps
         return Grid(xi_min=-half_width, xi_max=half_width, num_cells=g["num_cells"])
 
-    def perturbation(self, seed: int | None = None) -> PerturbationSpec:
-        p = dict(self.data["solver"]["perturbation"])
-        if seed is not None:
-            p["seed"] = seed
-        return PerturbationSpec(**p)
-
-    def solver_config(self, seed: int | None = None) -> SolverConfig:
+    def solver_config(self) -> SolverConfig:
         params = self.wave_params()
         s = self.data["solver"]
         f = self.data["functionals"]
@@ -203,12 +197,14 @@ class ExperimentConfig:
             params=params,
             grid=self.grid(params),
             t_end=s["t_end"],
-            perturbation=self.perturbation(seed),
+            perturbation=PerturbationSpec(**s["perturbation"]),
             cfl=s["cfl"],
             dt=s["dt"],
             report_stride=f["report_stride"],
             delta0=f["delta0"],
             delta1=f["delta1"],
+            # the run keeps only the reported states that are written
+            keep_states=self.data["output"]["snapshot_stride"],
             violation_tol=f["violation_tol"],
         )
 

@@ -23,8 +23,8 @@ class Grid:
     num_cells: int
 
     def __post_init__(self):
-        if not self.xi_min < self.xi_max:
-            raise ValueError("need xi_min < xi_max")
+        if not -np.inf < self.xi_min < self.xi_max < np.inf:
+            raise ValueError(f"need finite xi_min < xi_max, got {self.xi_min}, {self.xi_max}")
         if self.num_cells < 4:
             raise ValueError("need at least 4 cells")
 

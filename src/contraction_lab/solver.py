@@ -153,14 +153,14 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError("cfl must lie in (0, 1]")
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
+        if not 0.0 < self.t_end < np.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.report_stride < 1:
             raise ValueError("report_stride must be >= 1")
         if self.keep_states < 0:
             raise ValueError("keep_states must be >= 0")
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValueError("dt must be positive when given")
+        if self.dt is not None and not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite when given, got {self.dt}")
         if not 0.0 < self.delta0 < 0.5:
             raise ValueError("delta0 must lie in (0, 1/2)")
         if not self.delta1 > 0.0:  # inf puts the whole line inside the tube

@@ -115,6 +115,43 @@ def test_schema_default_matches_api_default(schema_path, api_default):
     assert node["default"] == api_default
 
 
+# each command at a small size, with its seed and counts set by --override,
+# and the JSON output that echoes its config
+ROUND_TRIP = {
+    "wave": (["grid.num_cells=64"], "wave_summary.json"),
+    "simulate": (
+        ["grid.num_cells=128", "solver.t_end=0.3", 'solver.perturbation.kind="random_fourier"',
+         "solver.perturbation.amplitude_n=0.1", "solver.perturbation.width=20.0",
+         "solver.perturbation.seed=3", "output.snapshot_stride=2"],
+        "final.json",
+    ),
+    "identities": (
+        ["identities.n_states=3", "identities.num_cells=64", "identities.seed=5"], "identities.json"
+    ),
+    "poincare": (
+        ["poincare.n_samples=20", "poincare.y_cells=256", "poincare.delta_points=5",
+         "poincare.seed=7"],
+        "poincare_scan.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(ROUND_TRIP))
+def test_echoed_config_reruns_byte_identical(tmp_path, command):
+    # a run from the config an output echoes, with no overrides, writes the
+    # same bytes: the echo records everything that set the numbers
+    overrides, echo_file = ROUND_TRIP[command]
+    first, second, echoed = tmp_path / "first", tmp_path / "second", tmp_path / "echoed.json"
+    args = [arg for item in overrides for arg in ("--override", item)]
+    assert main(["--config", str(write_config(tmp_path)), "--out", str(first), *args, command]) == 0
+    echoed.write_text(json.dumps(json.loads((first / echo_file).read_text())["config"]))
+    assert main(["--config", str(echoed), "--out", str(second), command]) == 0
+    names = sorted(p.name for p in first.iterdir() if p.name != "timings.json")
+    assert names == sorted(p.name for p in second.iterdir() if p.name != "timings.json")
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 class TestCommands:
     def test_wave_summary_values(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -201,7 +238,7 @@ class TestCommands:
             tmp_path,
             {
                 "solver": {"t_end": 0.2},
-                "output": {"formats": ["csv", "json", "snapshots"], "snapshot_stride": 5},
+                "output": {"snapshot_stride": 5},
             },
         )
         out = tmp_path / "out"
@@ -291,7 +328,7 @@ class TestCommands:
         cfg_path = write_config(tmp_path, {"identities": {"n_states": 2, "num_cells": 64}})
         out = tmp_path / "out"
         args = ["--config", str(cfg_path), "--out", str(out), "--override", "identities.deltas=[]"]
-        assert main([*args, "identities", "--samples", "2"]) == 2
+        assert main([*args, "identities"]) == 2
         assert "deltas must be non-empty" in capsys.readouterr().err
         assert not (out / "identities.json").exists()
 
@@ -516,8 +553,9 @@ class TestCommands:
     def test_samples_below_one_is_a_config_error(self, tmp_path, capsys, samples):
         cfg_path = write_config(tmp_path, {"identities": {"n_states": 2, "num_cells": 64}})
         out = tmp_path / "out"
-        assert main(["--config", str(cfg_path), "--out", str(out), "identities", "--samples", samples]) == 2
-        assert "--samples" in capsys.readouterr().err
+        override = f"identities.n_states={samples}"
+        assert main(["--config", str(cfg_path), "--out", str(out), "--override", override, "identities"]) == 2
+        assert "config invalid at identities.n_states: " in capsys.readouterr().err
         assert not (out / "identities.json").exists()
 
     def test_run_csv_matches_documented_schema(self, tmp_path):
@@ -568,12 +606,45 @@ class TestCommands:
             },
         )
         out1, out2, out3 = tmp_path / "s1", tmp_path / "s2", tmp_path / "s3"
-        assert main(["--config", str(cfg_path), "--out", str(out1), "--seed", "1", "simulate"]) == 0
-        assert main(["--config", str(cfg_path), "--out", str(out2), "--seed", "2", "simulate"]) == 0
-        assert main(["--config", str(cfg_path), "--out", str(out3), "--seed", "1", "simulate"]) == 0
+        for out, seed in [(out1, 1), (out2, 2), (out3, 1)]:
+            args = ["--out", str(out), "--override", f"solver.perturbation.seed={seed}", "simulate"]
+            assert main(["--config", str(cfg_path), *args]) == 0
         a = (out1 / "run.csv").read_bytes()
         assert a != (out2 / "run.csv").read_bytes()
         assert a == (out3 / "run.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "args", [["--seed", "1", "simulate"], ["identities", "--samples", "2"]], ids=["seed", "samples"]
+    )
+    def test_removed_flag_is_refused(self, tmp_path, capsys, args):
+        # seeds and counts come from the config alone, so every output echoes them
+        cfg_path = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), *args])
+        assert exc.value.code == 2
+        assert "contraction-lab: error: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_snapshots_format_is_a_config_error(self, tmp_path, capsys):
+        # output.snapshot_stride alone asks for snapshots
+        cfg_path = write_config(tmp_path, {"output": {"formats": ["csv", "json", "snapshots"]}})
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "simulate"]) == 2
+        assert "config invalid at output.formats" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_uncreatable_output_dir_is_a_config_error(self, tmp_path, capsys, where):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out"
+        if where == "flag":
+            args = ["--config", str(write_config(tmp_path)), "--out", str(out), "wave"]
+        else:
+            args = ["--config", str(write_config(tmp_path, {"output": {"dir": str(out)}})), "wave"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(out) in err
 
     def test_module_entry_point(self, tmp_path):
         cfg_path = write_config(tmp_path)

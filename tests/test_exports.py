@@ -134,6 +134,7 @@ def test_work_imports_no_module(tmp_path):
     data["grid"]["num_cells"] = 256
     data["solver"]["t_end"] = 1.0
     data["poincare"] = {"n_samples": 20}
+    data["identities"] = {"n_states": 2}
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(data))
     (tmp_path / "out").mkdir()
@@ -146,7 +147,7 @@ def test_work_imports_no_module(tmp_path):
         "out = Path(sys.argv[2])\n"
         "before = set(sys.modules)\n"
         "codes = [cli.cmd_wave(cfg, out), cli.cmd_simulate(cfg, out),\n"
-        "         cli.cmd_identities(cfg, out, n_random=2), cli.cmd_poincare(cfg, out)]\n"
+        "         cli.cmd_identities(cfg, out), cli.cmd_poincare(cfg, out)]\n"
         "print('RESULT', codes, sorted(set(sys.modules) - before))\n"
     )
     lines = _run_fresh(code, str(cfg_path), str(tmp_path / "out"))

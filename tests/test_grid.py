@@ -37,6 +37,14 @@ class TestGridBasics:
         with pytest.raises(ValueError):
             Grid(0.0, 1.0, 2)
 
+    @pytest.mark.parametrize(
+        "xi_min, xi_max", [(-np.inf, 1.0), (-1.0, np.inf), (-np.inf, np.inf), (np.nan, 1.0)]
+    )
+    def test_non_finite_bounds_rejected(self, xi_min, xi_max):
+        # an infinite end would build NaN nodes
+        with pytest.raises(ValueError, match="need finite xi_min < xi_max"):
+            Grid(xi_min, xi_max, 8)
+
     def test_field_length_checked(self):
         g = Grid(0.0, 1.0, 8)
         with pytest.raises(ValueError):

@@ -348,6 +348,19 @@ class TestRun:
         with pytest.raises(ValueError, match=name):
             replace(cfg, **{name: value})
 
+    @pytest.mark.parametrize(
+        "name, value", [("t_end", np.nan), ("t_end", np.inf), ("dt", np.nan), ("dt", np.inf)]
+    )
+    def test_non_finite_time_is_refused_at_config(self, small_params, name, value):
+        # the Python API skips the config walk; unchecked, a NaN fails inside
+        # run(), t_end inf overflows, and dt inf runs one step with no CFL check
+        cfg = SolverConfig(
+            params=small_params, grid=lab_grid(small_params, num_cells=64), t_end=0.1,
+            perturbation=bump_spec(0.1, 0.0),
+        )
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            replace(cfg, **{name: value})
+
     def test_rmain_is_monitored_in_the_shift_gains_linear_band(self, small_params):
         # Y = +-eps^2 exactly is saturated for the shift, so R_main is not
         # monitored there; Y one ulp inside the band is linear and monitored
