@@ -19,6 +19,14 @@ evaluation starts; the shift substeps stop there.  A report goes on to
 evaluation: d/dxi log n is kept on its State for the state's life, and the
 node coordinates on their Grid.
 
+An array divide costs over twice an array multiply, so the kernel divides
+only where the divisor is an array and a product would not do.  An
+evaluation makes three array divisions: eps / (1 + exp(.)) in the profile,
+the row 1/n~, and n/n~.  Every other "/ n~" of the formulas is a product
+with the 1/n~ row, and every division by a number is a product with its
+reciprocal.  n/n~ stays a division so that n = n~ gives n/n~ = 1, and so
+log(n/n~) = 0, exactly: n (1/n~) need not round to 1.
+
 `evaluate_report` is the one way to read the functionals of a pair: it
 returns one flat `FunctionalReport` whose field order is the column order of
 the run table.  The shift substeps need only Y and I_bad, and read them with
@@ -184,11 +192,11 @@ class _Rows:
         self.dx = grid.dx
         # one array each, not one block: rows of one grid's size come from
         # the heap, where a block of them would be a mapping of its own
-        self.rows = [_placed_row(grid.num_nodes, i * _ROW_SPACING) for i in range(20)]
+        self.rows = [_placed_row(grid.num_nodes, i * _ROW_SPACING) for i in range(21)]
         (self.ntil, self.a, self.ntil_second, self.ntil_prime, self.qtil, self.a_prime,
          self.u, self.dn, self.dn_rel, self.n_over_ntil, self.logratio, self.pi, self.dlog,
          self.eta, self.neg_a_prime, self.a_prime_pi, self.ratio_a, self.ratio_a_a_prime,
-         self.y_integrand, self.w) = self.rows
+         self.y_integrand, self.w, self.inv_ntil) = self.rows
         # q~ is dead once int -a' q~ Pi is taken: its row is the scratch v
         self.v = self.qtil
         # the report stage's arrays, over arrays only the first stage reads;
@@ -224,28 +232,34 @@ def _core(params: WaveParams, state: State, shift: float) -> _Rows:
     Every evaluation, a report or the (Y, I_bad) of a shift substep, starts
     here, once.  Each array is one chain of in-place operations on its row,
     in the left-to-right order of the formula it belongs to, so each value is
-    bit-identical to writing the formula out in full.  The one
-    shift-independent array, d/dxi log n, is kept on the State.
+    bit-identical to writing the formula out in full, with x / n~ read as
+    x (1/n~) and x / s as x (1/s) for a number s.  It divides twice: the row
+    1/n~, and n/n~ (see the module docstring); the profile divides once
+    more.  The one shift-independent array, d/dxi log n, is kept on the
+    State.
     """
     c = _rows(state.grid)
     c.params, c.n = params, state.n.values
     n, q, dx, w = c.n, state.q.values, c.dx, c.w
     ntil, a, ntil_prime, qtil, a_prime = c.ntil, c.a, c.ntil_prime, c.qtil, c.a_prime
-    ratio, sigma = params.eps / params.lam, params.sigma
+    ratio = params.eps / params.lam
     np.subtract(state.grid._nodes, shift, out=ntil)  # xi, until the profile overwrites it
     profile_n(params, ntil, ascending=True, out=ntil)
     _references_into(params, ntil, a, c.ntil_second, ntil_prime, qtil, a_prime)
+    # every "/ n~" of the formulas below is a product with this one row
+    inv_ntil = np.divide(1.0, ntil, out=c.inv_ntil)
 
     u = np.subtract(q, qtil, out=c.u)
     dn = np.subtract(n, ntil, out=c.dn)
-    np.divide(dn, ntil, out=c.dn_rel)
+    np.multiply(dn, inv_ntil, out=c.dn_rel)
+    # a division, not n (1/n~): n = n~ must give n/n~ = 1 and log(n/n~) = 0
     logratio = np.log(np.divide(n, ntil, out=c.n_over_ntil), out=c.logratio)
     # Pi(n | n~) = max(n log(n/n~) - (n - n~), 0)
     pi = np.multiply(n, logratio, out=c.pi)
     pi -= dn
     np.maximum(pi, 0.0, out=pi)
     # d/dxi log(n/n~): only the solution part is differenced, n~'/n~ is analytic
-    dlog = np.divide(ntil_prime, ntil, out=c.dlog)
+    dlog = np.multiply(ntil_prime, inv_ntil, out=c.dlog)
     np.subtract(state._dlog_n, dlog, out=dlog)
     # eta = 0.5 u u + Pi
     eta = np.multiply(0.5, u, out=c.eta)
@@ -258,7 +272,7 @@ def _core(params: WaveParams, state: State, shift: float) -> _Rows:
     # Y: int -a' eta - (eps/lam) a a' ((n - n~)/n~ - u/sigma); restricted to
     # the tube's complement its integrand is Y_s's
     y = np.multiply(neg_a_prime, eta, out=c.y_integrand)
-    np.divide(u, sigma, out=w)
+    np.multiply(u, 1.0 / params.sigma, out=w)
     np.subtract(c.dn_rel, w, out=w)
     w *= ratio_a_a_prime
     y -= w
@@ -271,7 +285,7 @@ def _core(params: WaveParams, state: State, shift: float) -> _Rows:
     # I_bad = int -(a' Pi + (a' - a n~'/n~)(n - n~)) u, the q~ term,
     # int (a n~'/n~ - a') n log(n/n~) d/dxi log(n/n~) and int a (n~''/n~) Pi
     a_ntil_prime = np.multiply(a, ntil_prime, out=c.v)
-    a_ntil_prime /= ntil
+    a_ntil_prime *= inv_ntil
     np.subtract(a_prime, a_ntil_prime, out=w)
     w *= dn
     w += a_prime_pi
@@ -283,7 +297,7 @@ def _core(params: WaveParams, state: State, shift: float) -> _Rows:
     f *= logratio
     f *= dlog
     t3 = integrate_values(f, dx)
-    np.divide(c.ntil_second, ntil, out=w)
+    np.multiply(c.ntil_second, inv_ntil, out=w)
     w *= a
     w *= pi
     c.I_bad = t1 + c.qtil_term + t3 + integrate_values(w, dx)
@@ -295,7 +309,7 @@ def _complete(c: _Rows) -> None:
     B1 and B3, and the arrays that the split reads."""
     params = c.params
     n, dx, w = c.n, c.dx, c.w
-    ntil, a, a_prime, u, pi, dlog = c.ntil, c.a, c.a_prime, c.u, c.pi, c.dlog
+    a, a_prime, u, pi, dlog = c.a, c.a_prime, c.u, c.pi, c.dlog
     ratio, sigma = params.eps / params.lam, params.sigma
     # I_good: sigma int a' u u / 2, sigma int a' Pi (G2) and the dissipation
     # D = int a n |d/dxi log(n/n~)|^2
@@ -312,11 +326,11 @@ def _complete(c: _Rows) -> None:
     # B1 = int -a' q~ Pi - (eps/lam) int a'' (a/n~) Pi
     _a_derivative_of(params, c.ntil_second, out=w)
     w *= -ratio
-    w *= np.divide(a, ntil, out=c.v)
+    w *= np.multiply(a, c.inv_ntil, out=c.v)
     w *= pi
     c.B1 = c.qtil_term + integrate_values(w, dx)
     # B3 = int -a' (1 + (eps/lam) a/n~) n log(n/n~) d/dxi log(n/n~)
-    coeff = np.divide(c.ratio_a, ntil, out=c.ratio_a)
+    coeff = np.multiply(c.ratio_a, c.inv_ntil, out=c.ratio_a)
     coeff += 1.0
     np.multiply(c.neg_a_prime, coeff, out=w)
     w *= n
@@ -326,7 +340,7 @@ def _complete(c: _Rows) -> None:
     # sigma phi = Pi(n|n~) + (1 + (eps/lam) a/n~)(n - n~)
     sigma_phi = np.multiply(coeff, c.dn, out=c.sigma_phi)
     sigma_phi += pi
-    phi = np.divide(sigma_phi, sigma, out=c.phi)
+    phi = np.multiply(sigma_phi, 1.0 / sigma, out=c.phi)
     np.multiply(a_prime, phi, out=c.a_prime_phi)
     np.square(np.add(u, phi, out=c.u_plus_phi), out=c.u_plus_phi_sq)
     deviation = np.subtract(c.n_over_ntil, 1.0, out=c.deviation)
@@ -398,7 +412,7 @@ def _split(c: _Rows, delta: float) -> _Split:
     w *= phi
     w += c.pi
     w *= c.neg_a_prime
-    np.divide(phi, sigma, out=v)
+    np.multiply(phi, 1.0 / sigma, out=v)
     np.add(c.dn_rel, v, out=v)
     v *= c.ratio_a_a_prime
     w -= v

@@ -19,6 +19,7 @@ itself; the suite has no such row.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 from numpy.random import default_rng
@@ -32,16 +33,19 @@ __all__ = ["random_state", "check_identities"]
 
 
 @functools.lru_cache(maxsize=4)
-def _phase_ramps(grid: Grid) -> tuple[np.ndarray, ...]:
-    """2 pi k (xi - xi_min) / span at the nodes for k = 1..6; read-only, shared."""
+def _harmonics(grid: Grid) -> np.ndarray:
+    """sin r_k in rows 0..5 and cos r_k in rows 6..11 of one (12, m) block,
+    r_k = 2 pi k (xi - xi_min) / span at the nodes for k = 1..6; read-only,
+    shared."""
     xi = grid.nodes()
     span = grid.xi_max - grid.xi_min
-    ramps = []
+    block = np.empty((12, grid.num_nodes))
     for k in range(1, 7):
         ramp = 2.0 * np.pi * k * (xi - grid.xi_min) / span
-        ramp.flags.writeable = False
-        ramps.append(ramp)
-    return tuple(ramps)
+        np.sin(ramp, out=block[k - 1])
+        np.cos(ramp, out=block[k + 5])
+    block.flags.writeable = False
+    return block
 
 
 @functools.lru_cache(maxsize=4)
@@ -57,11 +61,22 @@ def random_state(params: WaveParams, grid: Grid, seed: int) -> State:
     well past any tube threshold in (0, 1/2) for most seeds.
     """
     rng = default_rng(seed)
-    g = np.zeros(grid.num_nodes)
-    h = np.zeros(grid.num_nodes)
-    for k, ramp in enumerate(_phase_ramps(grid), start=1):
-        g += rng.normal() / k * np.sin(ramp + rng.uniform(0, 2 * np.pi))
-        h += rng.normal() / k * np.sin(ramp + rng.uniform(0, 2 * np.pi))
+    # g and h are sums over k of (c/k) sin(r_k + phi), each c and phi a
+    # draw, in the order c, phi for g, then for h, at each k.  Written as
+    # (c/k) (cos phi sin r_k + sin phi cos r_k), they are sums of the grid's
+    # harmonics, taken once per grid.  The sums run term by term: a matrix
+    # product would be faster but touches a few hundred KiB of BLAS buffer.
+    coeffs = np.empty((2, 12))
+    for k in range(1, 7):
+        for row in coeffs:
+            amplitude, phase = rng.normal() / k, rng.uniform(0, 2 * np.pi)
+            row[k - 1], row[k + 5] = amplitude * math.cos(phase), amplitude * math.sin(phase)
+    harmonics = _harmonics(grid)
+    g_and_h = np.multiply(coeffs[:, :1], harmonics[0])
+    term = np.empty_like(g_and_h)
+    for j in range(1, 12):
+        g_and_h += np.multiply(coeffs[:, j : j + 1], harmonics[j], out=term)
+    g, h = g_and_h
     g *= rng.uniform(0.05, 1.0) / max(np.max(np.abs(g)), 1e-12)
     h *= rng.uniform(0.05, 1.5) / max(np.max(np.abs(h)), 1e-12)
     refs = _references(params, grid)

@@ -127,6 +127,9 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian_bump", "random_fourier", "shifted_wave", "custom_file"):
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
+        for name in ("amplitude_n", "amplitude_q", "width", "center"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"perturbation {name} must be finite, got {getattr(self, name)}")
         if self.width <= 0.0:
             raise ValueError("width must be positive")
         if self.kind == "custom_file" and self.path is None:
@@ -165,8 +168,9 @@ class SolverConfig:
             raise ValueError("delta0 must lie in (0, 1/2)")
         if not self.delta1 > 0.0:  # inf puts the whole line inside the tube
             raise ValueError("delta1 must be positive")
-        if not self.violation_tol > 0.0:
-            raise ValueError("violation_tol must be positive")
+        # an infinite tolerance would pass every step, whatever E did
+        if not 0.0 < self.violation_tol < np.inf:
+            raise ValueError(f"violation_tol must be positive and finite, got {self.violation_tol}")
         if not (self.grid.xi_min < 0.0 < self.grid.xi_max):
             raise ValueError("grid must bracket the wave center xi = 0")
 

@@ -142,12 +142,20 @@ def _logistic_arg(params: WaveParams, xi, ascending: bool = False, out=None):
     """eps xi / (nu sigma) clamped to +-EXP_CLAMP, in `out` (it may be xi) or
     in one new array (0-d for a scalar xi) that the caller may overwrite.
 
+    The scale is one multiply by the number eps / (nu sigma): an array
+    divide costs over twice a multiply, so the helpers below multiply by
+    the reciprocal where a formula divides by a number.  The one array
+    division left is the profile's eps / (1 + exp(.)), whose divisor is an
+    array.
+
     For an `ascending` xi the argument ascends too, so its two ends are its
     extremes: when both lie inside the clamp, the clamp would change nothing
     and is skipped.
     """
-    z = np.multiply(params.eps, xi, out=np.empty(np.shape(xi)) if out is None else out)
-    z /= params.nu * params.sigma
+    z = np.multiply(
+        params.eps / (params.nu * params.sigma), xi,
+        out=np.empty(np.shape(xi)) if out is None else out,
+    )
     if ascending and z.size and -EXP_CLAMP <= z.flat[0] and z.flat[-1] <= EXP_CLAMP:
         return z
     return np.clip(z, -EXP_CLAMP, EXP_CLAMP, out=z)
@@ -186,19 +194,19 @@ def _n_prime_of(params: WaveParams, below, above, out=None):
     be an input the caller no longer needs), and into new storage otherwise.
     """
     n_prime = np.multiply(below, above, out=out)
-    return np.divide(n_prime, params.nu * params.sigma, out=out)
+    return np.multiply(n_prime, 1.0 / (params.nu * params.sigma), out=out)
 
 
 def _n_second_of(params: WaveParams, n_prime, below, above, out=None):
     """n~'' from n~' and the offsets (n~ - n_-, n~ - n_+)."""
     n_second = np.add(below, above, out=out)
     n_second = np.multiply(n_prime, n_second, out=out)
-    return np.divide(n_second, params.nu * params.sigma, out=out)
+    return np.multiply(n_second, 1.0 / (params.nu * params.sigma), out=out)
 
 
 def _q_of(params: WaveParams, below, out=None):
     """q~ from n~ - n_-."""
-    q = np.divide(below, params.sigma, out=out)
+    q = np.multiply(below, 1.0 / params.sigma, out=out)
     return np.subtract(params.q_minus, q, out=out)
 
 

@@ -16,7 +16,7 @@ from contraction_lab import (
     evaluate_report,
     pi_rel,
 )
-from contraction_lab.functionals import _complete, _core, _split, reference_arrays
+from contraction_lab.functionals import ReferenceArrays, _complete, _core, _split, reference_arrays
 from contraction_lab.grid import _ddx_central, integrate_values
 from contraction_lab.identities import random_state
 from contraction_lab.wave import (
@@ -610,7 +610,7 @@ class TestReferenceArrays:
         lo, hi = {"both": (-1.2, 1.2), "left": (-1.2, 0.5), "right": (-0.5, 1.2)}[ends]
         grid = Grid(lo * reach, hi * reach, 1000)
         xi = grid.nodes()
-        z = params.eps * xi / (params.nu * params.sigma)
+        z = (params.eps / (params.nu * params.sigma)) * xi
         assert (z[0] < -EXP_CLAMP) == (ends != "right")
         assert (z[-1] > EXP_CLAMP) == (ends != "left")
         assert np.array_equal(
@@ -635,22 +635,24 @@ class TestReferenceArrays:
 
 
 # The core, split and report written out eagerly: every array of the core
-# built up front as a new array, every formula written out in full.  The
-# oracle for the bit-identity of the kernel, which writes the same operations
-# into its grid's rows.
+# built up front as a new array, every formula written out in full, with
+# each "/ n~" a product with the one array 1/n~ and each division by a
+# number a product with its reciprocal.  The oracle for the bit-identity of
+# the kernel, which writes the same operations into its grid's rows.
 def _eager_core(params, state, shift):
     refs = reference_arrays(params, state.grid, shift)
     n = state.n.values
     q = state.q.values
+    inv = 1.0 / refs.ntil
     u = q - refs.qtil
     pi = np.maximum(n * np.log(n / refs.ntil) - (n - refs.ntil), 0.0)
     logratio = np.log(n / refs.ntil)
-    dlog = _ddx_central(np.log(n), state.grid.dx) - refs.ntil_prime / refs.ntil
+    dlog = _ddx_central(np.log(n), state.grid.dx) - refs.ntil_prime * inv
     ratio = params.eps / params.lam
-    phi = (pi + (1.0 + ratio * refs.a / refs.ntil) * (n - refs.ntil)) / params.sigma
+    phi = (pi + (1.0 + ratio * refs.a * inv) * (n - refs.ntil)) * (1.0 / params.sigma)
     eta = 0.5 * u * u + pi
-    return dict(refs=refs, dx=state.grid.dx, n=n, q=q, u=u, pi=pi, logratio=logratio,
-                dlog=dlog, phi=phi, eta=eta)
+    return dict(refs=refs, dx=state.grid.dx, n=n, q=q, inv=inv, u=u, pi=pi,
+                logratio=logratio, dlog=dlog, phi=phi, eta=eta)
 
 
 def _eager_dissipation(c):
@@ -658,23 +660,23 @@ def _eager_dissipation(c):
 
 
 def _eager_Y(params, c):
-    r = c["refs"]
+    r, inv = c["refs"], c["inv"]
     ratio = params.eps / params.lam
     integ = -r.a_prime * c["eta"] - ratio * r.a * r.a_prime * (
-        (c["n"] - r.ntil) / r.ntil - c["u"] / params.sigma
+        (c["n"] - r.ntil) * inv - c["u"] * (1.0 / params.sigma)
     )
     return integrate_values(integ, c["dx"])
 
 
 def _eager_I_bad(params, c):
-    r, n, u, pi, dx = c["refs"], c["n"], c["u"], c["pi"], c["dx"]
-    coupling = r.a_prime * pi + (r.a_prime - r.a * r.ntil_prime / r.ntil) * (n - r.ntil)
+    r, n, u, pi, dx, inv = c["refs"], c["n"], c["u"], c["pi"], c["dx"], c["inv"]
+    coupling = r.a_prime * pi + (r.a_prime - r.a * r.ntil_prime * inv) * (n - r.ntil)
     t1 = integrate_values(-coupling * u, dx)
     t2 = integrate_values(-r.a_prime * r.qtil * pi, dx)
     t3 = integrate_values(
-        (r.a * r.ntil_prime / r.ntil - r.a_prime) * n * c["logratio"] * c["dlog"], dx
+        (r.a * r.ntil_prime * inv - r.a_prime) * n * c["logratio"] * c["dlog"], dx
     )
-    t4 = integrate_values(r.a * (r.ntil_second / r.ntil) * pi, dx)
+    t4 = integrate_values(r.a * (r.ntil_second * inv) * pi, dx)
     return t1 + t2 + t3 + t4
 
 
@@ -687,11 +689,140 @@ def _eager_I_good(params, c):
 
 def _eager_split(params, c, delta):
     r, n, u, pi, phi, eta, dx = (c[k] for k in ("refs", "n", "u", "pi", "phi", "eta", "dx"))
+    inv, over_sigma = c["inv"], 1.0 / params.sigma
+    ratio = params.eps / params.lam
+    inside = (np.abs(n / r.ntil - 1.0) <= delta).astype(float)
+    outside = 1.0 - inside
+    coeff = 1.0 + ratio * r.a * inv
+    a_second = _a_derivative_of(params, profile_n_second(params, r.xi))
+    b1 = integrate_values(-r.a_prime * r.qtil * pi, dx) + integrate_values(
+        -ratio * a_second * (r.a * inv) * pi, dx
+    )
+    b2_in = 0.5 * params.sigma * integrate_values(r.a_prime * phi * phi * inside, dx)
+    b2_out = integrate_values(-r.a_prime * (pi + coeff * (n - r.ntil)) * u * outside, dx)
+    b3 = integrate_values(-r.a_prime * coeff * n * c["logratio"] * c["dlog"], dx)
+    g1_in = 0.5 * params.sigma * integrate_values(r.a_prime * (u + phi) ** 2 * inside, dx)
+    g1_out = 0.5 * params.sigma * integrate_values(r.a_prime * u * u * outside, dx)
+    g2 = params.sigma * integrate_values(r.a_prime * pi, dx)
+    d = _eager_dissipation(c)
+    y_g = integrate_values(
+        (-r.a_prime * (0.5 * phi * phi + pi)
+         - ratio * r.a * r.a_prime * ((n - r.ntil) * inv + phi * over_sigma))
+        * inside,
+        dx,
+    )
+    y_b = integrate_values(
+        (-0.5 * r.a_prime * (u + phi) ** 2 + r.a_prime * phi * (u + phi)) * inside, dx
+    )
+    y_l = (ratio / params.sigma) * integrate_values(r.a * r.a_prime * (u + phi) * inside, dx)
+    y_s = integrate_values(
+        (-r.a_prime * eta
+         - ratio * r.a * r.a_prime * ((n - r.ntil) * inv - u * over_sigma))
+        * outside,
+        dx,
+    )
+    return (b1, b2_in, b2_out, b3), (g1_in, g1_out, g2, d), (y_g, y_b, y_l, y_s)
+
+
+def _report_of(params, delta0, delta1, y, i_bad, i_good, b_parts, g_parts, y_parts,
+               eta_weighted, eta_unweighted):
+    """The report's fields from its integrals, in column order."""
+    g = g_parts[0] + g_parts[1] + g_parts[2] + g_parts[3]
+    b = b_parts[0] + b_parts[1] + b_parts[2] + b_parts[3]
+    r = -(y * y) / params.eps**4 + b + delta0 * (params.eps / params.lam) * abs(b) - g + delta0 * g_parts[3]
+    return {
+        "eta_weighted": eta_weighted,
+        "Y": y,
+        "I_bad": i_bad,
+        "I_good": i_good,
+        "B_delta": b,
+        "G_delta": g,
+        "D": g_parts[3],
+        **dict(zip(("Y_g", "Y_b", "Y_l", "Y_s"), y_parts)),
+        **dict(zip(("B1", "B2_in", "B2_out", "B3"), b_parts)),
+        **dict(zip(("G1_in", "G1_out", "G2", "G_D"), g_parts)),
+        "R_main": r,
+        "delta_used": delta1,
+        "eta_unweighted": eta_unweighted,
+    }
+
+
+def _eager_report(params, c, delta0, delta1):
+    return _report_of(
+        params, delta0, delta1, _eager_Y(params, c), _eager_I_bad(params, c),
+        _eager_I_good(params, c), *_eager_split(params, c, delta1),
+        integrate_values(c["refs"].a * c["eta"], c["dx"]), integrate_values(c["eta"], c["dx"]),
+    )
+
+
+# The same report in the division form of the kernel before it multiplied by
+# reciprocals, kept verbatim: the references, the central stencil and the
+# formulas with every "/" a division.  The multiply form is held to it
+# within a bound derived from the terms (`_rounding_bounds`).
+def _division_references(params, grid, shift):
+    xi = grid.nodes() - shift
+    z = np.clip(params.eps * xi / (params.nu * params.sigma), -EXP_CLAMP, EXP_CLAMP)
+    ntil = params.n_plus + params.eps / (1.0 + np.exp(z))
+    below, above = ntil - params.n_minus, ntil - params.n_plus
+    ntil_prime = below * above / (params.nu * params.sigma)
+    ntil_second = ntil_prime * (below + above) / (params.nu * params.sigma)
+    qtil = params.q_minus - below / params.sigma
+    a = 1.0 - (params.lam / params.eps) * below
+    a_prime = -(params.lam / params.eps) * ntil_prime
+    return ReferenceArrays(xi, ntil, ntil_prime, ntil_second, qtil, a, a_prime)
+
+
+def _division_central(v, dx):
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
+    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dx)
+    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dx)
+    return out
+
+
+def _division_core(params, state, shift):
+    refs = _division_references(params, state.grid, shift)
+    n = state.n.values
+    q = state.q.values
+    u = q - refs.qtil
+    pi = np.maximum(n * np.log(n / refs.ntil) - (n - refs.ntil), 0.0)
+    logratio = np.log(n / refs.ntil)
+    dlog = _division_central(np.log(n), state.grid.dx) - refs.ntil_prime / refs.ntil
+    ratio = params.eps / params.lam
+    phi = (pi + (1.0 + ratio * refs.a / refs.ntil) * (n - refs.ntil)) / params.sigma
+    eta = 0.5 * u * u + pi
+    return dict(refs=refs, dx=state.grid.dx, n=n, q=q, u=u, pi=pi, logratio=logratio,
+                dlog=dlog, phi=phi, eta=eta)
+
+
+def _division_Y(params, c):
+    r = c["refs"]
+    ratio = params.eps / params.lam
+    integ = -r.a_prime * c["eta"] - ratio * r.a * r.a_prime * (
+        (c["n"] - r.ntil) / r.ntil - c["u"] / params.sigma
+    )
+    return integrate_values(integ, c["dx"])
+
+
+def _division_I_bad(params, c):
+    r, n, u, pi, dx = c["refs"], c["n"], c["u"], c["pi"], c["dx"]
+    coupling = r.a_prime * pi + (r.a_prime - r.a * r.ntil_prime / r.ntil) * (n - r.ntil)
+    t1 = integrate_values(-coupling * u, dx)
+    t2 = integrate_values(-r.a_prime * r.qtil * pi, dx)
+    t3 = integrate_values(
+        (r.a * r.ntil_prime / r.ntil - r.a_prime) * n * c["logratio"] * c["dlog"], dx
+    )
+    t4 = integrate_values(r.a * (r.ntil_second / r.ntil) * pi, dx)
+    return t1 + t2 + t3 + t4
+
+
+def _division_split(params, c, delta):
+    r, n, u, pi, phi, eta, dx = (c[k] for k in ("refs", "n", "u", "pi", "phi", "eta", "dx"))
     ratio = params.eps / params.lam
     inside = (np.abs(n / r.ntil - 1.0) <= delta).astype(float)
     outside = 1.0 - inside
     coeff = 1.0 + ratio * r.a / r.ntil
-    a_second = _a_derivative_of(params, profile_n_second(params, r.xi))
+    a_second = -(params.lam / params.eps) * r.ntil_second
     b1 = integrate_values(-r.a_prime * r.qtil * pi, dx) + integrate_values(
         -ratio * a_second * (r.a / r.ntil) * pi, dx
     )
@@ -721,27 +852,120 @@ def _eager_split(params, c, delta):
     return (b1, b2_in, b2_out, b3), (g1_in, g1_out, g2, d), (y_g, y_b, y_l, y_s)
 
 
-def _eager_report(params, c, delta0, delta1):
-    b_parts, g_parts, y_parts = _eager_split(params, c, delta1)
-    y = _eager_Y(params, c)
-    g = g_parts[0] + g_parts[1] + g_parts[2] + g_parts[3]
-    b = b_parts[0] + b_parts[1] + b_parts[2] + b_parts[3]
-    r = -(y * y) / params.eps**4 + b + delta0 * (params.eps / params.lam) * abs(b) - g + delta0 * g_parts[3]
-    return {
-        "eta_weighted": integrate_values(c["refs"].a * c["eta"], c["dx"]),
-        "Y": y,
-        "I_bad": _eager_I_bad(params, c),
-        "I_good": _eager_I_good(params, c),
-        "B_delta": b,
-        "G_delta": g,
-        "D": g_parts[3],
-        **dict(zip(("Y_g", "Y_b", "Y_l", "Y_s"), y_parts)),
-        **dict(zip(("B1", "B2_in", "B2_out", "B3"), b_parts)),
-        **dict(zip(("G1_in", "G1_out", "G2", "G_D"), g_parts)),
-        "R_main": r,
-        "delta_used": delta1,
-        "eta_unweighted": integrate_values(c["eta"], c["dx"]),
+def _division_report(params, c, delta0, delta1):
+    return _report_of(
+        params, delta0, delta1, _division_Y(params, c), _division_I_bad(params, c),
+        _eager_I_good(params, c), *_division_split(params, c, delta1),
+        integrate_values(c["refs"].a * c["eta"], c["dx"]), integrate_values(c["eta"], c["dx"]),
+    )
+
+
+# Roundings allowed per term between the two forms, to first order.  The
+# forms round the logistic's argument z differently, each by at most 2u |z|,
+# and the logistic carries that into the offsets n~ - n_+-, and so into every
+# reference, as at most 4u |z| of their magnitude: 124 u at |z| <= 31, the
+# reach of this grid and shift.  The rest of the longest chain from xi to a
+# term (the profile, an offset, n~', a weight, a kernel array, the products
+# of the integrand) is at most 24 roundings in each form, 48; and each
+# form's pairwise sum over 1025 nodes errs by at most 10 u: 20.
+ROUNDINGS = 124 + 48 + 20
+
+
+def _rounding_bounds(params, c, delta0, delta1, want):
+    """A bound on |multiply form - division form| for every report field.
+
+    Each field is a sum of integrals of products.  Its absolute form is
+    each term with every factor at its magnitude, and with every
+    difference the kernel takes made a sum of magnitudes (|x - y| <= |x| +
+    |y|), since the forms' references, and so the operands, differ by
+    roundings: n - n~ by ulps of n~, say, not of n - n~.  log(n/n~) errs
+    absolutely, so its magnitude is 1 + |log(n/n~)|.  At each node a
+    rounding moves a term by at most u times its absolute form, so the
+    bound is ROUNDINGS u times the integral of the field's absolute forms.
+    R_main's propagates those of Y, B, G and D through its formula, plus
+    the roundings of the formula itself; `want` is the division form's
+    report.  A node whose tube test flips between the forms would break
+    the bound; none lies within rounding of a threshold here.
+    """
+    r, n, dx = c["refs"], c["n"], c["dx"]
+    ratio, sigma = params.eps / params.lam, params.sigma
+    ntil, a, a_prime, qtil = r.ntil, np.abs(r.a), np.abs(r.a_prime), np.abs(r.qtil)
+    ntil_prime, ntil_second = np.abs(r.ntil_prime), np.abs(r.ntil_second)
+    a_second = ntil_second / ratio
+    u = np.abs(c["q"]) + qtil
+    dn = n + ntil
+    log = 1.0 + np.abs(c["logratio"])
+    pi = n * log + dn
+    dlog = np.abs(_division_central(np.log(n), dx)) + ntil_prime / ntil
+    eta = 0.5 * u * u + pi
+    coeff = 1.0 + ratio * a / ntil
+    phi = (pi + coeff * dn) / sigma
+    inside = (np.abs(n / ntil - 1.0) <= delta1).astype(float)
+    outside = 1.0 - inside
+
+    y = a_prime * eta + ratio * a * a_prime * (dn / ntil + u / sigma)
+    qtil_term = a_prime * qtil * pi
+    d = a * n * dlog * dlog
+    g2 = sigma * a_prime * pi
+    terms = {
+        "eta_weighted": [a * eta],
+        "Y": [y],
+        "I_bad": [
+            (a_prime * pi + (a_prime + a * ntil_prime / ntil) * dn) * u,
+            qtil_term,
+            (a * ntil_prime / ntil + a_prime) * n * log * dlog,
+            a * ntil_second / ntil * pi,
+        ],
+        "I_good": [0.5 * sigma * a_prime * u * u, g2, d],
+        "D": [d],
+        "Y_g": [(a_prime * (0.5 * phi * phi + pi)
+                 + ratio * a * a_prime * (dn / ntil + phi / sigma)) * inside],
+        "Y_b": [(0.5 * a_prime * (u + phi) ** 2 + a_prime * phi * (u + phi)) * inside],
+        "Y_l": [ratio / sigma * a * a_prime * (u + phi) * inside],
+        "Y_s": [y * outside],
+        "B1": [qtil_term, ratio * a_second * a / ntil * pi],
+        "B2_in": [0.5 * sigma * a_prime * phi * phi * inside],
+        "B2_out": [a_prime * (pi + coeff * dn) * u * outside],
+        "B3": [a_prime * coeff * n * log * dlog],
+        "G1_in": [0.5 * sigma * a_prime * (u + phi) ** 2 * inside],
+        "G1_out": [0.5 * sigma * a_prime * u * u * outside],
+        "G2": [g2],
+        "G_D": [d],
+        "eta_unweighted": [eta],
     }
+    terms["B_delta"] = [t for k in ("B1", "B2_in", "B2_out", "B3") for t in terms[k]]
+    terms["G_delta"] = [t for k in ("G1_in", "G1_out", "G2", "G_D") for t in terms[k]]
+    u_round = np.finfo(float).eps / 2.0
+    bound = {k: ROUNDINGS * u_round * sum(integrate_values(t, dx) for t in ts)
+             for k, ts in terms.items()}
+    y_abs, b_abs, g_abs = abs(want["Y"]), abs(want["B_delta"]), abs(want["G_delta"])
+    bound["R_main"] = (
+        (2.0 * y_abs + bound["Y"]) * bound["Y"] / params.eps**4
+        + (1.0 + delta0 * ratio) * bound["B_delta"] + bound["G_delta"] + delta0 * bound["D"]
+        + ROUNDINGS * u_round * (
+            y_abs * y_abs / params.eps**4 + (1.0 + delta0 * ratio) * b_abs + g_abs
+            + delta0 * want["D"]
+        )
+    )
+    bound["delta_used"] = 0.0
+    return bound
+
+
+class TestDivisionForm:
+    @pytest.mark.parametrize("shift", [0.0, 3.7, -3.7])
+    def test_report_within_rounding_of_division_form(self, params, grid, shift):
+        # the kernel multiplies by 1/n~ and by reciprocals of numbers where
+        # it divided before; every report field stays within the rounding
+        # bound of the division form, on large random states
+        for seed in (3, 17, 40):
+            state = random_state(params, grid, seed)
+            rep = evaluate_report(params, state, 0.01, 0.25, shift)
+            c = _division_core(params, state, shift)
+            want = _division_report(params, c, 0.01, 0.25)
+            bound = _rounding_bounds(params, c, 0.01, 0.25, want)
+            assert list(want) == list(cl.functionals.REPORT_COLUMNS) and set(bound) == set(want)
+            for name, value in want.items():
+                assert abs(getattr(rep, name) - value) <= bound[name], name
 
 
 class TestLazyCore:

@@ -283,6 +283,6 @@ class TestStencils:
         # the upwind-biased stencil at negative speed, written out: the
         # three-point forward stencil over the central one
         want = _ddx_central(v, g.dx).copy()
-        want[:-2] = (-3.0 * v[:-2] + 4.0 * v[1:-1] - v[2:]) / (2.0 * g.dx)
+        want[:-2] = (-3.0 * v[:-2] + 4.0 * v[1:-1] - v[2:]) * (1.0 / (2.0 * g.dx))
         got = _ddx_forward_biased(v, g.dx)
         assert np.array_equal(got, want)

@@ -5,7 +5,7 @@ from contraction_lab import identities, make_wave_params
 from contraction_lab.functionals import State, _split, evaluate_report, reference_arrays
 from contraction_lab.grid import GridField
 from contraction_lab.identities import (
-    _phase_ramps,
+    _harmonics,
     _references,
     _rel_err,
     check_identities,
@@ -42,16 +42,21 @@ class TestRandomState:
         params = make_wave_params(2.0, 0.0, eps=eps, lam=lam)
         grid = lab_grid(params, num_cells=num_cells)
         for seed in (0, 1, 17, 123):
-            got, want = random_state(params, grid, seed), _reference_random_state(params, grid, seed)
-            assert np.array_equal(got.n.values, want.n.values)
-            assert np.array_equal(got.q.values, want.q.values)
+            got = random_state(params, grid, seed)
+            want, bound_g, bound_h = _reference_random_state(params, grid, seed)
+            # n = n~ exp(g), and both forms multiply the same n~
+            u = np.finfo(float).eps / 2.0
+            assert np.max(np.abs(np.log(got.n.values / want.n.values))) <= bound_g + 4.0 * u
+            assert np.max(np.abs(got.q.values - want.q.values)) <= (
+                bound_h + 2.0 * u * np.max(np.abs(want.q.values))
+            )
 
     def test_fixed_arrays_are_shared_and_read_only(self, params):
         grid = lab_grid(params, num_cells=128)
-        ramps, refs = _phase_ramps(grid), _references(params, grid)
+        harmonics, refs = _harmonics(grid), _references(params, grid)
         random_state(params, grid, 5)
-        assert _phase_ramps(grid) is ramps and _references(params, grid) is refs
-        assert len(ramps) == 6 and not any(r.flags.writeable for r in ramps)
+        assert _harmonics(grid) is harmonics and _references(params, grid) is refs
+        assert harmonics.shape == (12, grid.num_nodes) and not harmonics.flags.writeable
         arrays = (refs.xi, refs.ntil, refs.ntil_prime, refs.ntil_second, refs.qtil, refs.a, refs.a_prime)
         assert not any(a.flags.writeable for a in arrays)
         fresh = reference_arrays(params, grid)
@@ -114,18 +119,35 @@ def _reference_check_one(params, grid, seed, deltas):
 
 
 def _reference_random_state(params, grid, seed):
-    # random_state as it was before its ramps and references were cached
+    # random_state as it was before it read cached harmonics: twelve sines
+    # of r_k + phi, each argument rounded before its sine.  Also returns a
+    # bound on how far random_state's final g and h may lie from these.  A
+    # term (c/k) sin(r_k + phi) of either form errs by at most
+    # (|r_k + phi| + 6) u |c|/k (the rounded argument, the sines and the
+    # products; r_k is the same array in both), and a sum of six such terms
+    # by 6 u sum |c|/k more.  Scaling by s / max|g| at most doubles the
+    # relative error of g.
     rng = np.random.default_rng(seed)
     xi = grid.nodes()
     span = grid.xi_max - grid.xi_min
     g = np.zeros_like(xi)
     h = np.zeros_like(xi)
+    size_g = size_h = 0.0  # sum of |c|/k
     for k in range(1, 7):
-        g += rng.normal() / k * np.sin(2.0 * np.pi * k * (xi - grid.xi_min) / span + rng.uniform(0, 2 * np.pi))
-        h += rng.normal() / k * np.sin(2.0 * np.pi * k * (xi - grid.xi_min) / span + rng.uniform(0, 2 * np.pi))
-    g *= rng.uniform(0.05, 1.0) / max(np.max(np.abs(g)), 1e-12)
-    h *= rng.uniform(0.05, 1.5) / max(np.max(np.abs(h)), 1e-12)
+        c = rng.normal() / k
+        g += c * np.sin(2.0 * np.pi * k * (xi - grid.xi_min) / span + rng.uniform(0, 2 * np.pi))
+        size_g += abs(c)
+        c = rng.normal() / k
+        h += c * np.sin(2.0 * np.pi * k * (xi - grid.xi_min) / span + rng.uniform(0, 2 * np.pi))
+        size_h += abs(c)
+    reach = 2.0 * np.pi * 7  # |r_k + phi| <= 2 pi k + 2 pi
+    u = np.finfo(float).eps / 2.0
+    bounds = []
+    for values, size, scale in ((g, size_g, rng.uniform(0.05, 1.0)), (h, size_h, rng.uniform(0.05, 1.5))):
+        peak = max(np.max(np.abs(values)), 1e-12)
+        values *= scale / peak
+        bounds.append(2.0 * scale / peak * (reach + 12.0) * u * size)
     refs = reference_arrays(params, grid)
     n = refs.ntil * np.exp(g)
     q = refs.qtil + h
-    return State(n=GridField(grid, n), q=GridField(grid, q))
+    return State(n=GridField(grid, n), q=GridField(grid, q)), *bounds

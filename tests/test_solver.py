@@ -97,6 +97,14 @@ class TestInitialState:
         with pytest.raises(ValueError):
             PerturbationSpec(kind="sawtooth")
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["center", "width", "amplitude_n", "amplitude_q"])
+    def test_non_finite_field_rejected(self, name, value):
+        # unchecked, center inf makes the bump exp(-inf) = 0 at every node:
+        # a run of the bare wave that reads as a perturbed one
+        with pytest.raises(ValueError, match=f"perturbation {name} must be finite"):
+            PerturbationSpec(**{"amplitude_n": 0.2, name: value})
+
 
 def make_stepper(params, grid, dt):
     return _Stepper(params, grid, reference_arrays(params, grid), dt)
@@ -114,19 +122,20 @@ def take_steps(stepper, state, steps):
 
 # The step as it was before the stepper factored its matrix and wrote its
 # stages in place: every stage a new array, every stencil written out in
-# full, and the banded matrix solved by scipy.linalg.solve_banded (LAPACK's
-# gtsv).  The oracle for the bit-identity of the stepper.
+# full (scaled by the reciprocal 1 / (2 dx)), and the banded matrix solved
+# by scipy.linalg.solve_banded (LAPACK's gtsv).  The oracle for the
+# bit-identity of the stepper.
 def _eager_central(v, dx):
     out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dx)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dx)
+    out[1:-1] = (v[2:] - v[:-2]) * (1.0 / (2.0 * dx))
+    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) * (1.0 / (2.0 * dx))
+    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) * (1.0 / (2.0 * dx))
     return out
 
 
 def _eager_forward(v, dx):
     out = np.empty_like(v)
-    out[:-2] = (-3.0 * v[:-2] + 4.0 * v[1:-1] - v[2:]) / (2.0 * dx)
+    out[:-2] = (-3.0 * v[:-2] + 4.0 * v[1:-1] - v[2:]) * (1.0 / (2.0 * dx))
     out[-2:] = _eager_central(v[-3:], dx)[1:]
     return out
 
@@ -289,6 +298,7 @@ class TestRun:
         assert np.all(np.asarray(m["X"]) == 0.0)
         assert np.all(np.asarray(m["eta_weighted"]) == 0.0)
         assert np.all(np.asarray(m["Y"]) == 0.0)
+        assert np.all(np.asarray(m["I_bad"]) == 0.0)
         assert np.all(np.asarray(m["violation"]) == 0.0)
         assert res.verdict()["contraction_held"]
         assert res.verdict()["max_violation"] == 0.0
@@ -347,6 +357,17 @@ class TestRun:
         )
         with pytest.raises(ValueError, match=name):
             replace(cfg, **{name: value})
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_violation_tol_must_be_finite(self, small_params, value):
+        # an infinite tolerance passes every step, so contraction_held could
+        # never be false
+        cfg = SolverConfig(
+            params=small_params, grid=lab_grid(small_params, num_cells=64), t_end=0.1,
+            perturbation=bump_spec(0.1, 0.0),
+        )
+        with pytest.raises(ValueError, match="violation_tol must be positive and finite"):
+            replace(cfg, violation_tol=value)
 
     @pytest.mark.parametrize(
         "name, value", [("t_end", np.nan), ("t_end", np.inf), ("dt", np.nan), ("dt", np.inf)]
