@@ -192,11 +192,13 @@ class _Rows:
         self.dx = grid.dx
         # one array each, not one block: rows of one grid's size come from
         # the heap, where a block of them would be a mapping of its own
-        self.rows = [_placed_row(grid.num_nodes, i * _ROW_SPACING) for i in range(21)]
+        self.rows = [_placed_row(grid.num_nodes, i * _ROW_SPACING) for i in range(20)]
         (self.ntil, self.a, self.ntil_second, self.ntil_prime, self.qtil, self.a_prime,
          self.u, self.dn, self.dn_rel, self.n_over_ntil, self.logratio, self.pi, self.dlog,
          self.eta, self.neg_a_prime, self.a_prime_pi, self.ratio_a, self.ratio_a_a_prime,
-         self.y_integrand, self.w, self.inv_ntil) = self.rows
+         self.y_integrand, self.w) = self.rows
+        # n~ is dead once n - n~ and n/n~ are taken: its row then holds 1/n~
+        self.inv_ntil = self.ntil
         # q~ is dead once int -a' q~ Pi is taken: its row is the scratch v
         self.v = self.qtil
         # the report stage's arrays, over arrays only the first stage reads;
@@ -246,14 +248,15 @@ def _core(params: WaveParams, state: State, shift: float) -> _Rows:
     np.subtract(state.grid._nodes, shift, out=ntil)  # xi, until the profile overwrites it
     profile_n(params, ntil, ascending=True, out=ntil)
     _references_into(params, ntil, a, c.ntil_second, ntil_prime, qtil, a_prime)
-    # every "/ n~" of the formulas below is a product with this one row
-    inv_ntil = np.divide(1.0, ntil, out=c.inv_ntil)
 
     u = np.subtract(q, qtil, out=c.u)
     dn = np.subtract(n, ntil, out=c.dn)
-    np.multiply(dn, inv_ntil, out=c.dn_rel)
     # a division, not n (1/n~): n = n~ must give n/n~ = 1 and log(n/n~) = 0
     logratio = np.log(np.divide(n, ntil, out=c.n_over_ntil), out=c.logratio)
+    # nothing reads n~ after this: every "/ n~" below is a product with 1/n~,
+    # written over it
+    inv_ntil = np.divide(1.0, ntil, out=c.inv_ntil)
+    np.multiply(dn, inv_ntil, out=c.dn_rel)
     # Pi(n | n~) = max(n log(n/n~) - (n - n~), 0)
     pi = np.multiply(n, logratio, out=c.pi)
     pi -= dn

@@ -885,7 +885,7 @@ def _rounding_bounds(params, c, delta0, delta1, want):
     R_main's propagates those of Y, B, G and D through its formula, plus
     the roundings of the formula itself; `want` is the division form's
     report.  A node whose tube test flips between the forms would break
-    the bound; none lies within rounding of a threshold here.
+    the bound, so the test checks first that none does.
     """
     r, n, dx = c["refs"], c["n"], c["dx"]
     ratio, sigma = params.eps / params.lam, params.sigma
@@ -964,6 +964,11 @@ class TestDivisionForm:
             want = _division_report(params, c, 0.01, 0.25)
             bound = _rounding_bounds(params, c, 0.01, 0.25, want)
             assert list(want) == list(cl.functionals.REPORT_COLUMNS) and set(bound) == set(want)
+            # the bound holds only if every node is on the same side of the
+            # tube in both forms: the kernel's split mask is still in its row
+            inside = np.abs(c["n"] / c["refs"].ntil - 1.0) <= 0.25
+            kernel_inside = cl.functionals._rows(grid).inside == 1.0
+            assert np.array_equal(kernel_inside, inside), "a tube test flips between the forms"
             for name, value in want.items():
                 assert abs(getattr(rep, name) - value) <= bound[name], name
 

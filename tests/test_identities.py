@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,10 +44,22 @@ class TestRandomState:
         params = make_wave_params(2.0, 0.0, eps=eps, lam=lam)
         grid = lab_grid(params, num_cells=num_cells)
         for seed in (0, 1, 17, 123):
+            got, want = random_state(params, grid, seed), _reference_random_state(params, grid, seed)
+            assert np.array_equal(got.n.values, want.n.values)
+            assert np.array_equal(got.q.values, want.q.values)
+
+    @pytest.mark.parametrize("eps, lam", [(0.1, 0.3), (0.05, 0.25)])
+    @pytest.mark.parametrize("num_cells", [256, 1024])
+    def test_within_rounding_of_twelve_sines(self, eps, lam, num_cells):
+        # the harmonics form against sin(r_k + phi) taken directly, within a
+        # bound derived from the draws (see _twelve_sines_random_state)
+        params = make_wave_params(2.0, 0.0, eps=eps, lam=lam)
+        grid = lab_grid(params, num_cells=num_cells)
+        u = np.finfo(float).eps / 2.0
+        for seed in (0, 1, 17, 123):
             got = random_state(params, grid, seed)
-            want, bound_g, bound_h = _reference_random_state(params, grid, seed)
+            want, bound_g, bound_h = _twelve_sines_random_state(params, grid, seed)
             # n = n~ exp(g), and both forms multiply the same n~
-            u = np.finfo(float).eps / 2.0
             assert np.max(np.abs(np.log(got.n.values / want.n.values))) <= bound_g + 4.0 * u
             assert np.max(np.abs(got.q.values - want.q.values)) <= (
                 bound_h + 2.0 * u * np.max(np.abs(want.q.values))
@@ -119,6 +133,29 @@ def _reference_check_one(params, grid, seed, deltas):
 
 
 def _reference_random_state(params, grid, seed):
+    # random_state without its caches, written out straight-line: each
+    # sin(r_k + phi) as (c/k) cos phi sin r_k + (c/k) sin phi cos r_k, the
+    # sine terms of k = 1..6 summed first, then the cosine terms
+    rng = np.random.default_rng(seed)
+    xi = grid.nodes()
+    span = grid.xi_max - grid.xi_min
+    sines, cosines = {"g": [], "h": []}, {"g": [], "h": []}
+    for k in range(1, 7):
+        ramp = 2.0 * np.pi * k * (xi - grid.xi_min) / span
+        for name in ("g", "h"):
+            c, phi = rng.normal() / k, rng.uniform(0, 2 * np.pi)
+            sines[name].append(c * math.cos(phi) * np.sin(ramp))
+            cosines[name].append(c * math.sin(phi) * np.cos(ramp))
+    g, h = (sum(sines[name] + cosines[name]) for name in ("g", "h"))
+    g *= rng.uniform(0.05, 1.0) / max(np.max(np.abs(g)), 1e-12)
+    h *= rng.uniform(0.05, 1.5) / max(np.max(np.abs(h)), 1e-12)
+    refs = reference_arrays(params, grid)
+    n = refs.ntil * np.exp(g)
+    q = refs.qtil + h
+    return State(n=GridField(grid, n), q=GridField(grid, q))
+
+
+def _twelve_sines_random_state(params, grid, seed):
     # random_state as it was before it read cached harmonics: twelve sines
     # of r_k + phi, each argument rounded before its sine.  Also returns a
     # bound on how far random_state's final g and h may lie from these.  A
