@@ -5,8 +5,11 @@
 
 Prints one Markdown line per file: identical, or how it differs.  For a CSV
 file that differs, each numeric column whose values moved gets its maximum
-and median distance in ulps over the rows, and any other column that
-changed gets its count of changed rows.  For a JSON file, each float leaf
+and median distance in ulps over the rows, and its maximum distance in
+ulps of the column's largest |value|; any other column that changed gets
+its count of changed rows.  The first reads a column that crosses zero as
+moving far, since a value near 0 has tiny ulps; the second measures the
+move against the column's scale.  For a JSON file, each float leaf
 that moved gets its distance in ulps, and any other leaf that changed is
 named.  The distance between two floats is the number of representable
 doubles between them, so +0.0 and -0.0 are 0 ulps apart.  Exits 0 whatever
@@ -37,6 +40,16 @@ def ulps(a: float, b: float) -> float:
     return float(abs(_ordered(a) - _ordered(b)))
 
 
+def column_ulps(pairs: list[tuple[float, float]]) -> float:
+    """The largest |a - b| over the pairs, in ulps of the largest |value| of
+    either side: inf when a pair moves to or from a non-finite value."""
+    if any(not (math.isfinite(a) and math.isfinite(b)) and ulps(a, b) for a, b in pairs):
+        return math.inf
+    finite = [(a, b) for a, b in pairs if math.isfinite(a) and math.isfinite(b)]
+    scale = max((max(abs(a), abs(b)) for a, b in finite), default=0.0)
+    return max((abs(a - b) for a, b in finite), default=0.0) / math.ulp(scale)
+
+
 def _number(text: str) -> float | None:
     try:
         return float(text)
@@ -62,7 +75,8 @@ def csv_lines(base: Path, head: Path) -> list[str]:
             dist = [ulps(b, h) for b, h in numbers]
             if max(dist, default=0.0) > 0.0:
                 lines.append(
-                    f"`{col}`: max {max(dist):g} ulps, median {statistics.median(dist):g}"
+                    f"`{col}`: max {max(dist):g} ulps, median {statistics.median(dist):g}; "
+                    f"max {column_ulps(numbers):.3g} ulps of the column's largest |value|"
                 )
         else:
             changed = sum(b != h for b, h in pairs)

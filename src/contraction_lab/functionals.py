@@ -12,12 +12,17 @@ at machine precision on any grid.
 
 Every functional of one (state, shift) pair comes from one straight-line
 kernel that writes each nodewise array into a row of its grid's workspace
-(`_Rows`), allocated once per grid.  Its first stage, `_core`, builds the
-references and the arrays that Y and I_bad read, and is where every
-evaluation starts; the shift substeps stop there.  A report goes on to
-`_complete` and `_split`, which read the same rows.  Two arrays outlive an
-evaluation: d/dxi log n is kept on its State for the state's life, and the
-node coordinates on their Grid.
+(`_Rows`: 20 rows, allocated once per grid).  Its first stage, `_core`, is
+where every evaluation starts, and the shift substeps stop there.  It
+builds n~, n~', q~, a and the offsets' sum, the differences u = q - q~ and
+n - n~, log(n/n~), 1/n~, Pi, d/dxi log(n/n~), eta and a/n~, and Y and I_bad
+from them.  Each of the two is n~' times one bracket, since a' = -(lam/eps)
+n~' and (eps/lam) a a' = -a n~', so a substep makes two reductions.  A
+report goes on to `_complete`, which builds a' and the terms it weighs, n~''
+and the arrays of the split over rows the first stage no longer reads, and
+to `_split`: 18 reductions in all, the core's two included.  Two arrays
+outlive an evaluation: d/dxi log n is kept on its State for the state's
+life, and the node coordinates on their Grid.
 
 An array divide costs over twice an array multiply, so the kernel divides
 only where the divisor is an array and a product would not do.  An
@@ -106,18 +111,18 @@ class ReferenceArrays:
     a_prime: np.ndarray
 
 
-def _references_into(params: WaveParams, ntil, a, ntil_second, ntil_prime, qtil, a_prime) -> None:
-    """The references other than n~, from n~, into the five rows given, by
-    the expressions of the pointwise functions of `wave`.  The offsets
-    n~ - n_-, n~ - n_+ go into the rows of a and n~'', and become them once
-    nothing else reads them.  a'' is not among them: B1, its one reader,
-    builds it."""
-    below, above = _offsets_of(params, ntil, a, ntil_second)
+def _references_into(params: WaveParams, ntil, a, offsets, ntil_prime, qtil) -> None:
+    """The references that the first stage of an evaluation reads, from n~,
+    into the four rows given, by the expressions of the pointwise functions
+    of `wave`.  The offsets n~ - n_-, n~ - n_+ go into the rows of a and of
+    `offsets`, and become a and the offsets' sum once nothing else reads
+    them.  The sum is nu sigma n~''/n~': `_n_second_of` builds n~'' from it
+    for a reader that needs n~'' itself, as `_a_derivative_of` builds a'."""
+    below, above = _offsets_of(params, ntil, a, offsets)
     _n_prime_of(params, below, above, out=ntil_prime)
     _q_of(params, below, out=qtil)
-    _n_second_of(params, ntil_prime, below, above, out=above)
+    np.add(below, above, out=above)
     _a_of(params, below, out=below)
-    _a_derivative_of(params, ntil_prime, out=a_prime)
 
 
 def reference_arrays(params: WaveParams, grid: Grid, shift: float = 0.0) -> ReferenceArrays:
@@ -133,7 +138,9 @@ def reference_arrays(params: WaveParams, grid: Grid, shift: float = 0.0) -> Refe
     arrays = [xi, *(np.empty(grid.num_nodes) for _ in range(6))]
     _, ntil, ntil_prime, ntil_second, qtil, a, a_prime = arrays
     profile_n(params, xi, ascending=True, out=ntil)
-    _references_into(params, ntil, a, ntil_second, ntil_prime, qtil, a_prime)
+    _references_into(params, ntil, a, ntil_second, ntil_prime, qtil)
+    _n_second_of(params, ntil_prime, ntil_second, out=ntil_second)
+    _a_derivative_of(params, ntil_prime, out=a_prime)
     for array in arrays:
         array.flags.writeable = False
     return ReferenceArrays(*arrays)
@@ -193,18 +200,22 @@ class _Rows:
         # one array each, not one block: rows of one grid's size come from
         # the heap, where a block of them would be a mapping of its own
         self.rows = [_placed_row(grid.num_nodes, i * _ROW_SPACING) for i in range(20)]
-        (self.ntil, self.a, self.ntil_second, self.ntil_prime, self.qtil, self.a_prime,
-         self.u, self.dn, self.dn_rel, self.n_over_ntil, self.logratio, self.pi, self.dlog,
-         self.eta, self.neg_a_prime, self.a_prime_pi, self.ratio_a, self.ratio_a_a_prime,
-         self.y_integrand, self.w) = self.rows
-        # n~ is dead once n - n~ and n/n~ are taken: its row then holds 1/n~
-        self.inv_ntil = self.ntil
+        (self.ntil, self.a, self.offsets, self.ntil_prime, self.qtil, self.u, self.dn,
+         self.n_over_ntil, self.logratio, self.nlog, self.pi, self.dlog, self.eta,
+         self.a_over_ntil, self.y_integrand, self.w, self.t, self.a_prime, self.neg_a_prime,
+         self.a_prime_pi) = self.rows
+        # n~ is dead once n - n~ and n/n~ are taken: its row then holds 1/n~,
+        # and (n - n~)/n~ once the report stage has read 1/n~ for the last time
+        self.inv_ntil = self.dn_rel = self.ntil
+        # the report stage builds n~'' over the sum of the offsets
+        self.ntil_second = self.offsets
         # q~ is dead once int -a' q~ Pi is taken: its row is the scratch v
         self.v = self.qtil
         # the report stage's arrays, over arrays only the first stage reads;
         # sigma phi's row holds (eps/lam) a, then 1 + (eps/lam) a/n~ first
         self.phi, self.a_prime_phi, self.u_plus_phi = self.logratio, self.dlog, self.dn
-        self.u_plus_phi_sq, self.sigma_phi = self.ntil_second, self.ratio_a
+        self.u_plus_phi_sq, self.ratio_a_a_prime = self.ntil_second, self.t
+        self.ratio_a = self.sigma_phi = self.nlog
         self.deviation = self.n_over_ntil  # |n/n~ - 1|, the tube's test
         # the split's tube masks
         self.inside, self.outside = self.ntil_prime, self.a_prime_pi
@@ -239,27 +250,32 @@ def _core(params: WaveParams, state: State, shift: float) -> _Rows:
     1/n~, and n/n~ (see the module docstring); the profile divides once
     more.  The one shift-independent array, d/dxi log n, is kept on the
     State.
+
+    Y and I_bad are one integrand each, n~' times a bracket, so an
+    evaluation makes two reductions.  The weight's slope a' = -(lam/eps) n~'
+    and (eps/lam) a a' = -a n~' are folded into that factor, and u + q~ = q
+    joins I_bad's two Pi terms; the a'-terms that only a report reads are
+    built by `_complete`.
     """
     c = _rows(state.grid)
     c.params, c.n = params, state.n.values
-    n, q, dx, w = c.n, state.q.values, c.dx, c.w
-    ntil, a, ntil_prime, qtil, a_prime = c.ntil, c.a, c.ntil_prime, c.qtil, c.a_prime
-    ratio = params.eps / params.lam
+    n, q, dx, w, t = c.n, state.q.values, c.dx, c.w, c.t
+    ntil, a, ntil_prime = c.ntil, c.a, c.ntil_prime
+    ell = params.lam / params.eps
     np.subtract(state.grid._nodes, shift, out=ntil)  # xi, until the profile overwrites it
     profile_n(params, ntil, ascending=True, out=ntil)
-    _references_into(params, ntil, a, c.ntil_second, ntil_prime, qtil, a_prime)
+    _references_into(params, ntil, a, c.offsets, ntil_prime, c.qtil)
 
-    u = np.subtract(q, qtil, out=c.u)
+    u = np.subtract(q, c.qtil, out=c.u)
     dn = np.subtract(n, ntil, out=c.dn)
     # a division, not n (1/n~): n = n~ must give n/n~ = 1 and log(n/n~) = 0
     logratio = np.log(np.divide(n, ntil, out=c.n_over_ntil), out=c.logratio)
     # nothing reads n~ after this: every "/ n~" below is a product with 1/n~,
     # written over it
     inv_ntil = np.divide(1.0, ntil, out=c.inv_ntil)
-    np.multiply(dn, inv_ntil, out=c.dn_rel)
     # Pi(n | n~) = max(n log(n/n~) - (n - n~), 0)
-    pi = np.multiply(n, logratio, out=c.pi)
-    pi -= dn
+    nlog = np.multiply(n, logratio, out=c.nlog)
+    pi = np.subtract(nlog, dn, out=c.pi)
     np.maximum(pi, 0.0, out=pi)
     # d/dxi log(n/n~): only the solution part is differenced, n~'/n~ is analytic
     dlog = np.multiply(ntil_prime, inv_ntil, out=c.dlog)
@@ -268,74 +284,73 @@ def _core(params: WaveParams, state: State, shift: float) -> _Rows:
     eta = np.multiply(0.5, u, out=c.eta)
     eta *= u
     eta += pi
-    neg_a_prime = np.negative(a_prime, out=c.neg_a_prime)
-    a_prime_pi = np.multiply(a_prime, pi, out=c.a_prime_pi)
-    ratio_a_a_prime = np.multiply(np.multiply(ratio, a, out=c.ratio_a), a_prime, out=c.ratio_a_a_prime)
+    a_over_ntil = np.multiply(a, inv_ntil, out=c.a_over_ntil)
 
-    # Y: int -a' eta - (eps/lam) a a' ((n - n~)/n~ - u/sigma); restricted to
-    # the tube's complement its integrand is Y_s's
-    y = np.multiply(neg_a_prime, eta, out=c.y_integrand)
-    np.multiply(u, 1.0 / params.sigma, out=w)
-    np.subtract(c.dn_rel, w, out=w)
-    w *= ratio_a_a_prime
+    # Y = int n~' (ell eta + (a/n~)(n - n~) - a u/sigma), ell = lam/eps;
+    # restricted to the tube's complement its integrand is Y_s's
+    y = np.multiply(ell, eta, out=c.y_integrand)
+    y += np.multiply(a_over_ntil, dn, out=w)
+    np.multiply(a, u, out=w)
+    w *= 1.0 / params.sigma
     y -= w
+    y *= ntil_prime
     c.Y = integrate_values(y, dx)
-    # int -a' q~ Pi: a term of I_bad and of B1; q~ is dead after it
-    np.multiply(neg_a_prime, qtil, out=w)
-    w *= pi
-    c.qtil_term = integrate_values(w, dx)
 
-    # I_bad = int -(a' Pi + (a' - a n~'/n~)(n - n~)) u, the q~ term,
-    # int (a n~'/n~ - a') n log(n/n~) d/dxi log(n/n~) and int a (n~''/n~) Pi
-    a_ntil_prime = np.multiply(a, ntil_prime, out=c.v)
-    a_ntil_prime *= inv_ntil
-    np.subtract(a_prime, a_ntil_prime, out=w)
-    w *= dn
-    w += a_prime_pi
-    np.negative(w, out=w)
-    w *= u
-    t1 = integrate_values(w, dx)
-    f = np.subtract(a_ntil_prime, a_prime, out=a_ntil_prime)
-    f *= n
-    f *= logratio
-    f *= dlog
-    t3 = integrate_values(f, dx)
-    np.multiply(c.ntil_second, inv_ntil, out=w)
-    w *= a
-    w *= pi
-    c.I_bad = t1 + c.qtil_term + t3 + integrate_values(w, dx)
+    # I_bad = int n~' ((a/n~ + ell)((n - n~) u + n log(n/n~) d/dxi log(n/n~))
+    #   + Pi ((a/n~)(A + B)/(nu sigma) + ell q)), with A + B the offsets'
+    #   sum, so (A + B)/(nu sigma) = n~''/n~'
+    np.multiply(dn, u, out=w)
+    nlog *= dlog
+    w += nlog
+    w *= np.add(a_over_ntil, ell, out=t)
+    np.multiply(a_over_ntil, c.offsets, out=t)
+    t *= 1.0 / (params.nu * params.sigma)
+    t += np.multiply(ell, q, out=nlog)
+    t *= pi
+    w += t
+    w *= ntil_prime
+    c.I_bad = integrate_values(w, dx)
     return c
 
 
 def _complete(c: _Rows) -> None:
-    """The report stage of the evaluation in `c`: I_good, D, the tube-free
-    B1 and B3, and the arrays that the split reads."""
+    """The report stage of the evaluation in `c`: a' and the terms it
+    weighs, I_good, D, the tube-free B1 and B3, and the arrays that the
+    split reads."""
     params = c.params
     n, dx, w = c.n, c.dx, c.w
-    a, a_prime, u, pi, dlog = c.a, c.a_prime, c.u, c.pi, c.dlog
+    a, u, pi, dlog = c.a, c.u, c.pi, c.dlog
     ratio, sigma = params.eps / params.lam, params.sigma
+    a_prime = _a_derivative_of(params, c.ntil_prime, out=c.a_prime)
+    neg_a_prime = np.negative(a_prime, out=c.neg_a_prime)
     # I_good: sigma int a' u u / 2, sigma int a' Pi (G2) and the dissipation
     # D = int a n |d/dxi log(n/n~)|^2
     np.multiply(0.5, a_prime, out=w)
     w *= u
     w *= u
     g_q = sigma * integrate_values(w, dx)
-    c.G_pi = sigma * integrate_values(c.a_prime_pi, dx)
+    c.G_pi = sigma * integrate_values(np.multiply(a_prime, pi, out=c.a_prime_pi), dx)
     np.multiply(a, n, out=w)
     w *= dlog
     w *= dlog
     c.D = integrate_values(w, dx)
     c.I_good = g_q + c.G_pi + c.D
-    # B1 = int -a' q~ Pi - (eps/lam) int a'' (a/n~) Pi
-    _a_derivative_of(params, c.ntil_second, out=w)
-    w *= -ratio
-    w *= np.multiply(a, c.inv_ntil, out=c.v)
+    # B1 = int -a' q~ Pi - (eps/lam) int a'' (a/n~) Pi; q~ is dead after the first
+    np.multiply(neg_a_prime, c.qtil, out=w)
     w *= pi
-    c.B1 = c.qtil_term + integrate_values(w, dx)
+    qtil_term = integrate_values(w, dx)
+    ntil_second = _n_second_of(params, c.ntil_prime, c.offsets, out=c.ntil_second)
+    _a_derivative_of(params, ntil_second, out=w)
+    w *= -ratio
+    w *= c.a_over_ntil
+    w *= pi
+    c.B1 = qtil_term + integrate_values(w, dx)
     # B3 = int -a' (1 + (eps/lam) a/n~) n log(n/n~) d/dxi log(n/n~)
-    coeff = np.multiply(c.ratio_a, c.inv_ntil, out=c.ratio_a)
+    ratio_a = np.multiply(ratio, a, out=c.ratio_a)
+    np.multiply(ratio_a, a_prime, out=c.ratio_a_a_prime)
+    coeff = np.multiply(ratio_a, c.inv_ntil, out=ratio_a)
     coeff += 1.0
-    np.multiply(c.neg_a_prime, coeff, out=w)
+    np.multiply(neg_a_prime, coeff, out=w)
     w *= n
     w *= c.logratio
     w *= dlog
@@ -343,6 +358,8 @@ def _complete(c: _Rows) -> None:
     # sigma phi = Pi(n|n~) + (1 + (eps/lam) a/n~)(n - n~)
     sigma_phi = np.multiply(coeff, c.dn, out=c.sigma_phi)
     sigma_phi += pi
+    # 1/n~ is read for the last time
+    np.multiply(c.dn, c.inv_ntil, out=c.dn_rel)
     phi = np.multiply(sigma_phi, 1.0 / sigma, out=c.phi)
     np.multiply(a_prime, phi, out=c.a_prime_phi)
     np.square(np.add(u, phi, out=c.u_plus_phi), out=c.u_plus_phi_sq)

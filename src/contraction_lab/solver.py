@@ -10,13 +10,17 @@ the three-point forward one throughout (`grid._ddx_forward_biased`).
 
 The implicit solve is the one diffusion path, so dt follows from the CFL
 limit of the first-order terms alone and does not shrink as nu grows.
-`run()` builds one `_Stepper` per run, once dt is known, and the stepper
-factors the tridiagonal matrix of the solve once (LAPACK's dgttrf); each
-step solves with the factors (dgttrs), bit for bit as
-`scipy.linalg.solve_banded` would solve the unfactored matrix.  The two
-routines come from scipy's compiled LAPACK wrapper, `scipy.linalg._flapack`,
-loaded on its own (`_load_flapack`): importing `scipy.linalg` for them would
-cost more than half of the package's import.
+`run()` builds one `_Stepper` per run, once dt is known.  The solve's
+matrix I - r D2 has Dirichlet rows at both ends, and each step zeroes the
+right-hand side there, so both ends solve to 0 and only the interior
+system is solved: diagonal 1 + 2r, off-diagonal -r, symmetric positive
+definite.  The stepper factors it once as L D L^T (LAPACK's dpttrf), and
+each step solves with the factors (dpttrs), bit for bit as LAPACK's dptsv
+would solve the unfactored interior system, and to rounding as
+`scipy.linalg.solve_banded` solves the whole matrix.  The two routines come
+from scipy's compiled LAPACK wrapper, `scipy.linalg._flapack`, loaded on
+its own (`_load_flapack`): importing `scipy.linalg` for them would cost
+more than half of the package's import.
 
 The step works in delta form around the sampled wave: the discrete
 residual of the wave is subtracted from the right-hand side, and the
@@ -90,8 +94,8 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dgttrf = _flapack.dgttrf
-dgttrs = _flapack.dgttrs
+dpttrf = _flapack.dpttrf
+dpttrs = _flapack.dpttrs
 
 __all__ = [
     "StabilityError", "PerturbationSpec", "SolverConfig", "RunResult", "EVALUATION_COLUMNS",
@@ -239,18 +243,18 @@ def initial_state(
     return State(n=GridField(grid, n0), q=GridField(grid, q0))
 
 
-def solve_banded(lu: tuple, rhs: np.ndarray) -> np.ndarray:
+def solve_banded(factors: tuple, rhs: np.ndarray) -> np.ndarray:
     """Solve the implicit diffusion system for `rhs`, in place, from the
-    matrix's LU factors (the first five outputs of LAPACK's `dgttrf`).
+    L D L^T factors of its interior (the first two outputs of LAPACK's
+    `dpttrf`); `rhs` is contiguous, with both end values 0, and they stay 0.
 
-    LAPACK's dgttrs does the forward and back substitutions that dgtsv, which
-    `scipy.linalg.solve_banded` calls for a tridiagonal matrix, does while it
-    factors: on this matrix the two agree bit for bit.
+    LAPACK's dpttrs does the substitutions that dptsv does once it has
+    factored: the two agree bit for bit.
     """
-    x, info = dgttrs(*lu, rhs, overwrite_b=1)
+    _, info = dpttrs(*factors, rhs[1:-1], overwrite_b=1)
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dgttrs")
-    return x
+        raise ValueError(f"illegal value in argument {-info} of dpttrs")
+    return rhs
 
 
 class _Stepper:
@@ -273,17 +277,14 @@ class _Stepper:
         self.residual_n, self.residual_q = self._rhs(
             refs.ntil, refs.qtil, np.empty(m), np.empty(m), *np.empty((2, m))
         )
-        # the tridiagonal matrix I - r D2, with Dirichlet rows at both ends
+        # the interior block of I - r D2: the Dirichlet rows at both ends
+        # see a zero right-hand side, so the ends solve to 0 and drop out
         r = params.nu * dt / (self.dx * self.dx)
-        lower = np.full(m - 1, -r)
-        diag = np.full(m, 1.0 + 2.0 * r)
-        upper = np.full(m - 1, -r)
-        diag[0] = diag[-1] = 1.0
-        upper[0] = lower[-1] = 0.0
-        *lu, info = dgttrf(lower, diag, upper, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-        if info > 0:
-            raise LinAlgError("singular diffusion matrix")
-        self.lu = tuple(lu)
+        *factors, info = dpttrf(np.full(m - 2, 1.0 + 2.0 * r), np.full(m - 3, -r),
+                                overwrite_d=1, overwrite_e=1)
+        if info != 0:
+            raise LinAlgError("diffusion matrix not positive definite")
+        self.factors = tuple(factors)
 
     def _rhs(self, n, q, rn, rq, s0, s1):
         """The first-order residual R_h(U) in delta form, written into and
@@ -328,7 +329,7 @@ class _Stepper:
         rhs[0] = rhs[-1] = 0.0
         # unchecked: a non-finite value reaches run()'s state check, which
         # reports it as a stability error with its time and node
-        n_new = solve_banded(self.lu, rhs)
+        n_new = solve_banded(self.factors, rhs)
         n_new += self.refs.ntil
         n_new[0] = self.refs.ntil[0]
         n_new[-1] = self.refs.ntil[-1]

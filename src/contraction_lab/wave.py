@@ -197,10 +197,9 @@ def _n_prime_of(params: WaveParams, below, above, out=None):
     return np.multiply(n_prime, 1.0 / (params.nu * params.sigma), out=out)
 
 
-def _n_second_of(params: WaveParams, n_prime, below, above, out=None):
-    """n~'' from n~' and the offsets (n~ - n_-, n~ - n_+)."""
-    n_second = np.add(below, above, out=out)
-    n_second = np.multiply(n_prime, n_second, out=out)
+def _n_second_of(params: WaveParams, n_prime, offset_sum, out=None):
+    """n~'' from n~' and the sum (n~ - n_-) + (n~ - n_+) of the offsets."""
+    n_second = np.multiply(n_prime, offset_sum, out=out)
     return np.multiply(n_second, 1.0 / (params.nu * params.sigma), out=out)
 
 
@@ -235,7 +234,7 @@ def profile_n_second(params: WaveParams, xi):
     """n~''(xi) = n~' * ((n~ - n_-) + (n~ - n_+)) / (nu sigma)."""
     n = np.asarray(profile_n(params, xi))
     below, above = _offsets_of(params, n)
-    return _maybe_scalar(xi, _n_second_of(params, _n_prime_of(params, below, above), below, above))
+    return _maybe_scalar(xi, _n_second_of(params, _n_prime_of(params, below, above), below + above))
 
 
 def profile_q(params: WaveParams, xi):

@@ -470,7 +470,7 @@ class TestCommands:
         def failing(self, n, q):
             steps.append(None)
             if len(steps) == 3:
-                raise ValueError("illegal value in argument 7 of dgttrs")
+                raise ValueError("illegal value in argument 3 of dpttrs")
             return step(self, n, q)
 
         monkeypatch.setattr(_Stepper, "step", failing)

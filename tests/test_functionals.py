@@ -659,25 +659,26 @@ def _eager_dissipation(c):
     return integrate_values(c["refs"].a * c["n"] * c["dlog"] * c["dlog"], c["dx"])
 
 
-def _eager_Y(params, c):
-    r, inv = c["refs"], c["inv"]
-    ratio = params.eps / params.lam
-    integ = -r.a_prime * c["eta"] - ratio * r.a * r.a_prime * (
-        (c["n"] - r.ntil) * inv - c["u"] * (1.0 / params.sigma)
+def _eager_Y_integrand(params, c):
+    r, inv, ell = c["refs"], c["inv"], params.lam / params.eps
+    return r.ntil_prime * (
+        ell * c["eta"] + r.a * inv * (c["n"] - r.ntil) - r.a * c["u"] * (1.0 / params.sigma)
     )
-    return integrate_values(integ, c["dx"])
+
+
+def _eager_Y(params, c):
+    return integrate_values(_eager_Y_integrand(params, c), c["dx"])
 
 
 def _eager_I_bad(params, c):
-    r, n, u, pi, dx, inv = c["refs"], c["n"], c["u"], c["pi"], c["dx"], c["inv"]
-    coupling = r.a_prime * pi + (r.a_prime - r.a * r.ntil_prime * inv) * (n - r.ntil)
-    t1 = integrate_values(-coupling * u, dx)
-    t2 = integrate_values(-r.a_prime * r.qtil * pi, dx)
-    t3 = integrate_values(
-        (r.a * r.ntil_prime * inv - r.a_prime) * n * c["logratio"] * c["dlog"], dx
+    r, n, q, u, pi, inv = c["refs"], c["n"], c["q"], c["u"], c["pi"], c["inv"]
+    ell, a_over_ntil = params.lam / params.eps, r.a * inv
+    offsets = (r.ntil - params.n_minus) + (r.ntil - params.n_plus)
+    integ = r.ntil_prime * (
+        (a_over_ntil + ell) * ((n - r.ntil) * u + n * c["logratio"] * c["dlog"])
+        + pi * (a_over_ntil * offsets * (1.0 / (params.nu * params.sigma)) + ell * q)
     )
-    t4 = integrate_values(r.a * (r.ntil_second * inv) * pi, dx)
-    return t1 + t2 + t3 + t4
+    return integrate_values(integ, c["dx"])
 
 
 def _eager_I_good(params, c):
@@ -688,7 +689,7 @@ def _eager_I_good(params, c):
 
 
 def _eager_split(params, c, delta):
-    r, n, u, pi, phi, eta, dx = (c[k] for k in ("refs", "n", "u", "pi", "phi", "eta", "dx"))
+    r, n, u, pi, phi, dx = (c[k] for k in ("refs", "n", "u", "pi", "phi", "dx"))
     inv, over_sigma = c["inv"], 1.0 / params.sigma
     ratio = params.eps / params.lam
     inside = (np.abs(n / r.ntil - 1.0) <= delta).astype(float)
@@ -715,12 +716,7 @@ def _eager_split(params, c, delta):
         (-0.5 * r.a_prime * (u + phi) ** 2 + r.a_prime * phi * (u + phi)) * inside, dx
     )
     y_l = (ratio / params.sigma) * integrate_values(r.a * r.a_prime * (u + phi) * inside, dx)
-    y_s = integrate_values(
-        (-r.a_prime * eta
-         - ratio * r.a * r.a_prime * ((n - r.ntil) * inv - u * over_sigma))
-        * outside,
-        dx,
-    )
+    y_s = integrate_values(_eager_Y_integrand(params, c) * outside, dx)
     return (b1, b2_in, b2_out, b3), (g1_in, g1_out, g2, d), (y_g, y_b, y_l, y_s)
 
 
@@ -973,6 +969,74 @@ class TestDivisionForm:
                 assert abs(getattr(rep, name) - value) <= bound[name], name
 
 
+# Y and I_bad as the kernel wrote them before it took the factor n~' out of
+# each, kept verbatim: Y with a' and (eps/lam) a a', I_bad as four integrals.
+# The factored kernel is held to them within a bound derived from the terms.
+def _a_prime_Y(params, c):
+    r, inv = c["refs"], c["inv"]
+    ratio = params.eps / params.lam
+    integ = -r.a_prime * c["eta"] - ratio * r.a * r.a_prime * (
+        (c["n"] - r.ntil) * inv - c["u"] * (1.0 / params.sigma)
+    )
+    return integrate_values(integ, c["dx"])
+
+
+def _a_prime_I_bad(params, c):
+    r, n, u, pi, dx, inv = c["refs"], c["n"], c["u"], c["pi"], c["dx"], c["inv"]
+    coupling = r.a_prime * pi + (r.a_prime - r.a * r.ntil_prime * inv) * (n - r.ntil)
+    t1 = integrate_values(-coupling * u, dx)
+    t2 = integrate_values(-r.a_prime * r.qtil * pi, dx)
+    t3 = integrate_values(
+        (r.a * r.ntil_prime * inv - r.a_prime) * n * c["logratio"] * c["dlog"], dx
+    )
+    t4 = integrate_values(r.a * (r.ntil_second * inv) * pi, dx)
+    return t1 + t2 + t3 + t4
+
+
+# Roundings allowed between the two forms, to first order.  They read the
+# same references and the same nodewise arrays (u, n - n~, Pi, log(n/n~),
+# d/dxi log(n/n~), eta, 1/n~), so only the products of the integrands and
+# the sums differ: at most 8 roundings a product chain and 10 for a
+# pairwise sum over 1025 nodes, in each form, and 3 for the additions of
+# the four integrals.
+FACTORED_ROUNDINGS = 2 * (8 + 10) + 3
+
+
+def _a_prime_bounds(params, c):
+    """A bound on |factored form - a' form| for Y and I_bad: the rounding
+    count times u times the integral of each term with every factor at its
+    magnitude.  The factored terms are no larger: ell |n~'| is |a'|, a |n~'|
+    is (eps/lam) a |a'|, |n~'| (A + B)/(nu sigma) is |n~''| and |q| is at
+    most |u| + |q~|."""
+    r, n, dx = c["refs"], c["n"], c["dx"]
+    ratio, sigma, inv = params.eps / params.lam, params.sigma, c["inv"]
+    a, a_prime, ntil_prime = np.abs(r.a), np.abs(r.a_prime), np.abs(r.ntil_prime)
+    u, dn, pi, eta = np.abs(c["u"]), np.abs(n - r.ntil), c["pi"], c["eta"]
+    y = a_prime * eta + ratio * a * a_prime * (dn * inv + u / sigma)
+    i_bad = (
+        (a_prime * pi + (a_prime + a * ntil_prime * inv) * dn) * u
+        + a_prime * np.abs(r.qtil) * pi
+        + (a * ntil_prime * inv + a_prime) * n * np.abs(c["logratio"] * c["dlog"])
+        + a * np.abs(r.ntil_second) * inv * pi
+    )
+    u_round = np.finfo(float).eps / 2.0
+    return tuple(FACTORED_ROUNDINGS * u_round * integrate_values(t, dx) for t in (y, i_bad))
+
+
+class TestFactoredForm:
+    @pytest.mark.parametrize("shift", [0.0, 0.3, -0.3, -7.1])
+    def test_y_and_ibad_within_rounding_of_a_prime_form(self, params, grid, shift):
+        # Y and I_bad each as n~' times one bracket, against the a' form
+        # with four integrals for I_bad, on large random states
+        for seed in (3, 17, 40):
+            state = random_state(params, grid, seed)
+            got = cl.functionals.y_and_ibad(params, state, shift)
+            c = _eager_core(params, state, shift)
+            want = (_a_prime_Y(params, c), _a_prime_I_bad(params, c))
+            for g, w, bound in zip(got, want, _a_prime_bounds(params, c)):
+                assert abs(g - w) <= bound, (g, w, bound)
+
+
 class TestLazyCore:
     """The kernel (`_core`, `_complete`, `_split` on a grid's rows) against
     the eager oracle, and what it keeps between evaluations."""
@@ -1029,7 +1093,7 @@ class TestLazyCore:
         state = random_state(params, grid, 5)
         c = cl.functionals._core(params, state, 1.5)
         built = set(vars(c))
-        assert {"Y", "I_bad", "qtil_term"} <= built
+        assert {"Y", "I_bad"} <= built
         assert not built & {"G_pi", "D", "I_good", "eta_weighted", "eta_unweighted", "B1", "B3"}
         stages = []
         complete, core = cl.functionals._complete, cl.functionals._core
@@ -1052,7 +1116,8 @@ class TestLazyCore:
         monkeypatch.setattr(cl.functionals, "_a_derivative_of", counting)
         _complete(c)
         splits = [_split(c, d) for d in (0.05, 0.25, 0.49)]
-        assert len(calls) == 1
+        # a' and a'', once each: the first stage builds neither
+        assert len(calls) == 2
         assert {(s.B1, s.B3) for s in splits} == {(c.B1, c.B3)}
 
     def test_second_read_is_the_stored_object(self, params):

@@ -85,6 +85,15 @@ class TestCheckIdentities:
         for entry in report["identities"]:
             assert entry["max_rel_err"] <= 1e-10
 
+    def test_criterion_two_states_hold_to_rounding(self, params):
+        # the acceptance suite's states (criterion 2) gate at 1e-10, but the
+        # identities hold to about 1e-16 on them: a change to the kernel
+        # that lost four digits would pass that gate and fail this one
+        grid = lab_grid(params, num_cells=2048)
+        report = check_identities(params, grid, n_states=100, deltas=(0.05, 0.25, 0.49), seed=0)
+        worst = max(entry["max_rel_err"] for entry in report["identities"])
+        assert worst <= 1e-14, worst
+
     @pytest.mark.parametrize("deltas", [(0.05, 0.25, 0.49)])
     def test_matches_wrapper_reference(self, params, monkeypatch, deltas):
         # one core and one split per delta must give exactly what one

@@ -95,13 +95,22 @@ class TestOutputUlps:
         (head / "run.csv").write_text(
             "t,X,regime\n" + "".join(f"{i},{v!r},{r}\n" for i, (v, r) in enumerate(zip(up, ["in", "in", "out"])))
         )
+        # a column that crosses zero: far in the ulps of its small values,
+        # 3e-18 in a column of scale 1 is 0.0135 of an ulp of 1
+        (base / "cross.csv").write_text("Y\n1e-18\n1.0\n")
+        (head / "cross.csv").write_text("Y\n-2e-18\n1.0\n")
         (base / "final.json").write_text(json.dumps({"a": {"b": [1.0, 2.0]}, "flag": True, "old": 1}))
         (head / "final.json").write_text(
             json.dumps({"a": {"b": [1.0, float(np.nextafter(2.0, 3.0))]}, "flag": False, "new": 1})
         )
         (head / "extra.json").write_text("{}")
         lines = script.report(base, head)
+        crossing = script.ulps(1e-18, -2e-18)
+        assert crossing > 1e18
         assert lines == [
+            "- `cross.csv`: **differs**",
+            f"  - `Y`: max {crossing:g} ulps, median {crossing / 2:g}; "
+            "max 0.0135 ulps of the column's largest |value|",
             "- `extra.json`: only here",
             "- `final.json`: **differs**",
             "  - `a.b[1]`: 1 ulps (2.0 -> 2.0000000000000004)",
@@ -109,8 +118,17 @@ class TestOutputUlps:
             "  - `new`: new",
             "  - `old`: gone",
             "- `run.csv`: **differs**",
-            "  - `X`: max 2 ulps, median 1",
+            "  - `X`: max 2 ulps, median 1; max 2 ulps of the column's largest |value|",
             "  - `regime`: 1 of 3 rows changed",
             "- `same.csv`: identical",
         ]
         assert script.main([str(base), str(head)]) == 0
+
+    def test_column_ulps(self):
+        column_ulps = _load_script("output_ulps").column_ulps
+        assert column_ulps([(1.0, float(np.nextafter(1.0, 2.0)))]) == 1.0
+        # an ulp of 2 at the top of the column is two of 1
+        assert column_ulps([(1.0, float(np.nextafter(1.0, 2.0))), (2.0, 2.0)]) == 0.5
+        assert column_ulps([(0.0, -0.0)]) == 0.0
+        assert column_ulps([(1.0, float("inf"))]) == float("inf")
+        assert column_ulps([(float("nan"), float("nan")), (1.0, 1.0)]) == 0.0

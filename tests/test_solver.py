@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dptsv
 
 from contraction_lab import (
     Grid,
@@ -32,6 +33,7 @@ from contraction_lab.solver import (
     _Stepper,
     initial_state,
 )
+from contraction_lab.solver import solve_banded as solver_solve
 from contraction_lab.wave import profile_n_second
 
 from conftest import lab_grid, report_core
@@ -122,8 +124,8 @@ def take_steps(stepper, state, steps):
 
 # The step as it was before the stepper factored its matrix and wrote its
 # stages in place: every stage a new array, every stencil written out in
-# full (scaled by the reciprocal 1 / (2 dx)), and the banded matrix solved
-# by scipy.linalg.solve_banded (LAPACK's gtsv).  The oracle for the
+# full (scaled by the reciprocal 1 / (2 dx)), and the interior of the
+# diffusion matrix solved unfactored by LAPACK's dptsv.  The oracle for the
 # bit-identity of the stepper.
 def _eager_central(v, dx):
     out = np.empty_like(v)
@@ -163,16 +165,13 @@ def _eager_step(params, grid, refs, dt, n, q):
     q_new = q + 0.5 * dt * (rq1 + rq2)
 
     r = params.nu * dt / (dx * dx)
-    ab = np.zeros((3, grid.num_nodes))
-    ab[0, 2:] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[2, :-2] = -r
-    ab[1, 0] = ab[1, -1] = 1.0
-    ab[0, 1] = 0.0
-    ab[2, -2] = 0.0
+    m = grid.num_nodes
     delta = n_star - refs.ntil
     delta[0] = delta[-1] = 0.0
-    n_new = refs.ntil + solve_banded((1, 1), ab, delta)
+    *_, interior, info = dptsv(np.full(m - 2, 1.0 + 2.0 * r), np.full(m - 3, -r), delta[1:-1])
+    assert info == 0
+    delta[1:-1] = interior.ravel()
+    n_new = refs.ntil + delta
     n_new[0], n_new[-1] = refs.ntil[0], refs.ntil[-1]
     q_new[0], q_new[-1] = refs.qtil[0], refs.qtil[-1]
     return n_new, q_new
@@ -186,8 +185,8 @@ class TestStep:
 
         import contraction_lab.solver as solver_mod
 
-        assert solver_mod.dgttrf is scipy.linalg.lapack.dgttrf
-        assert solver_mod.dgttrs is scipy.linalg.lapack.dgttrs
+        assert solver_mod.dpttrf is scipy.linalg.lapack.dpttrf
+        assert solver_mod.dpttrs is scipy.linalg.lapack.dpttrs
 
     def test_missing_lapack_extension_is_an_import_error(self, monkeypatch):
         # no fallback: the error names the directory searched and scipy's version
@@ -205,6 +204,35 @@ class TestStep:
         message = str(info.value)
         assert str(Path(scipy.__file__).parent / "linalg") in message
         assert f"(scipy {version('scipy')})" in message
+
+    @pytest.mark.parametrize("r", [0.3, 1.2])
+    def test_interior_solve_within_rounding_of_full_matrix(self, small_params, r):
+        # the interior L D L^T solve against scipy.linalg.solve_banded on
+        # the whole Dirichlet matrix (LAPACK's gtsv, which pivots row 0 at
+        # r near 1.2, the r of the contraction-scale run): both are
+        # backward stable, and the matrix's condition number is at most
+        # 1 + 4r, so they agree within a few u (1 + 4r) of the solution
+        grid = lab_grid(small_params, num_cells=8192)
+        m, dx = grid.num_nodes, grid.dx
+        stepper = make_stepper(small_params, grid, r * dx * dx / small_params.nu)
+        ab = np.zeros((3, m))
+        ab[0, 2:] = -r
+        ab[1, :] = 1.0 + 2.0 * r
+        ab[2, :-2] = -r
+        ab[1, 0] = ab[1, -1] = 1.0
+        ab[0, 1] = 0.0
+        ab[2, -2] = 0.0
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            rhs = rng.normal(size=m) * np.exp(rng.normal(size=m))
+            rhs[0] = rhs[-1] = 0.0
+            want = solve_banded((1, 1), ab, rhs)
+            got = solver_solve(stepper.factors, rhs.copy())
+            bound = 4.0 * (1.0 + 4.0 * r) * (np.finfo(float).eps / 2.0) * np.max(np.abs(want))
+            assert got[0] == got[-1] == 0.0
+            assert np.max(np.abs(got - want)) <= bound
+        # a zero right-hand side solves to zeros: the fixed point of the wave
+        assert not np.any(solver_solve(stepper.factors, np.zeros(m)))
 
     @pytest.mark.parametrize("cells", [512, 2048, 8192])
     def test_step_equals_eager_oracle(self, small_params, cells):
