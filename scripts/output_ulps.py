@@ -12,8 +12,10 @@ moving far, since a value near 0 has tiny ulps; the second measures the
 move against the column's scale.  For a JSON file, each float leaf
 that moved gets its distance in ulps, and any other leaf that changed is
 named.  The distance between two floats is the number of representable
-doubles between them, so +0.0 and -0.0 are 0 ulps apart.  Exits 0 whatever
-it finds: it reports, it does not judge.
+doubles between them, so +0.0 and -0.0 are 0 ulps apart.  `timings.json`
+holds wall-clock timers, which differ between any two runs, so it gets one
+line saying so and is not compared.  Exits 0 whatever it finds: it reports,
+it does not judge.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ import statistics
 import struct
 import sys
 from pathlib import Path
+
+# Files whose values are measurements of the run, not its results.
+NOT_COMPARED = {"timings.json": "wall-clock timers, not compared"}
 
 
 def _ordered(x: float) -> int:
@@ -123,6 +128,9 @@ def report(base_dir: Path, head_dir: Path) -> list[str]:
         base, head = base_dir / name, head_dir / name
         if not base.exists() or not head.exists():
             out.append(f"- `{name}`: only {'here' if head.exists() else 'in the base'}")
+            continue
+        if name in NOT_COMPARED:
+            out.append(f"- `{name}`: {NOT_COMPARED[name]}")
             continue
         if base.read_bytes() == head.read_bytes():
             out.append(f"- `{name}`: identical")

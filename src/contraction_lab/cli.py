@@ -23,7 +23,13 @@ from .grid import integrate_values
 from .identities import check_identities
 from .poincare import scan_delta_star
 from .solver import StabilityError, run
-from .wave import rankine_hugoniot_residuals, y_of_xi
+from .wave import (
+    _logistic_arg,
+    profile_n_prime,
+    profile_n_second,
+    rankine_hugoniot_residuals,
+    y_of_xi,
+)
 
 __all__ = ["main", "cmd_wave", "cmd_simulate", "cmd_identities", "cmd_poincare"]
 
@@ -74,8 +80,6 @@ def cmd_wave(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     r1, r2 = rankine_hugoniot_residuals(params)
     xi_dense = np.linspace(grid.xi_min, grid.xi_max, 10001)
-    from .wave import _logistic_arg, profile_n_prime, profile_n_second
-
     # the profile ODE's right-hand side at profile_n, against the closed-form
     # derivative of the logistic profile
     np_dense = np.asarray(profile_n_prime(params, xi_dense))

@@ -12,17 +12,19 @@ at machine precision on any grid.
 
 Every functional of one (state, shift) pair comes from one straight-line
 kernel that writes each nodewise array into a row of its grid's workspace
-(`_Rows`: 20 rows, allocated once per grid).  Its first stage, `_core`, is
+(`_Rows`: 17 rows, allocated once per grid).  Its first stage, `_core`, is
 where every evaluation starts, and the shift substeps stop there.  It
 builds n~, n~', q~, a and the offsets' sum, the differences u = q - q~ and
 n - n~, log(n/n~), 1/n~, Pi, d/dxi log(n/n~), eta and a/n~, and Y and I_bad
-from them.  Each of the two is n~' times one bracket, since a' = -(lam/eps)
-n~' and (eps/lam) a a' = -a n~', so a substep makes two reductions.  A
-report goes on to `_complete`, which builds a' and the terms it weighs, n~''
-and the arrays of the split over rows the first stage no longer reads, and
-to `_split`: 18 reductions in all, the core's two included.  Two arrays
-outlive an evaluation: d/dxi log n is kept on its State for the state's
-life, and the node coordinates on their Grid.
+from them.  The kernel reads the weight's slope a' = -(lam/eps) n~' only
+through n~': every weighted integrand is n~' times one bracket, and a
+constant of the formula (lam/eps, -sigma lam/eps, -sigma lam/(2 eps) or
+-1/sigma) multiplies the integral.  So a substep makes two reductions.  A
+report goes on to `_complete` (I_good, D, B1, B3 and the arrays of the
+split, over rows the first stage no longer reads), to `_split`, whose tube
+masks carry the factor n~', and to `_entropies`: 2 + 5 + 8 + 2 = 17
+reductions in all.  Two arrays outlive an evaluation: d/dxi log n is kept
+on its State for the state's life, and the node coordinates on their Grid.
 
 An array divide costs over twice an array multiply, so the kernel divides
 only where the divisor is an array and a product would not do.  An
@@ -116,8 +118,8 @@ def _references_into(params: WaveParams, ntil, a, offsets, ntil_prime, qtil) -> 
     into the four rows given, by the expressions of the pointwise functions
     of `wave`.  The offsets n~ - n_-, n~ - n_+ go into the rows of a and of
     `offsets`, and become a and the offsets' sum once nothing else reads
-    them.  The sum is nu sigma n~''/n~': `_n_second_of` builds n~'' from it
-    for a reader that needs n~'' itself, as `_a_derivative_of` builds a'."""
+    them.  The sum is nu sigma n~''/n~', the form in which I_bad and B1 read
+    n~''."""
     below, above = _offsets_of(params, ntil, a, offsets)
     _n_prime_of(params, below, above, out=ntil_prime)
     _q_of(params, below, out=qtil)
@@ -199,26 +201,23 @@ class _Rows:
         self.dx = grid.dx
         # one array each, not one block: rows of one grid's size come from
         # the heap, where a block of them would be a mapping of its own
-        self.rows = [_placed_row(grid.num_nodes, i * _ROW_SPACING) for i in range(20)]
+        self.rows = [_placed_row(grid.num_nodes, i * _ROW_SPACING) for i in range(17)]
         (self.ntil, self.a, self.offsets, self.ntil_prime, self.qtil, self.u, self.dn,
          self.n_over_ntil, self.logratio, self.nlog, self.pi, self.dlog, self.eta,
-         self.a_over_ntil, self.y_integrand, self.w, self.t, self.a_prime, self.neg_a_prime,
-         self.a_prime_pi) = self.rows
+         self.a_over_ntil, self.y_bracket, self.w, self.t) = self.rows
         # n~ is dead once n - n~ and n/n~ are taken: its row then holds 1/n~,
         # and (n - n~)/n~ once the report stage has read 1/n~ for the last time
         self.inv_ntil = self.dn_rel = self.ntil
-        # the report stage builds n~'' over the sum of the offsets
-        self.ntil_second = self.offsets
-        # q~ is dead once int -a' q~ Pi is taken: its row is the scratch v
+        # q~ is dead once B1 is taken: its row is the scratch v
         self.v = self.qtil
-        # the report stage's arrays, over arrays only the first stage reads;
-        # sigma phi's row holds (eps/lam) a, then 1 + (eps/lam) a/n~ first
-        self.phi, self.a_prime_phi, self.u_plus_phi = self.logratio, self.dlog, self.dn
-        self.u_plus_phi_sq, self.ratio_a_a_prime = self.ntil_second, self.t
-        self.ratio_a = self.sigma_phi = self.nlog
+        # the report stage's arrays, over arrays only the first stage and B1,
+        # B3 read
+        self.phi, self.u_plus_phi, self.u_plus_phi_sq = self.logratio, self.dn, self.offsets
+        self.sigma_phi = self.nlog
         self.deviation = self.n_over_ntil  # |n/n~ - 1|, the tube's test
-        # the split's tube masks
-        self.inside, self.outside = self.ntil_prime, self.a_prime_pi
+        # the split's tube masks, weighted by n~': d/dxi log(n/n~) is dead
+        # after B3, and t after B1
+        self.inside, self.outside = self.dlog, self.t
 
 
 _workspace: list[_Rows] = []
@@ -254,8 +253,7 @@ def _core(params: WaveParams, state: State, shift: float) -> _Rows:
     Y and I_bad are one integrand each, n~' times a bracket, so an
     evaluation makes two reductions.  The weight's slope a' = -(lam/eps) n~'
     and (eps/lam) a a' = -a n~' are folded into that factor, and u + q~ = q
-    joins I_bad's two Pi terms; the a'-terms that only a report reads are
-    built by `_complete`.
+    joins I_bad's two Pi terms.  Y's bracket stays in its row for Y_s.
     """
     c = _rows(state.grid)
     c.params, c.n = params, state.n.values
@@ -286,15 +284,14 @@ def _core(params: WaveParams, state: State, shift: float) -> _Rows:
     eta += pi
     a_over_ntil = np.multiply(a, inv_ntil, out=c.a_over_ntil)
 
-    # Y = int n~' (ell eta + (a/n~)(n - n~) - a u/sigma), ell = lam/eps;
-    # restricted to the tube's complement its integrand is Y_s's
-    y = np.multiply(ell, eta, out=c.y_integrand)
+    # Y = int n~' (ell eta + (a/n~)(n - n~) - a u/sigma), ell = lam/eps; the
+    # bracket keeps its row, since Y_s reads it against the tube's complement
+    y = np.multiply(ell, eta, out=c.y_bracket)
     y += np.multiply(a_over_ntil, dn, out=w)
     np.multiply(a, u, out=w)
     w *= 1.0 / params.sigma
     y -= w
-    y *= ntil_prime
-    c.Y = integrate_values(y, dx)
+    c.Y = integrate_values(np.multiply(y, ntil_prime, out=w), dx)
 
     # I_bad = int n~' ((a/n~ + ell)((n - n~) u + n log(n/n~) d/dxi log(n/n~))
     #   + Pi ((a/n~)(A + B)/(nu sigma) + ell q)), with A + B the offsets'
@@ -314,54 +311,51 @@ def _core(params: WaveParams, state: State, shift: float) -> _Rows:
 
 
 def _complete(c: _Rows) -> None:
-    """The report stage of the evaluation in `c`: a' and the terms it
-    weighs, I_good, D, the tube-free B1 and B3, and the arrays that the
-    split reads."""
+    """The report stage of the evaluation in `c`: I_good, D, the tube-free
+    B1 and B3, and the arrays that the split reads.
+
+    As in `_core`, each weighted integrand is n~' times a bracket (a' =
+    -ell n~', ell = lam/eps), and a constant factor of the formula is
+    applied to the integral."""
     params = c.params
-    n, dx, w = c.n, c.dx, c.w
-    a, u, pi, dlog = c.a, c.u, c.pi, c.dlog
-    ratio, sigma = params.eps / params.lam, params.sigma
-    a_prime = _a_derivative_of(params, c.ntil_prime, out=c.a_prime)
-    neg_a_prime = np.negative(a_prime, out=c.neg_a_prime)
-    # I_good: sigma int a' u u / 2, sigma int a' Pi (G2) and the dissipation
-    # D = int a n |d/dxi log(n/n~)|^2
-    np.multiply(0.5, a_prime, out=w)
-    w *= u
-    w *= u
-    g_q = sigma * integrate_values(w, dx)
-    c.G_pi = sigma * integrate_values(np.multiply(a_prime, pi, out=c.a_prime_pi), dx)
+    n, dx, w, t = c.n, c.dx, c.w, c.t
+    a, u, pi, dlog, ntil_prime, a_over_ntil = c.a, c.u, c.pi, c.dlog, c.ntil_prime, c.a_over_ntil
+    ell, sigma = params.lam / params.eps, params.sigma
+    # I_good = sigma int a' u u/2 + sigma int a' Pi (G2) + D
+    #   = -(sigma ell/2) int n~' u u - sigma ell int n~' Pi + D, with the
+    #   dissipation D = int a n |d/dxi log(n/n~)|^2
+    np.multiply(u, u, out=w)
+    w *= ntil_prime
+    g_q = -(0.5 * sigma * ell) * integrate_values(w, dx)
+    c.G_pi = -(sigma * ell) * integrate_values(np.multiply(ntil_prime, pi, out=w), dx)
     np.multiply(a, n, out=w)
     w *= dlog
     w *= dlog
     c.D = integrate_values(w, dx)
     c.I_good = g_q + c.G_pi + c.D
-    # B1 = int -a' q~ Pi - (eps/lam) int a'' (a/n~) Pi; q~ is dead after the first
-    np.multiply(neg_a_prime, c.qtil, out=w)
-    w *= pi
-    qtil_term = integrate_values(w, dx)
-    ntil_second = _n_second_of(params, c.ntil_prime, c.offsets, out=c.ntil_second)
-    _a_derivative_of(params, ntil_second, out=w)
-    w *= -ratio
-    w *= c.a_over_ntil
-    w *= pi
-    c.B1 = qtil_term + integrate_values(w, dx)
-    # B3 = int -a' (1 + (eps/lam) a/n~) n log(n/n~) d/dxi log(n/n~)
-    ratio_a = np.multiply(ratio, a, out=c.ratio_a)
-    np.multiply(ratio_a, a_prime, out=c.ratio_a_a_prime)
-    coeff = np.multiply(ratio_a, c.inv_ntil, out=ratio_a)
-    coeff += 1.0
-    np.multiply(neg_a_prime, coeff, out=w)
+    # B1 = int n~' Pi ((a/n~)(A + B)/(nu sigma) + ell q~): I_bad's Pi bracket
+    # with q~ for q, since -(eps/lam) a'' = n~'' = n~' (A + B)/(nu sigma)
+    np.multiply(a_over_ntil, c.offsets, out=t)
+    t *= 1.0 / (params.nu * sigma)
+    t += np.multiply(ell, c.qtil, out=w)
+    t *= pi
+    t *= ntil_prime
+    c.B1 = integrate_values(t, dx)
+    # B3 = int n~' (ell + a/n~) n log(n/n~) d/dxi log(n/n~)
+    np.add(a_over_ntil, ell, out=w)
     w *= n
     w *= c.logratio
     w *= dlog
+    w *= ntil_prime
     c.B3 = integrate_values(w, dx)
     # sigma phi = Pi(n|n~) + (1 + (eps/lam) a/n~)(n - n~)
-    sigma_phi = np.multiply(coeff, c.dn, out=c.sigma_phi)
+    sigma_phi = np.multiply(a_over_ntil, params.eps / params.lam, out=c.sigma_phi)
+    sigma_phi += 1.0
+    sigma_phi *= c.dn
     sigma_phi += pi
     # 1/n~ is read for the last time
     np.multiply(c.dn, c.inv_ntil, out=c.dn_rel)
     phi = np.multiply(sigma_phi, 1.0 / sigma, out=c.phi)
-    np.multiply(a_prime, phi, out=c.a_prime_phi)
     np.square(np.add(u, phi, out=c.u_plus_phi), out=c.u_plus_phi_sq)
     deviation = np.subtract(c.n_over_ntil, 1.0, out=c.deviation)
     np.abs(deviation, out=deviation)
@@ -403,56 +397,54 @@ class _Split(NamedTuple):
 
 def _split(c: _Rows, delta: float) -> _Split:
     """The tube parts at threshold delta of the completed evaluation in `c`;
-    B1, B3, G2 and D come off it.  The eight tube integrands are built in two
-    scratch rows, so a completed evaluation can be split at many deltas.
+    B1, B3, G2 and D come off it.  The tube masks carry the weight n~', so
+    each of the eight tube integrands is one bracket times a mask, built in
+    two scratch rows: a completed evaluation can be split at many deltas.
     """
-    sigma, dx, w, v = c.params.sigma, c.dx, c.w, c.v
-    a_prime, phi, a_prime_phi, u = c.a_prime, c.phi, c.a_prime_phi, c.u
-    upp, upp_sq = c.u_plus_phi, c.u_plus_phi_sq
-    inside = np.less_equal(c.deviation, delta, out=c.inside)  # 1.0 or 0.0; ties go inside
-    outside = np.subtract(1.0, inside, out=c.outside)
+    params = c.params
+    sigma, ell, dx, w, v = params.sigma, params.lam / params.eps, c.dx, c.w, c.v
+    phi, u, upp, upp_sq = c.phi, c.u, c.u_plus_phi, c.u_plus_phi_sq
+    half = 0.5 * sigma * ell
+    # n~' where |n/n~ - 1| <= delta (ties go inside) and 0 elsewhere, and
+    # n~' - that: each node's n~' goes whole to one mask
+    inside = np.less_equal(c.deviation, delta, out=c.inside)
+    inside *= c.ntil_prime
+    outside = np.subtract(c.ntil_prime, inside, out=c.outside)
 
-    np.multiply(a_prime_phi, phi, out=w)
+    np.multiply(phi, phi, out=w)
     w *= inside
-    b2_in = 0.5 * sigma * integrate_values(w, dx)
-    np.multiply(c.neg_a_prime, c.sigma_phi, out=w)
-    w *= u
+    b2_in = -half * integrate_values(w, dx)
+    np.multiply(c.sigma_phi, u, out=w)
     w *= outside
-    b2_out = integrate_values(w, dx)
-    np.multiply(a_prime, upp_sq, out=w)
-    w *= inside
-    g1_in = 0.5 * sigma * integrate_values(w, dx)
-    np.multiply(a_prime, u, out=w)
-    w *= u
+    b2_out = ell * integrate_values(w, dx)
+    g1_in = -half * integrate_values(np.multiply(upp_sq, inside, out=w), dx)
+    np.multiply(u, u, out=w)
     w *= outside
-    g1_out = 0.5 * sigma * integrate_values(w, dx)
+    g1_out = -half * integrate_values(w, dx)
 
-    # (-a' (phi^2/2 + Pi) - (eps/lam) a a' ((n - n~)/n~ + phi/sigma)) inside
+    # ell (phi^2/2 + Pi) + a ((n - n~)/n~ + phi/sigma), inside
     np.multiply(0.5, phi, out=w)
     w *= phi
     w += c.pi
-    w *= c.neg_a_prime
+    w *= ell
     np.multiply(phi, 1.0 / sigma, out=v)
-    np.add(c.dn_rel, v, out=v)
-    v *= c.ratio_a_a_prime
-    w -= v
+    v += c.dn_rel
+    v *= c.a
+    w += v
     w *= inside
     y_g = integrate_values(w, dx)
 
-    # (-a' (u + phi)^2 / 2 + a' phi (u + phi)) inside
-    np.multiply(-0.5, a_prime, out=w)
-    w *= upp_sq
-    w += np.multiply(a_prime_phi, upp, out=v)
+    # ell ((u + phi)^2/2 - phi (u + phi)), inside
+    np.multiply(0.5, upp_sq, out=w)
+    w -= np.multiply(phi, upp, out=v)
     w *= inside
-    y_b = integrate_values(w, dx)
+    y_b = ell * integrate_values(w, dx)
 
-    np.multiply(c.a, a_prime, out=w)
-    w *= upp
+    np.multiply(c.a, upp, out=w)
     w *= inside
-    y_l = (c.params.eps / c.params.lam / sigma) * integrate_values(w, dx)
-    y_s = integrate_values(np.multiply(c.y_integrand, outside, out=w), dx)
+    y_l = -(1.0 / sigma) * integrate_values(w, dx)
+    y_s = integrate_values(np.multiply(c.y_bracket, outside, out=w), dx)
     return _Split(y_g, y_b, y_l, y_s, c.B1, b2_in, b2_out, c.B3, g1_in, g1_out, c.G_pi, c.D)
-
 
 
 class NumericsError(RuntimeError):

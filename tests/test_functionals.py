@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -21,7 +22,6 @@ from contraction_lab.grid import _ddx_central, integrate_values
 from contraction_lab.identities import random_state
 from contraction_lab.wave import (
     EXP_CLAMP,
-    _a_derivative_of,
     _logistic_arg,
     make_wave_params,
     profile_n,
@@ -648,75 +648,72 @@ def _eager_core(params, state, shift):
     pi = np.maximum(n * np.log(n / refs.ntil) - (n - refs.ntil), 0.0)
     logratio = np.log(n / refs.ntil)
     dlog = _ddx_central(np.log(n), state.grid.dx) - refs.ntil_prime * inv
-    ratio = params.eps / params.lam
-    phi = (pi + (1.0 + ratio * refs.a * inv) * (n - refs.ntil)) * (1.0 / params.sigma)
+    sigma_phi = pi + (1.0 + refs.a * inv * (params.eps / params.lam)) * (n - refs.ntil)
     eta = 0.5 * u * u + pi
     return dict(refs=refs, dx=state.grid.dx, n=n, q=q, inv=inv, u=u, pi=pi,
-                logratio=logratio, dlog=dlog, phi=phi, eta=eta)
+                logratio=logratio, dlog=dlog, sigma_phi=sigma_phi,
+                phi=sigma_phi * (1.0 / params.sigma), eta=eta)
 
 
 def _eager_dissipation(c):
     return integrate_values(c["refs"].a * c["n"] * c["dlog"] * c["dlog"], c["dx"])
 
 
-def _eager_Y_integrand(params, c):
+def _eager_Y_bracket(params, c):
     r, inv, ell = c["refs"], c["inv"], params.lam / params.eps
-    return r.ntil_prime * (
-        ell * c["eta"] + r.a * inv * (c["n"] - r.ntil) - r.a * c["u"] * (1.0 / params.sigma)
-    )
+    return ell * c["eta"] + r.a * inv * (c["n"] - r.ntil) - r.a * c["u"] * (1.0 / params.sigma)
 
 
 def _eager_Y(params, c):
-    return integrate_values(_eager_Y_integrand(params, c), c["dx"])
+    return integrate_values(_eager_Y_bracket(params, c) * c["refs"].ntil_prime, c["dx"])
+
+
+def _eager_pi_bracket(params, c, q):
+    """I_bad's Pi bracket (a/n~)(A + B)/(nu sigma) + ell q; B1's with q~ for q."""
+    r = c["refs"]
+    offsets = (r.ntil - params.n_minus) + (r.ntil - params.n_plus)
+    return r.a * c["inv"] * offsets * (1.0 / (params.nu * params.sigma)) + params.lam / params.eps * q
 
 
 def _eager_I_bad(params, c):
-    r, n, q, u, pi, inv = c["refs"], c["n"], c["q"], c["u"], c["pi"], c["inv"]
+    r, n, u, pi, inv = c["refs"], c["n"], c["u"], c["pi"], c["inv"]
     ell, a_over_ntil = params.lam / params.eps, r.a * inv
-    offsets = (r.ntil - params.n_minus) + (r.ntil - params.n_plus)
     integ = r.ntil_prime * (
         (a_over_ntil + ell) * ((n - r.ntil) * u + n * c["logratio"] * c["dlog"])
-        + pi * (a_over_ntil * offsets * (1.0 / (params.nu * params.sigma)) + ell * q)
+        + pi * _eager_pi_bracket(params, c, c["q"])
     )
     return integrate_values(integ, c["dx"])
 
 
 def _eager_I_good(params, c):
-    r, dx = c["refs"], c["dx"]
-    g_q = params.sigma * integrate_values(0.5 * r.a_prime * c["u"] * c["u"], dx)
-    g_pi = params.sigma * integrate_values(r.a_prime * c["pi"], dx)
+    r, dx, ell = c["refs"], c["dx"], params.lam / params.eps
+    g_q = -(0.5 * params.sigma * ell) * integrate_values(c["u"] * c["u"] * r.ntil_prime, dx)
+    g_pi = -(params.sigma * ell) * integrate_values(r.ntil_prime * c["pi"], dx)
     return g_q + g_pi + _eager_dissipation(c)
 
 
 def _eager_split(params, c, delta):
     r, n, u, pi, phi, dx = (c[k] for k in ("refs", "n", "u", "pi", "phi", "dx"))
     inv, over_sigma = c["inv"], 1.0 / params.sigma
-    ratio = params.eps / params.lam
-    inside = (np.abs(n / r.ntil - 1.0) <= delta).astype(float)
-    outside = 1.0 - inside
-    coeff = 1.0 + ratio * r.a * inv
-    a_second = _a_derivative_of(params, profile_n_second(params, r.xi))
-    b1 = integrate_values(-r.a_prime * r.qtil * pi, dx) + integrate_values(
-        -ratio * a_second * (r.a * inv) * pi, dx
-    )
-    b2_in = 0.5 * params.sigma * integrate_values(r.a_prime * phi * phi * inside, dx)
-    b2_out = integrate_values(-r.a_prime * (pi + coeff * (n - r.ntil)) * u * outside, dx)
-    b3 = integrate_values(-r.a_prime * coeff * n * c["logratio"] * c["dlog"], dx)
-    g1_in = 0.5 * params.sigma * integrate_values(r.a_prime * (u + phi) ** 2 * inside, dx)
-    g1_out = 0.5 * params.sigma * integrate_values(r.a_prime * u * u * outside, dx)
-    g2 = params.sigma * integrate_values(r.a_prime * pi, dx)
+    ell = params.lam / params.eps
+    half = 0.5 * params.sigma * ell
+    # the tube masks carry the weight n~'
+    inside = (np.abs(n / r.ntil - 1.0) <= delta) * r.ntil_prime
+    outside = r.ntil_prime - inside
+    b1 = integrate_values(_eager_pi_bracket(params, c, r.qtil) * pi * r.ntil_prime, dx)
+    b2_in = -half * integrate_values(phi * phi * inside, dx)
+    b2_out = ell * integrate_values(c["sigma_phi"] * u * outside, dx)
+    b3 = integrate_values((r.a * inv + ell) * n * c["logratio"] * c["dlog"] * r.ntil_prime, dx)
+    g1_in = -half * integrate_values((u + phi) ** 2 * inside, dx)
+    g1_out = -half * integrate_values(u * u * outside, dx)
+    g2 = -(params.sigma * ell) * integrate_values(r.ntil_prime * pi, dx)
     d = _eager_dissipation(c)
     y_g = integrate_values(
-        (-r.a_prime * (0.5 * phi * phi + pi)
-         - ratio * r.a * r.a_prime * ((n - r.ntil) * inv + phi * over_sigma))
-        * inside,
-        dx,
+        ((0.5 * phi * phi + pi) * ell + ((n - r.ntil) * inv + phi * over_sigma) * r.a) * inside, dx
     )
-    y_b = integrate_values(
-        (-0.5 * r.a_prime * (u + phi) ** 2 + r.a_prime * phi * (u + phi)) * inside, dx
-    )
-    y_l = (ratio / params.sigma) * integrate_values(r.a * r.a_prime * (u + phi) * inside, dx)
-    y_s = integrate_values(_eager_Y_integrand(params, c) * outside, dx)
+    y_b = ell * integrate_values((0.5 * (u + phi) ** 2 - phi * (u + phi)) * inside, dx)
+    y_l = -over_sigma * integrate_values(r.a * (u + phi) * inside, dx)
+    y_s = integrate_values(_eager_Y_bracket(params, c) * outside, dx)
     return (b1, b2_in, b2_out, b3), (g1_in, g1_out, g2, d), (y_g, y_b, y_l, y_s)
 
 
@@ -848,10 +845,17 @@ def _division_split(params, c, delta):
     return (b1, b2_in, b2_out, b3), (g1_in, g1_out, g2, d), (y_g, y_b, y_l, y_s)
 
 
+def _division_I_good(params, c):
+    r, dx = c["refs"], c["dx"]
+    g_q = params.sigma * integrate_values(0.5 * r.a_prime * c["u"] * c["u"], dx)
+    g_pi = params.sigma * integrate_values(r.a_prime * c["pi"], dx)
+    return g_q + g_pi + _eager_dissipation(c)
+
+
 def _division_report(params, c, delta0, delta1):
     return _report_of(
         params, delta0, delta1, _division_Y(params, c), _division_I_bad(params, c),
-        _eager_I_good(params, c), *_division_split(params, c, delta1),
+        _division_I_good(params, c), *_division_split(params, c, delta1),
         integrate_values(c["refs"].a * c["eta"], c["dx"]), integrate_values(c["eta"], c["dx"]),
     )
 
@@ -961,9 +965,9 @@ class TestDivisionForm:
             bound = _rounding_bounds(params, c, 0.01, 0.25, want)
             assert list(want) == list(cl.functionals.REPORT_COLUMNS) and set(bound) == set(want)
             # the bound holds only if every node is on the same side of the
-            # tube in both forms: the kernel's split mask is still in its row
+            # tube in both forms: the kernel's test, on its deviation row
             inside = np.abs(c["n"] / c["refs"].ntil - 1.0) <= 0.25
-            kernel_inside = cl.functionals._rows(grid).inside == 1.0
+            kernel_inside = cl.functionals._rows(grid).deviation <= 0.25
             assert np.array_equal(kernel_inside, inside), "a tube test flips between the forms"
             for name, value in want.items():
                 assert abs(getattr(rep, name) - value) <= bound[name], name
@@ -1104,21 +1108,38 @@ class TestLazyCore:
         cl.shift.advance(1.5, state, 0.1, params, (c.Y, c.I_bad))
         assert stages == ["core"] * (cl.shift.SUBSTEPS - 1)
 
-    def test_tube_free_parts_built_once_per_core(self, params, grid, monkeypatch):
-        c = cl.functionals._core(params, random_state(params, grid, 5), 0.0)
+    def test_stage_reductions_match_the_docstring(self, params, grid, monkeypatch):
+        # each stage makes the reductions the module docstring states, and
+        # none rebuilds a' or n~'': the kernel reads the weight through n~'
+        # alone, so a second form of the weight would show here
+        stated = re.search(r"(\d+) \+ (\d+) \+ (\d+) \+ (\d+) = (\d+) reductions",
+                           " ".join(cl.functionals.__doc__.split()))
+        core_n, complete_n, split_n, entropies_n, total = map(int, stated.groups())
+        assert core_n + complete_n + split_n + entropies_n == total
         calls = []
-        a_derivative = cl.functionals._a_derivative_of
+        integrate = cl.functionals.integrate_values
+        monkeypatch.setattr(cl.functionals, "integrate_values",
+                            lambda *args: calls.append(1) or integrate(*args))
+        for module in (cl.functionals, cl.wave):
+            for name in ("_a_derivative_of", "_n_second_of"):
+                monkeypatch.setattr(module, name, lambda *args, name=name, **kw: pytest.fail(name))
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return a_derivative(*args, **kwargs)
+        def counted(stage, *args):
+            calls.clear()
+            out = stage(*args)
+            return len(calls), out
 
-        monkeypatch.setattr(cl.functionals, "_a_derivative_of", counting)
-        _complete(c)
-        splits = [_split(c, d) for d in (0.05, 0.25, 0.49)]
-        # a' and a'', once each: the first stage builds neither
-        assert len(calls) == 2
-        assert {(s.B1, s.B3) for s in splits} == {(c.B1, c.B3)}
+        count, c = counted(cl.functionals._core, params, random_state(params, grid, 5), 0.0)
+        assert count == core_n and len(c.rows) <= 17
+        assert counted(_complete, c)[0] == complete_n
+        splits = []
+        for delta in (0.05, 0.25, 0.49, np.inf):
+            count, s = counted(_split, c, delta)
+            assert count == split_n
+            splits.append(s)
+        assert counted(cl.functionals._entropies, c)[0] == entropies_n
+        # the tube-free parts come off the evaluation, whatever the delta
+        assert {(s.B1, s.B3, s.G2, s.G_D) for s in splits} == {(c.B1, c.B3, c.G_pi, c.D)}
 
     def test_second_read_is_the_stored_object(self, params):
         # the rows are allocated once per grid: a second evaluation on an

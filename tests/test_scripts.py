@@ -104,6 +104,9 @@ class TestOutputUlps:
             json.dumps({"a": {"b": [1.0, float(np.nextafter(2.0, 3.0))]}, "flag": False, "new": 1})
         )
         (head / "extra.json").write_text("{}")
+        # wall-clock timers differ between any two runs: one line, no leaves
+        (base / "timings.json").write_text(json.dumps({"step_s": 0.5, "shift_s": 1.0}))
+        (head / "timings.json").write_text(json.dumps({"step_s": 0.7, "shift_s": 1.0}))
         lines = script.report(base, head)
         crossing = script.ulps(1e-18, -2e-18)
         assert crossing > 1e18
@@ -121,6 +124,7 @@ class TestOutputUlps:
             "  - `X`: max 2 ulps, median 1; max 2 ulps of the column's largest |value|",
             "  - `regime`: 1 of 3 rows changed",
             "- `same.csv`: identical",
+            "- `timings.json`: wall-clock timers, not compared",
         ]
         assert script.main([str(base), str(head)]) == 0
 
