@@ -16,23 +16,29 @@ kernel that writes each nodewise array into a row of its grid's workspace
 where every evaluation starts, and the shift substeps stop there.  It
 builds n~, n~', q~, a and the offsets' sum, the differences u = q - q~ and
 n - n~, log(n/n~), 1/n~, Pi, d/dxi log(n/n~), eta and a/n~, and Y and I_bad
-from them.  The kernel reads the weight's slope a' = -(lam/eps) n~' only
+from them.  The shift enters only through the logistic's exponential,
+exp(k (xi - X)) with k = eps/(nu sigma), which is one array E of the grid
+times the number exp(anchor - kX).  E = exp(clip(k xi - anchor)) is built
+once per (params, grid, anchor) and kept in a row of its own; the anchor is
+the multiple of ANCHOR_SPACING (8) nearest to kX, and 0 while |kX| < 4 (see
+`_core`).  The kernel reads the weight's slope a' = -(lam/eps) n~' only
 through n~': every weighted integrand is n~' times one bracket, and a
 constant of the formula (lam/eps, -sigma lam/eps, -sigma lam/(2 eps) or
 -1/sigma) multiplies the integral.  So a substep makes two reductions.  A
-report goes on to `_complete` (I_good, D, B1, B3 and the arrays of the
-split, over rows the first stage no longer reads), to `_split`, whose tube
-masks carry the factor n~', and to `_entropies`: 2 + 5 + 8 + 2 = 17
-reductions in all.  Two arrays outlive an evaluation: d/dxi log n is kept
-on its State for the state's life, and the node coordinates on their Grid.
+report goes on to `_complete` (I_good, D, B1 and B3, which finish brackets
+of I_bad left in their rows, and the arrays of the split, over rows the
+first stage no longer reads), to `_split`, whose tube masks carry the
+factor n~', and to `_entropies`: 2 + 5 + 8 + 2 = 17 reductions in all.
+Three arrays outlive an evaluation: d/dxi log n is kept on its State for
+the state's life, the node coordinates on their Grid, and E in its row.
 
 An array divide costs over twice an array multiply, so the kernel divides
 only where the divisor is an array and a product would not do.  An
-evaluation makes three array divisions: eps / (1 + exp(.)) in the profile,
-the row 1/n~, and n/n~.  Every other "/ n~" of the formulas is a product
-with the 1/n~ row, and every division by a number is a product with its
-reciprocal.  n/n~ stays a division so that n = n~ gives n/n~ = 1, and so
-log(n/n~) = 0, exactly: n (1/n~) need not round to 1.
+evaluation makes three array divisions: eps / (1 + E exp(anchor - kX)) in
+the profile, the row 1/n~, and n/n~.  Every other "/ n~" of the formulas is
+a product with the 1/n~ row, and every division by a number is a product
+with its reciprocal.  n/n~ stays a division so that n = n~ gives n/n~ = 1,
+and so log(n/n~) = 0, exactly: n (1/n~) need not round to 1.
 
 `evaluate_report` is the one way to read the functionals of a pair: it
 returns one flat `FunctionalReport` whose field order is the column order of
@@ -42,6 +48,7 @@ the run table.  The shift substeps need only Y and I_bad, and read them with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
@@ -50,6 +57,7 @@ import numpy as np
 
 from .grid import Grid, GridField, _ddx_central, integrate_values
 from .wave import (
+    EXP_CLAMP,
     DomainError,
     WaveParams,
     _a_derivative_of,
@@ -57,6 +65,7 @@ from .wave import (
     _n_prime_of,
     _n_second_of,
     _offsets_of,
+    _profile_of_exp,
     _q_of,
     profile_n,
 )
@@ -84,7 +93,7 @@ class State:
     def __post_init__(self):
         if self.n.grid != self.q.grid:
             raise ValueError("n and q must share one grid")
-        if np.any(self.n.values <= 0.0):
+        if not self.n.values.min() > 0.0:  # one pass
             raise DomainError("density must be strictly positive at every node")
 
     @property
@@ -203,20 +212,24 @@ class _Rows:
         # the heap, where a block of them would be a mapping of its own
         self.rows = [_placed_row(grid.num_nodes, i * _ROW_SPACING) for i in range(17)]
         (self.ntil, self.a, self.offsets, self.ntil_prime, self.qtil, self.u, self.dn,
-         self.n_over_ntil, self.logratio, self.nlog, self.pi, self.dlog, self.eta,
+         self.exp_anchored, self.logratio, self.nlog, self.pi, self.dlog, self.eta,
          self.a_over_ntil, self.y_bracket, self.w, self.t) = self.rows
+        # exp(eps xi / (nu sigma) - anchor), kept from one evaluation to the
+        # next while (eps / (nu sigma), anchor) is this key (`_core`); the
+        # stepper borrows only the first six rows
+        self.exp_key = None
         # n~ is dead once n - n~ and n/n~ are taken: its row then holds 1/n~,
         # and (n - n~)/n~ once the report stage has read 1/n~ for the last time
         self.inv_ntil = self.dn_rel = self.ntil
         # q~ is dead once B1 is taken: its row is the scratch v
         self.v = self.qtil
-        # the report stage's arrays, over arrays only the first stage and B1,
-        # B3 read
+        # the report stage's arrays, over arrays that B1, B3 and sigma phi
+        # read last: log(n/n~) is dead once n log(n/n~) is taken
         self.phi, self.u_plus_phi, self.u_plus_phi_sq = self.logratio, self.dn, self.offsets
         self.sigma_phi = self.nlog
-        self.deviation = self.n_over_ntil  # |n/n~ - 1|, the tube's test
+        self.deviation = self.a_over_ntil  # |(n - n~)/n~|, the tube's test
         # the split's tube masks, weighted by n~': d/dxi log(n/n~) is dead
-        # after B3, and t after B1
+        # after D, and t after B3
         self.inside, self.outside = self.dlog, self.t
 
 
@@ -237,6 +250,12 @@ def _release_rows() -> None:
     _workspace.clear()
 
 
+# The anchors of the logistic's argument z = eps (xi - X) / (nu sigma): its
+# exponential is exp(eps xi / (nu sigma) - anchor) times exp(anchor - kX),
+# with the anchor the multiple of ANCHOR_SPACING nearest to kX (`_core`).
+ANCHOR_SPACING = 8.0
+
+
 def _core(params: WaveParams, state: State, shift: float) -> _Rows:
     """The first stage of an evaluation of (state, shift): the references
     and the arrays that Y and I_bad read, and those two integrals.
@@ -247,8 +266,23 @@ def _core(params: WaveParams, state: State, shift: float) -> _Rows:
     bit-identical to writing the formula out in full, with x / n~ read as
     x (1/n~) and x / s as x (1/s) for a number s.  It divides twice: the row
     1/n~, and n/n~ (see the module docstring); the profile divides once
-    more.  The one shift-independent array, d/dxi log n, is kept on the
-    State.
+    more.  The two shift-independent arrays are kept: d/dxi log n on the
+    State, and the wave's exponential on the rows.
+
+    The shift only translates the wave, so the logistic's exponential
+    exp(k (xi - X)), k = eps / (nu sigma), is one array times one number:
+    E = exp(clip(k xi - anchor)) times exp(anchor - kX), where the anchor is
+    the multiple of ANCHOR_SPACING nearest to kX.  E is built with the
+    profile's arithmetic, the anchor taken off before the clamp, when
+    (k, anchor) changes, and kept in its row otherwise.  So the first stage
+    makes one multiply where it would subtract, scale and exponentiate.
+    For |kX| < ANCHOR_SPACING / 2 the anchor is 0 and E is the profile's
+    exponential at the nodes; at X = 0 the factor is exp(0) = 1, so an
+    evaluation at shift 0 reads the references of `reference_arrays` to the
+    bit.  Elsewhere they agree to rounding.  The factor is at most
+    exp(ANCHOR_SPACING / 2), so E times it is finite and a node clamped in E
+    stays saturated on its side.  An evaluation depends on its (state,
+    shift) alone, not on what was evaluated before.
 
     Y and I_bad are one integrand each, n~' times a bracket, so an
     evaluation makes two reductions.  The weight's slope a' = -(lam/eps) n~'
@@ -258,16 +292,32 @@ def _core(params: WaveParams, state: State, shift: float) -> _Rows:
     c = _rows(state.grid)
     c.params, c.n = params, state.n.values
     n, q, dx, w, t = c.n, state.q.values, c.dx, c.w, c.t
-    ntil, a, ntil_prime = c.ntil, c.a, c.ntil_prime
+    ntil, a, offsets, ntil_prime = c.ntil, c.a, c.offsets, c.ntil_prime
     ell = params.lam / params.eps
-    np.subtract(state.grid._nodes, shift, out=ntil)  # xi, until the profile overwrites it
-    profile_n(params, ntil, ascending=True, out=ntil)
-    _references_into(params, ntil, a, c.offsets, ntil_prime, c.qtil)
+    k = params.eps / (params.nu * params.sigma)
+    kx = k * shift
+    if not -math.inf < kx < math.inf:
+        raise DomainError(f"the shift must be finite, got {shift}")
+    anchor = ANCHOR_SPACING * round(kx / ANCHOR_SPACING)
+    if c.exp_key != (k, anchor):
+        # the profile's exponential at the nodes, anchored: clamped after the
+        # anchor is taken off, so a clamped node is saturated for the shift
+        e = np.multiply(k, c.grid._nodes, out=c.exp_anchored)
+        e -= anchor
+        np.clip(e, -EXP_CLAMP, EXP_CLAMP, out=e)
+        np.exp(e, out=e)
+        c.exp_key = (k, anchor)
+    # anchor - kx is exact and at most ANCHOR_SPACING / 2 in size: the anchor
+    # is ANCHOR_SPACING times the integer nearest kx / ANCHOR_SPACING, so it
+    # is 0 or within a factor 2 of kx
+    np.multiply(c.exp_anchored, math.exp(anchor - kx), out=ntil)
+    _profile_of_exp(params, ntil, out=ntil)
+    _references_into(params, ntil, a, offsets, ntil_prime, c.qtil)
 
     u = np.subtract(q, c.qtil, out=c.u)
     dn = np.subtract(n, ntil, out=c.dn)
     # a division, not n (1/n~): n = n~ must give n/n~ = 1 and log(n/n~) = 0
-    logratio = np.log(np.divide(n, ntil, out=c.n_over_ntil), out=c.logratio)
+    logratio = np.log(np.divide(n, ntil, out=c.logratio), out=c.logratio)
     # nothing reads n~ after this: every "/ n~" below is a product with 1/n~,
     # written over it
     inv_ntil = np.divide(1.0, ntil, out=c.inv_ntil)
@@ -295,16 +345,20 @@ def _core(params: WaveParams, state: State, shift: float) -> _Rows:
 
     # I_bad = int n~' ((a/n~ + ell)((n - n~) u + n log(n/n~) d/dxi log(n/n~))
     #   + Pi ((a/n~)(A + B)/(nu sigma) + ell q)), with A + B the offsets'
-    #   sum, so (A + B)/(nu sigma) = n~''/n~'
+    #   sum, so (A + B)/(nu sigma) = n~''/n~'.  The report's B1 and B3 read
+    #   three of its arrays off their rows: n log(n/n~) d/dxi log(n/n~) in
+    #   `nlog`, a/n~ + ell in t, and (a/n~)(A + B)/(nu sigma), written over
+    #   the offsets' sum; the Pi bracket takes the dead row of log(n/n~)
     np.multiply(dn, u, out=w)
     nlog *= dlog
     w += nlog
     w *= np.add(a_over_ntil, ell, out=t)
-    np.multiply(a_over_ntil, c.offsets, out=t)
-    t *= 1.0 / (params.nu * params.sigma)
-    t += np.multiply(ell, q, out=nlog)
-    t *= pi
-    w += t
+    offsets *= a_over_ntil
+    offsets *= 1.0 / (params.nu * params.sigma)
+    bracket = np.multiply(ell, q, out=c.logratio)
+    bracket += offsets
+    bracket *= pi
+    w += bracket
     w *= ntil_prime
     c.I_bad = integrate_values(w, dx)
     return c
@@ -316,9 +370,10 @@ def _complete(c: _Rows) -> None:
 
     As in `_core`, each weighted integrand is n~' times a bracket (a' =
     -ell n~', ell = lam/eps), and a constant factor of the formula is
-    applied to the integral."""
+    applied to the integral.  B1 and B3 finish brackets that `_core` left
+    in its rows."""
     params = c.params
-    n, dx, w, t = c.n, c.dx, c.w, c.t
+    n, dx, w = c.n, c.dx, c.w
     a, u, pi, dlog, ntil_prime, a_over_ntil = c.a, c.u, c.pi, c.dlog, c.ntil_prime, c.a_over_ntil
     ell, sigma = params.lam / params.eps, params.sigma
     # I_good = sigma int a' u u/2 + sigma int a' Pi (G2) + D
@@ -335,17 +390,13 @@ def _complete(c: _Rows) -> None:
     c.I_good = g_q + c.G_pi + c.D
     # B1 = int n~' Pi ((a/n~)(A + B)/(nu sigma) + ell q~): I_bad's Pi bracket
     # with q~ for q, since -(eps/lam) a'' = n~'' = n~' (A + B)/(nu sigma)
-    np.multiply(a_over_ntil, c.offsets, out=t)
-    t *= 1.0 / (params.nu * sigma)
-    t += np.multiply(ell, c.qtil, out=w)
-    t *= pi
-    t *= ntil_prime
-    c.B1 = integrate_values(t, dx)
-    # B3 = int n~' (ell + a/n~) n log(n/n~) d/dxi log(n/n~)
-    np.add(a_over_ntil, ell, out=w)
-    w *= n
-    w *= c.logratio
-    w *= dlog
+    np.multiply(ell, c.qtil, out=w)
+    w += c.offsets
+    w *= pi
+    w *= ntil_prime
+    c.B1 = integrate_values(w, dx)
+    # B3 = int n~' (a/n~ + ell) n log(n/n~) d/dxi log(n/n~)
+    np.multiply(c.t, c.nlog, out=w)
     w *= ntil_prime
     c.B3 = integrate_values(w, dx)
     # sigma phi = Pi(n|n~) + (1 + (eps/lam) a/n~)(n - n~)
@@ -353,12 +404,12 @@ def _complete(c: _Rows) -> None:
     sigma_phi += 1.0
     sigma_phi *= c.dn
     sigma_phi += pi
-    # 1/n~ is read for the last time
+    # 1/n~ is read for the last time (a/n~ was, above: its row takes the
+    # tube's test)
     np.multiply(c.dn, c.inv_ntil, out=c.dn_rel)
     phi = np.multiply(sigma_phi, 1.0 / sigma, out=c.phi)
     np.square(np.add(u, phi, out=c.u_plus_phi), out=c.u_plus_phi_sq)
-    deviation = np.subtract(c.n_over_ntil, 1.0, out=c.deviation)
-    np.abs(deviation, out=deviation)
+    np.abs(c.dn_rel, out=c.deviation)
 
 
 def _entropies(c: _Rows) -> tuple[float, float]:
@@ -405,7 +456,7 @@ def _split(c: _Rows, delta: float) -> _Split:
     sigma, ell, dx, w, v = params.sigma, params.lam / params.eps, c.dx, c.w, c.v
     phi, u, upp, upp_sq = c.phi, c.u, c.u_plus_phi, c.u_plus_phi_sq
     half = 0.5 * sigma * ell
-    # n~' where |n/n~ - 1| <= delta (ties go inside) and 0 elsewhere, and
+    # n~' where |(n - n~)/n~| <= delta (ties go inside) and 0 elsewhere, and
     # n~' - that: each node's n~' goes whole to one mask
     inside = np.less_equal(c.deviation, delta, out=c.inside)
     inside *= c.ntil_prime

@@ -288,15 +288,13 @@ class _Stepper:
 
     def _rhs(self, n, q, rn, rq, s0, s1):
         """The first-order residual R_h(U) in delta form, written into and
-        returned as (rn, rq): sigma-advection upwinded (forward), coupling
-        central, less the wave's residual, with zero boundary rows; s0 and
-        s1 are scratch."""
-        dx = self.dx
-        _ddx_forward_biased(n, dx, out=rn, scratch=s0)
-        rn *= self.sigma
+        returned as (rn, rq): sigma-advection upwinded (forward, sigma in
+        the stencil's scale), coupling central, less the wave's residual,
+        with zero boundary rows; s0 and s1 are scratch."""
+        dx, sigma = self.dx, self.sigma
+        _ddx_forward_biased(n, dx, out=rn, scratch=s0, speed=sigma)
         rn += _ddx_central(np.multiply(n, q, out=s0), dx, out=s1)
-        _ddx_forward_biased(q, dx, out=rq, scratch=s0)
-        rq *= self.sigma
+        _ddx_forward_biased(q, dx, out=rq, scratch=s0, speed=sigma)
         rq += _ddx_central(n, dx, out=s0)
         rn -= self.residual_n
         rq -= self.residual_q

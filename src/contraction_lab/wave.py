@@ -173,12 +173,18 @@ def profile_n(params: WaveParams, xi, *, ascending: bool = False, out=None):
     spares the clamp of the exponent when the ends show it is not needed.
     With `out` (it may be xi) the profile is written there.
     """
-    n = _logistic_arg(params, xi, ascending, out)
-    np.exp(n, out=n)
-    n += 1.0
+    e = _logistic_arg(params, xi, ascending, out)
+    np.exp(e, out=e)
+    return _maybe_scalar(xi, _profile_of_exp(params, e, out=e))
+
+
+def _profile_of_exp(params: WaveParams, e, out=None):
+    """n~ = n_+ + eps / (1 + e) from e = exp(eps xi / (nu sigma)), into
+    `out` (it may be e) or into new storage."""
+    n = np.add(e, 1.0, out=out)
     np.divide(params.eps, n, out=n)
     n += params.n_plus
-    return _maybe_scalar(xi, n)
+    return n
 
 
 def _offsets_of(params: WaveParams, n, below=None, above=None):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import tracemalloc
 import warnings
@@ -17,7 +18,14 @@ from contraction_lab import (
     evaluate_report,
     pi_rel,
 )
-from contraction_lab.functionals import ReferenceArrays, _complete, _core, _split, reference_arrays
+from contraction_lab.functionals import (
+    ANCHOR_SPACING,
+    ReferenceArrays,
+    _complete,
+    _core,
+    _split,
+    reference_arrays,
+)
 from contraction_lab.grid import _ddx_central, integrate_values
 from contraction_lab.identities import random_state
 from contraction_lab.wave import (
@@ -639,8 +647,29 @@ class TestReferenceArrays:
 # each "/ n~" a product with the one array 1/n~ and each division by a
 # number a product with its reciprocal.  The oracle for the bit-identity of
 # the kernel, which writes the same operations into its grid's rows.
-def _eager_core(params, state, shift):
-    refs = reference_arrays(params, state.grid, shift)
+def _anchored_references(params, grid, shift):
+    """The references by the kernel's rule: the logistic's exponential
+    exp(k (xi - X)), k = eps/(nu sigma), as exp(clip(k xi - anchor)) times
+    exp(anchor - kX), with the anchor the multiple of ANCHOR_SPACING nearest
+    to kX; the rest by the expressions of `wave`'s helpers."""
+    k = params.eps / (params.nu * params.sigma)
+    anchor = ANCHOR_SPACING * round(k * shift / ANCHOR_SPACING)
+    xi = grid.nodes()
+    e = np.exp(np.clip(k * xi - anchor, -EXP_CLAMP, EXP_CLAMP)) * math.exp(anchor - k * shift)
+    ntil = params.n_plus + params.eps / (1.0 + e)
+    below, above = ntil - params.n_minus, ntil - params.n_plus
+    ntil_prime = below * above * (1.0 / (params.nu * params.sigma))
+    ntil_second = ntil_prime * (below + above) * (1.0 / (params.nu * params.sigma))
+    qtil = params.q_minus - below * (1.0 / params.sigma)
+    a = 1.0 - (params.lam / params.eps) * below
+    a_prime = -(params.lam / params.eps) * ntil_prime
+    return ReferenceArrays(xi - shift, ntil, ntil_prime, ntil_second, qtil, a, a_prime)
+
+
+def _eager_core(params, state, shift, refs=None):
+    """The eager arrays of (state, shift), on the kernel's references unless
+    `refs` are given."""
+    refs = _anchored_references(params, state.grid, shift) if refs is None else refs
     n = state.n.values
     q = state.q.values
     inv = 1.0 / refs.ntil
@@ -698,12 +727,12 @@ def _eager_split(params, c, delta):
     ell = params.lam / params.eps
     half = 0.5 * params.sigma * ell
     # the tube masks carry the weight n~'
-    inside = (np.abs(n / r.ntil - 1.0) <= delta) * r.ntil_prime
+    inside = (np.abs((n - r.ntil) * inv) <= delta) * r.ntil_prime
     outside = r.ntil_prime - inside
     b1 = integrate_values(_eager_pi_bracket(params, c, r.qtil) * pi * r.ntil_prime, dx)
     b2_in = -half * integrate_values(phi * phi * inside, dx)
     b2_out = ell * integrate_values(c["sigma_phi"] * u * outside, dx)
-    b3 = integrate_values((r.a * inv + ell) * n * c["logratio"] * c["dlog"] * r.ntil_prime, dx)
+    b3 = integrate_values((r.a * inv + ell) * (n * c["logratio"] * c["dlog"]) * r.ntil_prime, dx)
     g1_in = -half * integrate_values((u + phi) ** 2 * inside, dx)
     g1_out = -half * integrate_values(u * u * outside, dx)
     g2 = -(params.sigma * ell) * integrate_values(r.ntil_prime * pi, dx)
@@ -871,7 +900,7 @@ def _division_report(params, c, delta0, delta1):
 ROUNDINGS = 124 + 48 + 20
 
 
-def _rounding_bounds(params, c, delta0, delta1, want):
+def _rounding_bounds(params, c, delta0, delta1, want, roundings=ROUNDINGS):
     """A bound on |multiply form - division form| for every report field.
 
     Each field is a sum of integrals of products.  Its absolute form is
@@ -881,7 +910,7 @@ def _rounding_bounds(params, c, delta0, delta1, want):
     roundings: n - n~ by ulps of n~, say, not of n - n~.  log(n/n~) errs
     absolutely, so its magnitude is 1 + |log(n/n~)|.  At each node a
     rounding moves a term by at most u times its absolute form, so the
-    bound is ROUNDINGS u times the integral of the field's absolute forms.
+    bound is `roundings` u times the integral of the field's absolute forms.
     R_main's propagates those of Y, B, G and D through its formula, plus
     the roundings of the formula itself; `want` is the division form's
     report.  A node whose tube test flips between the forms would break
@@ -936,13 +965,13 @@ def _rounding_bounds(params, c, delta0, delta1, want):
     terms["B_delta"] = [t for k in ("B1", "B2_in", "B2_out", "B3") for t in terms[k]]
     terms["G_delta"] = [t for k in ("G1_in", "G1_out", "G2", "G_D") for t in terms[k]]
     u_round = np.finfo(float).eps / 2.0
-    bound = {k: ROUNDINGS * u_round * sum(integrate_values(t, dx) for t in ts)
+    bound = {k: roundings * u_round * sum(integrate_values(t, dx) for t in ts)
              for k, ts in terms.items()}
     y_abs, b_abs, g_abs = abs(want["Y"]), abs(want["B_delta"]), abs(want["G_delta"])
     bound["R_main"] = (
         (2.0 * y_abs + bound["Y"]) * bound["Y"] / params.eps**4
         + (1.0 + delta0 * ratio) * bound["B_delta"] + bound["G_delta"] + delta0 * bound["D"]
-        + ROUNDINGS * u_round * (
+        + roundings * u_round * (
             y_abs * y_abs / params.eps**4 + (1.0 + delta0 * ratio) * b_abs + g_abs
             + delta0 * want["D"]
         )
@@ -1039,6 +1068,128 @@ class TestFactoredForm:
             want = (_a_prime_Y(params, c), _a_prime_I_bad(params, c))
             for g, w, bound in zip(got, want, _a_prime_bounds(params, c)):
                 assert abs(g - w) <= bound, (g, w, bound)
+
+# The kernel's references against `reference_arrays(shift)`, which take the
+# logistic's exponential as exp(clip(k (xi - X))), k = eps/(nu sigma), where
+# the kernel takes exp(clip(k xi - anchor)) exp(anchor - kX).  In units u of
+# the unit roundoff, against the exponential of the exact argument:
+# reference_arrays rounds xi - X and k (xi - X), each by u |z| (z the
+# argument), and exp by 2 u: 2 |z| + 2 = 70.2 at |z| <= 34.1, the reach of
+# the lab grid (30 widths) plus |kX| <= 4.1.  The kernel rounds k xi by
+# u |k xi| <= 30 u, k xi - anchor by u |k xi - anchor| <= 38 u (|anchor| <=
+# 8), kX by u |kX| <= 4.1 u, each exp by 2 u and the product by u
+# (anchor - kX is exact): 77.1.  The two exponentials differ by at most
+# 148 u of their size, and the logistic carries that into the offsets
+# n~ - n_-+ no larger (their logarithmic slope in e is 1/(1 + e) or
+# e/(1 + e)), so into every reference.  A term of a report field is a
+# product of at most 6 factors that read a reference (B3's a, 1/n~,
+# log(n/n~), d/dxi log(n/n~) through n~' and 1/n~, and n~'), so it moves by
+# at most 6 * 148 u of its absolute form.  Both sides then round the same
+# operations on different operands: 48 for the chain and 20 for the sums,
+# as in ROUNDINGS.  Nodes clamped on both sides saturate to the same
+# references, and add nothing.
+ANCHORED_ROUNDINGS = 6 * 148 + 48 + 20
+
+
+class TestAnchoredReferences:
+    """The kernel's anchored exponential: exact at shift 0, within rounding
+    of `reference_arrays` elsewhere, finite and order-free at any shift."""
+
+    @staticmethod
+    def k(params):
+        return params.eps / (params.nu * params.sigma)
+
+    def test_shift_zero_reads_reference_arrays_to_the_bit(self, params, grid):
+        refs = reference_arrays(params, grid)
+        anchored = _anchored_references(params, grid, 0.0)
+        for name in (field.name for field in dataclasses.fields(refs)):
+            assert np.array_equal(getattr(anchored, name), getattr(refs, name)), name
+        # below |kX| = ANCHOR_SPACING / 2 the kernel's exponential is the
+        # profile's at the nodes, whatever the shift
+        for kx in (0.0, 1.0, -3.9, 3.99):
+            _core(params, random_state(params, grid, 3), kx / self.k(params))
+            assert np.array_equal(
+                cl.functionals._rows(grid).exp_anchored,
+                np.exp(_logistic_arg(params, grid.nodes(), ascending=True)),
+            )
+
+    @pytest.mark.parametrize("shift_kind", ["plus", "minus", "kx_3.9", "kx_-3.9", "kx_4.1",
+                                            "kx_-4.1", "past_clamp_plus", "past_clamp_minus"])
+    def test_report_within_rounding_of_reference_arrays(self, params, grid, shift_kind):
+        # every report field within ANCHORED_ROUNDINGS u times the integral
+        # of its absolute form of the report on reference_arrays(shift),
+        # on large random states
+        if shift_kind.startswith("kx_"):
+            shift = float(shift_kind[3:]) / self.k(params)
+        else:
+            shift = TestLazyCore.shift_of(params, grid, shift_kind)
+        refs = reference_arrays(params, grid, shift)
+        for seed in (3, 17, 40):
+            state = random_state(params, grid, seed)
+            rep = evaluate_report(params, state, 0.01, 0.25, shift)
+            kernel_inside = cl.functionals._rows(grid).deviation <= 0.25
+            c = _eager_core(params, state, shift, refs=refs)
+            want = _eager_report(params, c, 0.01, 0.25)
+            bound = _rounding_bounds(params, c, 0.01, 0.25, want, ANCHORED_ROUNDINGS)
+            inside = np.abs((c["n"] - refs.ntil) * c["inv"]) <= 0.25
+            assert np.array_equal(kernel_inside, inside), "a tube test flips between the forms"
+            for name, value in want.items():
+                assert abs(getattr(rep, name) - value) <= bound[name], name
+
+    def test_far_anchors_stay_finite_saturated_and_order_free(self, params):
+        # a grid of 1.5 clamp widths each side: at shift 0 its outer nodes
+        # are clamped, and shifts of about 600 widths bring them back
+        reach = EXP_CLAMP / self.k(params)
+        grid = Grid(-1.5 * reach, 1.5 * reach, 2048)
+        state = random_state(params, grid, 9)
+        shifts = [kx / self.k(params) for kx in (603.3, -597.9, 0.0, 1e6)]
+        reports = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for shift in shifts:
+                reports[shift] = evaluate_report(params, state, 0.01, 0.25, shift)
+                c = _core(params, state, shift)
+                refs = reference_arrays(params, grid, shift)
+                # where reference_arrays saturates, the kernel's n~ is the same
+                # number: its 1/n~ and a are bit-equal there
+                saturated = (refs.ntil == params.n_plus) | (refs.ntil == params.n_plus + params.eps)
+                z = self.k(params) * (grid.nodes() - shift)
+                assert np.all(saturated[np.abs(z) >= EXP_CLAMP])
+                assert np.array_equal(c.inv_ntil[saturated], 1.0 / refs.ntil[saturated])
+                assert np.array_equal(c.a[saturated], refs.a[saturated])
+                assert np.all(np.isfinite(c.inv_ntil)) and np.all(np.isfinite(c.exp_anchored))
+        # an evaluation depends on its (state, shift) alone, not on the anchor
+        # the evaluation before it left
+        for shift in reversed(shifts):
+            cl.functionals._release_rows()
+            assert evaluate_report(params, state, 0.01, 0.25, shift) == reports[shift]
+        for shift in reversed(shifts):
+            assert evaluate_report(params, state, 0.01, 0.25, shift) == reports[shift]
+
+    @pytest.mark.parametrize("shift", [np.inf, -np.inf, np.nan])
+    def test_non_finite_shift_is_a_domain_error(self, params, grid, shift):
+        with pytest.raises(DomainError, match="shift must be finite"):
+            cl.functionals.y_and_ibad(params, random_state(params, grid, 3), shift)
+
+
+class TestShiftDerivative:
+    @pytest.mark.parametrize("kx", [0.0, 5.0])
+    def test_y_is_the_shift_derivative_of_the_weighted_entropy(self, small_params, kx):
+        # Y = d/dX of the trapezoid of a(xi - X) eta(U | U~(xi - X)), by a
+        # 4th-order central difference at h = 0.1, on the demo bump at 2048
+        # cells, at X = 0 and past the first anchor (kX = 5, anchor 8)
+        params = small_params
+        grid = lab_grid(params, num_cells=2048)
+        spec = cl.solver.PerturbationSpec(amplitude_n=0.5, amplitude_q=0.5, width=5.0)
+        state = cl.solver.initial_state(params, grid, spec, reference_arrays(params, grid))
+        x, h = kx * params.nu * params.sigma / params.eps, 0.1
+
+        def entropy(shift):
+            return evaluate_report(params, state, shift=shift).eta_weighted
+
+        slope = (entropy(x - 2 * h) - 8 * entropy(x - h) + 8 * entropy(x + h) - entropy(x + 2 * h)) / (12 * h)
+        y = evaluate_report(params, state, shift=x).Y
+        assert abs(slope - y) <= 1e-9 * abs(y), (slope, y)
 
 
 class TestLazyCore:

@@ -124,9 +124,10 @@ def take_steps(stepper, state, steps):
 
 # The step as it was before the stepper factored its matrix and wrote its
 # stages in place: every stage a new array, every stencil written out in
-# full (scaled by the reciprocal 1 / (2 dx)), and the interior of the
-# diffusion matrix solved unfactored by LAPACK's dptsv.  The oracle for the
-# bit-identity of the stepper.
+# full (the central one scaled by the reciprocal 1 / (2 dx), the forward
+# one by sigma / (2 dx)), and the interior of the diffusion matrix solved
+# unfactored by LAPACK's dptsv.  The oracle for the bit-identity of the
+# stepper.
 def _eager_central(v, dx):
     out = np.empty_like(v)
     out[1:-1] = (v[2:] - v[:-2]) * (1.0 / (2.0 * dx))
@@ -135,10 +136,12 @@ def _eager_central(v, dx):
     return out
 
 
-def _eager_forward(v, dx):
+def _eager_forward(v, dx, speed):
+    scale = speed / (2.0 * dx)
     out = np.empty_like(v)
-    out[:-2] = (-3.0 * v[:-2] + 4.0 * v[1:-1] - v[2:]) * (1.0 / (2.0 * dx))
-    out[-2:] = _eager_central(v[-3:], dx)[1:]
+    out[:-2] = (-3.0 * v[:-2] + 4.0 * v[1:-1] - v[2:]) * scale
+    out[-2] = (v[-1] - v[-3]) * scale
+    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) * scale
     return out
 
 
@@ -146,8 +149,8 @@ def _eager_step(params, grid, refs, dt, n, q):
     sigma, dx = params.sigma, grid.dx
 
     def hyperbolic(n, q):
-        rn = sigma * _eager_forward(n, dx) + _eager_central(n * q, dx)
-        rq = sigma * _eager_forward(q, dx) + _eager_central(n, dx)
+        rn = _eager_forward(n, dx, sigma) + _eager_central(n * q, dx)
+        rq = _eager_forward(q, dx, sigma) + _eager_central(n, dx)
         return rn, rq
 
     residual_n, residual_q = hyperbolic(refs.ntil, refs.qtil)
