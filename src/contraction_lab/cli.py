@@ -18,16 +18,20 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, apply_override, load_config
-from .functionals import NumericsError, reference_arrays
+from .functionals import NumericsError
 from .grid import integrate_values
 from .identities import check_identities
 from .poincare import scan_delta_star
 from .solver import StabilityError, run
 from .wave import (
     _logistic_arg,
+    profile_n,
     profile_n_prime,
     profile_n_second,
+    profile_q,
     rankine_hugoniot_residuals,
+    weight_a,
+    weight_a_prime,
     y_of_xi,
 )
 
@@ -70,12 +74,13 @@ def cmd_wave(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Write the wave profile and its summary."""
     params = cfg.wave_params()
     grid = cfg.grid(params)
-    refs = reference_arrays(params, grid)
-    y = np.asarray(y_of_xi(params, grid.nodes()))
+    xi = grid.nodes()
+    a_prime = weight_a_prime(params, xi)
     _write_table(
         out_dir / "wave_profile.csv",
         ["xi", "n_tilde", "q_tilde", "a", "a_prime", "y"],
-        [refs.xi, refs.ntil, refs.qtil, refs.a, refs.a_prime, y],
+        [xi, profile_n(params, xi), profile_q(params, xi), weight_a(params, xi), a_prime,
+         y_of_xi(params, xi)],
     )
 
     r1, r2 = rankine_hugoniot_residuals(params)
@@ -112,7 +117,7 @@ def cmd_wave(cfg: ExperimentConfig, out_dir: Path) -> int:
         "decay_lower_bound_holds": decay_lower_ok,
         "decay_upper_bound_holds": decay_upper_ok,
         "second_derivative_bound_holds": second_bound_ok,
-        "weight_total_variation": integrate_values(refs.a_prime, grid.dx),
+        "weight_total_variation": integrate_values(a_prime, grid.dx),
         "config": cfg.data,
     }
     _write_json(out_dir / "wave_summary.json", summary)

@@ -5,10 +5,10 @@ maximized split B_delta / G_delta, the dissipation D, and the parts of Y, B
 and G over the tube {|n/n~ - 1| <= delta_1} and its complement.
 
 All reference objects (n~, q~, a and derivatives) are evaluated in closed
-form at arbitrary points, optionally translated by a shift; only solution
-fields are ever differenced.  Every integral is the same composite
-trapezoid rule, so the algebraic identities between these functionals hold
-at machine precision on any grid.
+form at the nodes translated by a shift, by the expressions of the
+pointwise functions of `wave`; only solution fields are ever differenced.
+Every integral is the same composite trapezoid rule, so the algebraic
+identities between these functionals hold at machine precision on any grid.
 
 Every functional of one (state, shift) pair comes from one straight-line
 kernel that writes each nodewise array into a row of its grid's workspace
@@ -60,10 +60,8 @@ from .wave import (
     EXP_CLAMP,
     DomainError,
     WaveParams,
-    _a_derivative_of,
     _a_of,
     _n_prime_of,
-    _n_second_of,
     _offsets_of,
     _profile_of_exp,
     _q_of,
@@ -111,50 +109,21 @@ class State:
 
 @dataclass(frozen=True)
 class ReferenceArrays:
-    """Analytic wave/weight arrays on the grid nodes, translated by a shift."""
+    """The sampled wave: n~ and q~ at the grid nodes, new and read-only."""
 
-    xi: np.ndarray
     ntil: np.ndarray
-    ntil_prime: np.ndarray
-    ntil_second: np.ndarray
     qtil: np.ndarray
-    a: np.ndarray
-    a_prime: np.ndarray
 
 
-def _references_into(params: WaveParams, ntil, a, offsets, ntil_prime, qtil) -> None:
-    """The references that the first stage of an evaluation reads, from n~,
-    into the four rows given, by the expressions of the pointwise functions
-    of `wave`.  The offsets n~ - n_-, n~ - n_+ go into the rows of a and of
-    `offsets`, and become a and the offsets' sum once nothing else reads
-    them.  The sum is nu sigma n~''/n~', the form in which I_bad and B1 read
-    n~''."""
-    below, above = _offsets_of(params, ntil, a, offsets)
-    _n_prime_of(params, below, above, out=ntil_prime)
-    _q_of(params, below, out=qtil)
-    np.add(below, above, out=above)
-    _a_of(params, below, out=below)
-
-
-def reference_arrays(params: WaveParams, grid: Grid, shift: float = 0.0) -> ReferenceArrays:
-    """Evaluate all reference objects at the grid nodes minus the shift.
-
-    Functionals of the shifted state U^X use references translated by X;
-    translating the analytic objects is exact and never interpolates U.
-    The arrays are new and read-only, so an in-place operation aimed at one
-    raises; an evaluation builds its own references in its grid's rows.
-    """
-    # at shift 0 the nodes are xi to the bit: their read-only array serves
-    xi = grid._nodes - shift if shift else grid._nodes
-    arrays = [xi, *(np.empty(grid.num_nodes) for _ in range(6))]
-    _, ntil, ntil_prime, ntil_second, qtil, a, a_prime = arrays
-    profile_n(params, xi, ascending=True, out=ntil)
-    _references_into(params, ntil, a, ntil_second, ntil_prime, qtil)
-    _n_second_of(params, ntil_prime, ntil_second, out=ntil_second)
-    _a_derivative_of(params, ntil_prime, out=a_prime)
-    for array in arrays:
-        array.flags.writeable = False
-    return ReferenceArrays(*arrays)
+def reference_arrays(params: WaveParams, grid: Grid) -> ReferenceArrays:
+    """The wave n~, q~ at the grid nodes, in new read-only arrays: the run's
+    fixed point, to which a perturbation is added.  An evaluation builds its
+    own references in its grid's rows (`_core`), these to the bit at shift 0."""
+    ntil = profile_n(params, grid._nodes)
+    below = np.subtract(ntil, params.n_minus)
+    qtil = _q_of(params, below, out=below)
+    ntil.flags.writeable = qtil.flags.writeable = False
+    return ReferenceArrays(ntil, qtil)
 
 
 def pi_rel(n1, n2):
@@ -277,12 +246,14 @@ def _core(params: WaveParams, state: State, shift: float) -> _Rows:
     (k, anchor) changes, and kept in its row otherwise.  So the first stage
     makes one multiply where it would subtract, scale and exponentiate.
     For |kX| < ANCHOR_SPACING / 2 the anchor is 0 and E is the profile's
-    exponential at the nodes; at X = 0 the factor is exp(0) = 1, so an
-    evaluation at shift 0 reads the references of `reference_arrays` to the
-    bit.  Elsewhere they agree to rounding.  The factor is at most
-    exp(ANCHOR_SPACING / 2), so E times it is finite and a node clamped in E
-    stays saturated on its side.  An evaluation depends on its (state,
-    shift) alone, not on what was evaluated before.
+    exponential at the nodes; at X = 0 the factor is exp(0) = 1, so at
+    shift 0 every reference equals its pointwise function of `wave` at the
+    nodes to the bit, and n~ and q~ are those of `reference_arrays`.  At
+    other shifts they agree with those functions at the nodes minus X to
+    rounding.  The factor is at most exp(ANCHOR_SPACING / 2), so E times it
+    is finite and a node clamped in E stays saturated on its side.  An
+    evaluation depends on its (state, shift) alone, not on what was
+    evaluated before.
 
     Y and I_bad are one integrand each, n~' times a bracket, so an
     evaluation makes two reductions.  The weight's slope a' = -(lam/eps) n~'
@@ -312,7 +283,13 @@ def _core(params: WaveParams, state: State, shift: float) -> _Rows:
     # is 0 or within a factor 2 of kx
     np.multiply(c.exp_anchored, math.exp(anchor - kx), out=ntil)
     _profile_of_exp(params, ntil, out=ntil)
-    _references_into(params, ntil, a, offsets, ntil_prime, c.qtil)
+    # the offsets n~ - n_-, n~ - n_+ become a and the offsets' sum, which is
+    # nu sigma n~''/n~', the form in which I_bad and B1 read n~''
+    below, above = _offsets_of(params, ntil, a, offsets)
+    _n_prime_of(params, below, above, out=ntil_prime)
+    _q_of(params, below, out=c.qtil)
+    np.add(below, above, out=above)
+    _a_of(params, below, out=below)
 
     u = np.subtract(q, c.qtil, out=c.u)
     dn = np.subtract(n, ntil, out=c.dn)

@@ -50,7 +50,7 @@ def _harmonics(grid: Grid) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _references(params: WaveParams, grid: Grid) -> ReferenceArrays:
-    """reference_arrays(params, grid) at shift 0, shared (its arrays are read-only)."""
+    """reference_arrays(params, grid), shared: its n~ and q~ are read-only."""
     return reference_arrays(params, grid)
 
 

@@ -138,26 +138,17 @@ def make_wave_params(
     return params
 
 
-def _logistic_arg(params: WaveParams, xi, ascending: bool = False, out=None):
-    """eps xi / (nu sigma) clamped to +-EXP_CLAMP, in `out` (it may be xi) or
-    in one new array (0-d for a scalar xi) that the caller may overwrite.
+def _logistic_arg(params: WaveParams, xi):
+    """eps xi / (nu sigma) clamped to +-EXP_CLAMP, in one new array (0-d for
+    a scalar xi) that the caller may overwrite.
 
     The scale is one multiply by the number eps / (nu sigma): an array
     divide costs over twice a multiply, so the helpers below multiply by
     the reciprocal where a formula divides by a number.  The one array
     division left is the profile's eps / (1 + exp(.)), whose divisor is an
     array.
-
-    For an `ascending` xi the argument ascends too, so its two ends are its
-    extremes: when both lie inside the clamp, the clamp would change nothing
-    and is skipped.
     """
-    z = np.multiply(
-        params.eps / (params.nu * params.sigma), xi,
-        out=np.empty(np.shape(xi)) if out is None else out,
-    )
-    if ascending and z.size and -EXP_CLAMP <= z.flat[0] and z.flat[-1] <= EXP_CLAMP:
-        return z
+    z = np.multiply(params.eps / (params.nu * params.sigma), xi, out=np.empty(np.shape(xi)))
     return np.clip(z, -EXP_CLAMP, EXP_CLAMP, out=z)
 
 
@@ -165,15 +156,12 @@ def _maybe_scalar(x, arr):
     return float(arr) if np.isscalar(x) or np.ndim(x) == 0 else arr
 
 
-def profile_n(params: WaveParams, xi, *, ascending: bool = False, out=None):
+def profile_n(params: WaveParams, xi):
     """Density profile n~(xi) = n_+ + eps / (1 + exp(eps xi / (nu sigma))).
 
-    Monotone decreasing, n~(0) = (n_- + n_+)/2, limits n_- and n_+.  A
-    caller whose xi is sorted ascending says so with `ascending`, which
-    spares the clamp of the exponent when the ends show it is not needed.
-    With `out` (it may be xi) the profile is written there.
+    Monotone decreasing, n~(0) = (n_- + n_+)/2, limits n_- and n_+.
     """
-    e = _logistic_arg(params, xi, ascending, out)
+    e = _logistic_arg(params, xi)
     np.exp(e, out=e)
     return _maybe_scalar(xi, _profile_of_exp(params, e, out=e))
 

@@ -1,8 +1,18 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from contraction_lab import Grid, make_wave_params
 from contraction_lab.functionals import _complete, _core, _entropies
+from contraction_lab.wave import (
+    profile_n,
+    profile_n_prime,
+    profile_n_second,
+    profile_q,
+    weight_a,
+    weight_a_prime,
+)
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +51,25 @@ def report_core(params, state, shift):
     _complete(c)
     c.eta_weighted, c.eta_unweighted = _entropies(c)
     return c
+
+
+class References(NamedTuple):
+    """The wave and weight at the nodes of a grid, translated by a shift."""
+
+    xi: np.ndarray
+    ntil: np.ndarray
+    ntil_prime: np.ndarray
+    ntil_second: np.ndarray
+    qtil: np.ndarray
+    a: np.ndarray
+    a_prime: np.ndarray
+
+
+def pointwise_references(params, grid, shift=0.0):
+    """Every reference at the grid nodes minus `shift`, from the pointwise
+    functions of `wave`: the oracle that the kernel's rows are held to."""
+    xi = grid.nodes() - shift
+    return References(xi, *(
+        np.asarray(fn(params, xi))
+        for fn in (profile_n, profile_n_prime, profile_n_second, profile_q, weight_a, weight_a_prime)
+    ))

@@ -11,8 +11,11 @@ import pytest
 from contraction_lab import PerturbationSpec, SolverConfig
 from contraction_lab.cli import _CHUNK_ROWS, _write_table, main
 from contraction_lab.config import ConfigError, _schema, apply_override, load_config
+from contraction_lab.functionals import evaluate_report
+from contraction_lab.grid import integrate_values
 from contraction_lab.identities import check_identities
 from contraction_lab.poincare import DEFAULT_Y_CELLS
+from contraction_lab.wave import profile_n, profile_q, weight_a, weight_a_prime, y_of_xi
 
 
 def write_config(tmp_path, extra=None):
@@ -102,12 +105,18 @@ SHADOWED_DEFAULTS = [
     ("identities.seed", _param_default(check_identities, "seed")),
     ("identities.tol", _param_default(check_identities, "tol")),
     ("poincare.y_cells", DEFAULT_Y_CELLS),
+    # evaluate_report states the tube thresholds' defaults a third time
+    ("functionals.delta0", _param_default(evaluate_report, "delta0")),
+    ("functionals.delta1", _param_default(evaluate_report, "delta1")),
+]
+# each entry's id is its schema path, and "#k" on the k-th entry of a path
+SHADOWED_IDS = [
+    path + (f"#{k}" if (k := [p for p, _ in SHADOWED_DEFAULTS[:i + 1]].count(path)) > 1 else "")
+    for i, (path, _) in enumerate(SHADOWED_DEFAULTS)
 ]
 
 
-@pytest.mark.parametrize(
-    "schema_path, api_default", SHADOWED_DEFAULTS, ids=[path for path, _ in SHADOWED_DEFAULTS]
-)
+@pytest.mark.parametrize("schema_path, api_default", SHADOWED_DEFAULTS, ids=SHADOWED_IDS)
 def test_schema_default_matches_api_default(schema_path, api_default):
     node = _schema()
     for key in schema_path.split("."):
@@ -165,6 +174,26 @@ class TestCommands:
         assert summary["profile_ode_max_residual"] < 1e-12
         assert summary["decay_lower_bound_holds"] is True
         assert (out / "wave_profile.csv").exists()
+
+    def test_wave_profile_columns_are_the_pointwise_functions(self, tmp_path):
+        # "%.17g" round-trips a double, so each column read back is its
+        # pointwise function of `wave` at the nodes, to the bit
+        cfg_path = write_config(tmp_path, {"grid": {"num_cells": 256}})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out), "wave"]) == 0
+        with open(out / "wave_profile.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        columns = {name: np.array([float(row[i]) for row in rows]) for i, name in enumerate(header)}
+        cfg = load_config(cfg_path)
+        params = cfg.wave_params()
+        grid = cfg.grid(params)
+        xi = grid.nodes()
+        assert np.array_equal(columns["xi"], xi)
+        for name, fn in (("n_tilde", profile_n), ("q_tilde", profile_q), ("a", weight_a),
+                         ("a_prime", weight_a_prime), ("y", y_of_xi)):
+            assert np.array_equal(columns[name], np.asarray(fn(params, xi))), name
+        summary = json.loads((out / "wave_summary.json").read_text())
+        assert summary["weight_total_variation"] == integrate_values(columns["a_prime"], grid.dx)
 
     def test_large_density_wave_is_not_a_config_error(self, tmp_path):
         # a weak shock (eps 1% of n_-) whose jump-condition terms are ~1e4

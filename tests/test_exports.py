@@ -51,8 +51,6 @@ ROOT = Path(__file__).resolve().parent.parent
 # use them as oracles; each with the reason it stays.
 ORACLES = (
     ("pi_rel", "criterion 7's relative-entropy estimates, and the oracle for the core's Pi"),
-    ("weight_a", "the pointwise oracle that reference_arrays' a must equal bit for bit"),
-    ("weight_a_prime", "the pointwise oracle that reference_arrays' a' must equal bit for bit"),
     ("xi_of_y", "the inverse of y_of_xi, and the map of the y-coordinate oracles"),
     ("R_poincare", "criterion 8's closed form and the per-sample oracle of the scan"),
 )

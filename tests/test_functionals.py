@@ -20,7 +20,6 @@ from contraction_lab import (
 )
 from contraction_lab.functionals import (
     ANCHOR_SPACING,
-    ReferenceArrays,
     _complete,
     _core,
     _split,
@@ -33,14 +32,10 @@ from contraction_lab.wave import (
     _logistic_arg,
     make_wave_params,
     profile_n,
-    profile_n_prime,
-    profile_n_second,
     profile_q,
-    weight_a,
-    weight_a_prime,
 )
 
-from conftest import lab_grid, report_core
+from conftest import References, lab_grid, pointwise_references, report_core
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:.*outside eps < lam < 1/2.*:UserWarning"
@@ -280,7 +275,7 @@ class TestEvolutionFunctionals:
         # the rewritten Y must agree with its defining form
         # -int a' eta + int a grad-entropy-slope (U - wave)
         state = random_state(params, grid, 3)
-        refs = reference_arrays(params, grid)
+        refs = pointwise_references(params, grid)
         n, q = state.n.values, state.q.values
         eta = 0.5 * (q - refs.qtil) ** 2 + pi_rel(n, refs.ntil)
         qtil_prime = -refs.ntil_prime / params.sigma
@@ -433,7 +428,7 @@ class TestSignFunctionals:
     def test_r_main_pure_q_reduced_formula(self, params, grid):
         # with n = n~ only the q-coupling survives; hand expansion:
         # R = -Y^2/eps^4 - sigma int a' u^2/2 (+ discrete-dissipation dust)
-        refs = reference_arrays(params, grid)
+        refs = pointwise_references(params, grid)
         xi = grid.nodes()
         u = 0.05 * np.exp(-((xi - 3.0) ** 2) / 50.0)
         state = State(n=GridField(grid, refs.ntil.copy()), q=GridField(grid, refs.qtil + u))
@@ -582,56 +577,15 @@ class TestReport:
 
 
 class TestReferenceArrays:
-    @pytest.mark.parametrize(
-        "shift_kind", ["zero", "plus", "minus", "past_clamp_plus", "past_clamp_minus"]
-    )
+    @pytest.mark.parametrize("shift_kind", ["zero"])
     def test_bit_identical_to_pointwise_profiles(self, params, grid, shift_kind):
-        beyond = 2.0 * EXP_CLAMP * params.nu * params.sigma / params.eps + grid.xi_max
-        shift = {
-            "zero": 0.0,
-            "plus": 3.7,
-            "minus": -3.7,
-            "past_clamp_plus": beyond,
-            "past_clamp_minus": -beyond,
-        }[shift_kind]
-        refs = reference_arrays(params, grid, shift)
-        xi = grid.nodes() - shift
-        assert np.array_equal(refs.xi, xi)
-        for field, fn in (
-            ("ntil", profile_n),
-            ("ntil_prime", profile_n_prime),
-            ("ntil_second", profile_n_second),
-            ("qtil", profile_q),
-            ("a", weight_a),
-            ("a_prime", weight_a_prime),
-        ):
-            assert np.array_equal(getattr(refs, field), np.asarray(fn(params, xi))), field
-        if shift_kind.startswith("past_clamp"):
-            z = params.eps * xi / (params.nu * params.sigma)
-            assert np.all(np.abs(z) > EXP_CLAMP)
-
-    @pytest.mark.parametrize("ends", ["both", "left", "right"])
-    def test_bit_identical_when_only_the_ends_pass_the_clamp(self, params, ends):
-        # the interior lies inside the clamp and one or both end nodes past it,
-        # so reference_arrays must still clamp; an unclamped exp overflows
-        reach = EXP_CLAMP * params.nu * params.sigma / params.eps
-        lo, hi = {"both": (-1.2, 1.2), "left": (-1.2, 0.5), "right": (-0.5, 1.2)}[ends]
-        grid = Grid(lo * reach, hi * reach, 1000)
+        refs = reference_arrays(params, grid)
         xi = grid.nodes()
-        z = (params.eps / (params.nu * params.sigma)) * xi
-        assert (z[0] < -EXP_CLAMP) == (ends != "right")
-        assert (z[-1] > EXP_CLAMP) == (ends != "left")
-        assert np.array_equal(
-            _logistic_arg(params, xi, ascending=True), np.clip(z, -EXP_CLAMP, EXP_CLAMP)
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            refs = reference_arrays(params, grid)
-        for field, fn in (("ntil", profile_n), ("ntil_second", profile_n_second), ("a", weight_a)):
+        for field, fn in (("ntil", profile_n), ("qtil", profile_q)):
             assert np.array_equal(getattr(refs, field), np.asarray(fn(params, xi))), field
 
     def test_arrays_are_read_only(self, params, grid):
-        refs = reference_arrays(params, grid, 1.5)
+        refs = reference_arrays(params, grid)
         for field in dataclasses.fields(refs):
             array = getattr(refs, field.name)
             assert not array.flags.writeable, field.name
@@ -663,7 +617,7 @@ def _anchored_references(params, grid, shift):
     qtil = params.q_minus - below * (1.0 / params.sigma)
     a = 1.0 - (params.lam / params.eps) * below
     a_prime = -(params.lam / params.eps) * ntil_prime
-    return ReferenceArrays(xi - shift, ntil, ntil_prime, ntil_second, qtil, a, a_prime)
+    return References(xi - shift, ntil, ntil_prime, ntil_second, qtil, a, a_prime)
 
 
 def _eager_core(params, state, shift, refs=None):
@@ -791,7 +745,7 @@ def _division_references(params, grid, shift):
     qtil = params.q_minus - below / params.sigma
     a = 1.0 - (params.lam / params.eps) * below
     a_prime = -(params.lam / params.eps) * ntil_prime
-    return ReferenceArrays(xi, ntil, ntil_prime, ntil_second, qtil, a, a_prime)
+    return References(xi, ntil, ntil_prime, ntil_second, qtil, a, a_prime)
 
 
 def _division_central(v, dx):
@@ -1069,12 +1023,13 @@ class TestFactoredForm:
             for g, w, bound in zip(got, want, _a_prime_bounds(params, c)):
                 assert abs(g - w) <= bound, (g, w, bound)
 
-# The kernel's references against `reference_arrays(shift)`, which take the
-# logistic's exponential as exp(clip(k (xi - X))), k = eps/(nu sigma), where
-# the kernel takes exp(clip(k xi - anchor)) exp(anchor - kX).  In units u of
-# the unit roundoff, against the exponential of the exact argument:
-# reference_arrays rounds xi - X and k (xi - X), each by u |z| (z the
-# argument), and exp by 2 u: 2 |z| + 2 = 70.2 at |z| <= 34.1, the reach of
+# The kernel's references against the pointwise functions of `wave` at
+# xi - X, which take the logistic's exponential as exp(clip(k (xi - X))),
+# k = eps/(nu sigma), where the kernel takes exp(clip(k xi - anchor))
+# exp(anchor - kX).  In units u of the unit roundoff, against the
+# exponential of the exact argument: the pointwise functions round xi - X
+# and k (xi - X), each by u |z| (z the argument), and exp by 2 u:
+# 2 |z| + 2 = 70.2 at |z| <= 34.1, the reach of
 # the lab grid (30 widths) plus |kX| <= 4.1.  The kernel rounds k xi by
 # u |k xi| <= 30 u, k xi - anchor by u |k xi - anchor| <= 38 u (|anchor| <=
 # 8), kX by u |kX| <= 4.1 u, each exp by 2 u and the product by u
@@ -1093,37 +1048,42 @@ ANCHORED_ROUNDINGS = 6 * 148 + 48 + 20
 
 class TestAnchoredReferences:
     """The kernel's anchored exponential: exact at shift 0, within rounding
-    of `reference_arrays` elsewhere, finite and order-free at any shift."""
+    of the pointwise references elsewhere, finite and order-free at any
+    shift."""
 
     @staticmethod
     def k(params):
         return params.eps / (params.nu * params.sigma)
 
     def test_shift_zero_reads_reference_arrays_to_the_bit(self, params, grid):
+        # the stepper's fixed point is reference_arrays' n~ and q~, so the
+        # kernel must read them to the bit at shift 0, and the rest of its
+        # references must be the pointwise functions' at the nodes
         refs = reference_arrays(params, grid)
         anchored = _anchored_references(params, grid, 0.0)
-        for name in (field.name for field in dataclasses.fields(refs)):
-            assert np.array_equal(getattr(anchored, name), getattr(refs, name)), name
+        assert np.array_equal(anchored.ntil, refs.ntil) and np.array_equal(anchored.qtil, refs.qtil)
+        for name, want in pointwise_references(params, grid)._asdict().items():
+            assert np.array_equal(getattr(anchored, name), want), name
         # below |kX| = ANCHOR_SPACING / 2 the kernel's exponential is the
         # profile's at the nodes, whatever the shift
         for kx in (0.0, 1.0, -3.9, 3.99):
             _core(params, random_state(params, grid, 3), kx / self.k(params))
             assert np.array_equal(
                 cl.functionals._rows(grid).exp_anchored,
-                np.exp(_logistic_arg(params, grid.nodes(), ascending=True)),
+                np.exp(_logistic_arg(params, grid.nodes())),
             )
 
     @pytest.mark.parametrize("shift_kind", ["plus", "minus", "kx_3.9", "kx_-3.9", "kx_4.1",
                                             "kx_-4.1", "past_clamp_plus", "past_clamp_minus"])
     def test_report_within_rounding_of_reference_arrays(self, params, grid, shift_kind):
         # every report field within ANCHORED_ROUNDINGS u times the integral
-        # of its absolute form of the report on reference_arrays(shift),
-        # on large random states
+        # of its absolute form of the report on the pointwise references at
+        # the nodes minus the shift, on large random states
         if shift_kind.startswith("kx_"):
             shift = float(shift_kind[3:]) / self.k(params)
         else:
             shift = TestLazyCore.shift_of(params, grid, shift_kind)
-        refs = reference_arrays(params, grid, shift)
+        refs = pointwise_references(params, grid, shift)
         for seed in (3, 17, 40):
             state = random_state(params, grid, seed)
             rep = evaluate_report(params, state, 0.01, 0.25, shift)
@@ -1149,8 +1109,8 @@ class TestAnchoredReferences:
             for shift in shifts:
                 reports[shift] = evaluate_report(params, state, 0.01, 0.25, shift)
                 c = _core(params, state, shift)
-                refs = reference_arrays(params, grid, shift)
-                # where reference_arrays saturates, the kernel's n~ is the same
+                refs = pointwise_references(params, grid, shift)
+                # where the pointwise n~ saturates, the kernel's n~ is the same
                 # number: its 1/n~ and a are bit-equal there
                 saturated = (refs.ntil == params.n_plus) | (refs.ntil == params.n_plus + params.eps)
                 z = self.k(params) * (grid.nodes() - shift)
@@ -1271,9 +1231,8 @@ class TestLazyCore:
         integrate = cl.functionals.integrate_values
         monkeypatch.setattr(cl.functionals, "integrate_values",
                             lambda *args: calls.append(1) or integrate(*args))
-        for module in (cl.functionals, cl.wave):
-            for name in ("_a_derivative_of", "_n_second_of"):
-                monkeypatch.setattr(module, name, lambda *args, name=name, **kw: pytest.fail(name))
+        for name in ("_a_derivative_of", "_n_second_of"):
+            monkeypatch.setattr(cl.wave, name, lambda *args, name=name, **kw: pytest.fail(name))
 
         def counted(stage, *args):
             calls.clear()

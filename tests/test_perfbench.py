@@ -8,6 +8,7 @@ and calls `functionals.y_and_ibad`.  This test installs the tracer as the
 benchmark does, so a rename shows here and not only in a benchmark run.
 """
 
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -48,3 +49,41 @@ def test_tracer_records_the_package_spans(small_params):
     assert metrics["shift.advance.calls"] == len(result.times) == 4
     # the first substep of each step reads the step's report
     assert metrics["shift.substeps_per_step"] == shift_mod.SUBSTEPS - 1
+
+
+# The names in the tracer's GROUPS that resolve in the package.  The others
+# are functions deleted since the tracer was written, whose metrics read 0;
+# losing one more of these would zero another per-layer metric unseen.
+TRACED = (
+    "wave.profile_n",
+    "wave.profile_n_prime",
+    "wave.profile_n_second",
+    "wave.profile_q",
+    "wave.weight_a",
+    "wave.weight_a_prime",
+    "functionals.reference_arrays",
+    "functionals.evaluate_report",
+    "functionals.y_and_ibad",
+    "functionals.State.__post_init__",
+    "grid.integrate_values",
+    "grid.GridField.__post_init__",
+    "solver.run",
+    "solver.solve_banded",
+    "shift.advance",
+    "poincare.scan_delta_star",
+    "identities.random_state",
+    "identities.check_identities",
+    "config.load_config",
+)
+
+
+def test_traced_names_resolve():
+    tracer_mod = _load_tracer()
+    assert set(TRACED) <= set(tracer_mod.GROUP_OF)
+    for name in TRACED:
+        module, *attrs = name.split(".")
+        target = importlib.import_module(f"{tracer_mod.PACKAGE}.{module}")
+        for attr in attrs:
+            assert hasattr(target, attr), name
+            target = getattr(target, attr)
+        assert callable(target), name

@@ -17,7 +17,7 @@ from contraction_lab.functionals import reference_arrays, y_and_ibad
 from contraction_lab.identities import random_state
 from contraction_lab.shift import velocity
 
-from conftest import lab_grid, report_core
+from conftest import lab_grid, pointwise_references, report_core
 
 
 class TestPhiEps:
@@ -125,7 +125,7 @@ class TestShiftedFunctionalConsistency:
         grid = lab_grid(small_params, num_cells=512)
         state = random_state(small_params, grid, 8)
         x = 2.314
-        refs = reference_arrays(small_params, grid, shift=x)
+        refs = pointwise_references(small_params, grid, shift=x)
         np.testing.assert_array_equal(
             refs.ntil,
             np.asarray(

@@ -36,7 +36,7 @@ from contraction_lab.solver import (
 from contraction_lab.solver import solve_banded as solver_solve
 from contraction_lab.wave import profile_n_second
 
-from conftest import lab_grid, report_core
+from conftest import lab_grid, pointwise_references, report_core
 from test_functionals import _eager_core, _eager_I_bad, _eager_report, _eager_Y
 
 
@@ -78,7 +78,7 @@ class TestInitialState:
         grid = lab_grid(small_params, num_cells=512)
         spec = PerturbationSpec(kind="shifted_wave", center=3.0)
         state = initial_state(small_params, grid, spec, reference_arrays(small_params, grid))
-        shifted = reference_arrays(small_params, grid, shift=3.0)
+        shifted = pointwise_references(small_params, grid, shift=3.0)
         np.testing.assert_allclose(state.n.values, shifted.ntil, rtol=1e-12)
 
     def test_custom_file_kind(self, small_params, tmp_path):
