@@ -9,6 +9,9 @@ form at the nodes translated by a shift, by the expressions of the
 pointwise functions of `wave`; only solution fields are ever differenced.
 Every integral is the same composite trapezoid rule, so the algebraic
 identities between these functionals hold at machine precision on any grid.
+An integrand that is a product of two rows is integrated by
+`grid.integrate_product`, one BLAS dot of the two rows with no product row;
+the one other integrand, eta, by `grid.integrate_values`.
 
 Every functional of one (state, shift) pair comes from one straight-line
 kernel that writes each nodewise array into a row of its grid's workspace
@@ -24,11 +27,14 @@ the multiple of ANCHOR_SPACING (8) nearest to kX, and 0 while |kX| < 4 (see
 `_core`).  The kernel reads the weight's slope a' = -(lam/eps) n~' only
 through n~': every weighted integrand is n~' times one bracket, and a
 constant of the formula (lam/eps, -sigma lam/eps, -sigma lam/(2 eps) or
--1/sigma) multiplies the integral.  So a substep makes two reductions.  A
-report goes on to `_complete` (I_good, D, B1 and B3, which finish brackets
-of I_bad left in their rows, and the arrays of the split, over rows the
-first stage no longer reads), to `_split`, whose tube masks carry the
-factor n~', and to `_entropies`: 2 + 5 + 8 + 2 = 17 reductions in all.
+-1/sigma) multiplies the integral.  Each such integral is the product rule
+on the bracket's row and the row of n~', or of a tube mask in the split;
+so are D, on a n d/dxi log(n/n~) and d/dxi log(n/n~), and int a eta.  So a
+substep makes two reductions.  A report goes on to `_complete` (I_good, D,
+B1 and B3, which finish brackets of I_bad left in their rows, and the
+arrays of the split, over rows the first stage no longer reads), to
+`_split`, whose tube masks carry the factor n~', and to `_entropies`:
+2 + 5 + 8 + 2 = 17 reductions in all, every one a product but int eta.
 Three arrays outlive an evaluation: d/dxi log n is kept on its State for
 the state's life, the node coordinates on their Grid, and E in its row.
 
@@ -55,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Grid, GridField, _ddx_central, integrate_values
+from .grid import Grid, GridField, _ddx_central, integrate_product, integrate_values
 from .wave import (
     EXP_CLAMP,
     DomainError,
@@ -256,8 +262,9 @@ def _core(params: WaveParams, state: State, shift: float) -> _Rows:
     evaluated before.
 
     Y and I_bad are one integrand each, n~' times a bracket, so an
-    evaluation makes two reductions.  The weight's slope a' = -(lam/eps) n~'
-    and (eps/lam) a a' = -a n~' are folded into that factor, and u + q~ = q
+    evaluation makes two reductions, each the product rule on the bracket's
+    row and n~'.  The weight's slope a' = -(lam/eps) n~' and
+    (eps/lam) a a' = -a n~' are folded into that factor, and u + q~ = q
     joins I_bad's two Pi terms.  Y's bracket stays in its row for Y_s.
     """
     c = _rows(state.grid)
@@ -318,7 +325,7 @@ def _core(params: WaveParams, state: State, shift: float) -> _Rows:
     np.multiply(a, u, out=w)
     w *= 1.0 / params.sigma
     y -= w
-    c.Y = integrate_values(np.multiply(y, ntil_prime, out=w), dx)
+    c.Y = integrate_product(y, ntil_prime, dx)
 
     # I_bad = int n~' ((a/n~ + ell)((n - n~) u + n log(n/n~) d/dxi log(n/n~))
     #   + Pi ((a/n~)(A + B)/(nu sigma) + ell q)), with A + B the offsets'
@@ -336,8 +343,7 @@ def _core(params: WaveParams, state: State, shift: float) -> _Rows:
     bracket += offsets
     bracket *= pi
     w += bracket
-    w *= ntil_prime
-    c.I_bad = integrate_values(w, dx)
+    c.I_bad = integrate_product(w, ntil_prime, dx)
     return c
 
 
@@ -346,9 +352,10 @@ def _complete(c: _Rows) -> None:
     B1 and B3, and the arrays that the split reads.
 
     As in `_core`, each weighted integrand is n~' times a bracket (a' =
-    -ell n~', ell = lam/eps), and a constant factor of the formula is
-    applied to the integral.  B1 and B3 finish brackets that `_core` left
-    in its rows."""
+    -ell n~', ell = lam/eps), integrated by the product rule on the two
+    rows, and a constant factor of the formula is applied to the integral.
+    D is a n d/dxi log(n/n~) against d/dxi log(n/n~).  B1 and B3 finish
+    brackets that `_core` left in its rows."""
     params = c.params
     n, dx, w = c.n, c.dx, c.w
     a, u, pi, dlog, ntil_prime, a_over_ntil = c.a, c.u, c.pi, c.dlog, c.ntil_prime, c.a_over_ntil
@@ -356,26 +363,20 @@ def _complete(c: _Rows) -> None:
     # I_good = sigma int a' u u/2 + sigma int a' Pi (G2) + D
     #   = -(sigma ell/2) int n~' u u - sigma ell int n~' Pi + D, with the
     #   dissipation D = int a n |d/dxi log(n/n~)|^2
-    np.multiply(u, u, out=w)
-    w *= ntil_prime
-    g_q = -(0.5 * sigma * ell) * integrate_values(w, dx)
-    c.G_pi = -(sigma * ell) * integrate_values(np.multiply(ntil_prime, pi, out=w), dx)
+    g_q = -(0.5 * sigma * ell) * integrate_product(np.multiply(u, u, out=w), ntil_prime, dx)
+    c.G_pi = -(sigma * ell) * integrate_product(ntil_prime, pi, dx)
     np.multiply(a, n, out=w)
     w *= dlog
-    w *= dlog
-    c.D = integrate_values(w, dx)
+    c.D = integrate_product(w, dlog, dx)
     c.I_good = g_q + c.G_pi + c.D
     # B1 = int n~' Pi ((a/n~)(A + B)/(nu sigma) + ell q~): I_bad's Pi bracket
     # with q~ for q, since -(eps/lam) a'' = n~'' = n~' (A + B)/(nu sigma)
     np.multiply(ell, c.qtil, out=w)
     w += c.offsets
     w *= pi
-    w *= ntil_prime
-    c.B1 = integrate_values(w, dx)
+    c.B1 = integrate_product(w, ntil_prime, dx)
     # B3 = int n~' (a/n~ + ell) n log(n/n~) d/dxi log(n/n~)
-    np.multiply(c.t, c.nlog, out=w)
-    w *= ntil_prime
-    c.B3 = integrate_values(w, dx)
+    c.B3 = integrate_product(np.multiply(c.t, c.nlog, out=w), ntil_prime, dx)
     # sigma phi = Pi(n|n~) + (1 + (eps/lam) a/n~)(n - n~)
     sigma_phi = np.multiply(a_over_ntil, params.eps / params.lam, out=c.sigma_phi)
     sigma_phi += 1.0
@@ -390,11 +391,11 @@ def _complete(c: _Rows) -> None:
 
 
 def _entropies(c: _Rows) -> tuple[float, float]:
-    """int a eta and int eta of the evaluation in `c`: the report's two
-    relative entropies, which the identity suite does not read.  The rows of
-    a and eta hold through `_complete` and the split."""
-    weighted = integrate_values(np.multiply(c.a, c.eta, out=c.w), c.dx)
-    return weighted, integrate_values(c.eta, c.dx)
+    """int a eta and int eta of the evaluation in `c`, the first by the
+    product rule: the report's two relative entropies, which the identity
+    suite does not read.  The rows of a and eta hold through `_complete`
+    and the split."""
+    return integrate_product(c.a, c.eta, c.dx), integrate_values(c.eta, c.dx)
 
 
 class _Split(NamedTuple):
@@ -426,8 +427,9 @@ class _Split(NamedTuple):
 def _split(c: _Rows, delta: float) -> _Split:
     """The tube parts at threshold delta of the completed evaluation in `c`;
     B1, B3, G2 and D come off it.  The tube masks carry the weight n~', so
-    each of the eight tube integrands is one bracket times a mask, built in
-    two scratch rows: a completed evaluation can be split at many deltas.
+    each of the eight tube integrals is the product rule on one bracket and
+    a mask, the bracket built in two scratch rows: a completed evaluation
+    can be split at many deltas.
     """
     params = c.params
     sigma, ell, dx, w, v = params.sigma, params.lam / params.eps, c.dx, c.w, c.v
@@ -439,16 +441,10 @@ def _split(c: _Rows, delta: float) -> _Split:
     inside *= c.ntil_prime
     outside = np.subtract(c.ntil_prime, inside, out=c.outside)
 
-    np.multiply(phi, phi, out=w)
-    w *= inside
-    b2_in = -half * integrate_values(w, dx)
-    np.multiply(c.sigma_phi, u, out=w)
-    w *= outside
-    b2_out = ell * integrate_values(w, dx)
-    g1_in = -half * integrate_values(np.multiply(upp_sq, inside, out=w), dx)
-    np.multiply(u, u, out=w)
-    w *= outside
-    g1_out = -half * integrate_values(w, dx)
+    b2_in = -half * integrate_product(np.multiply(phi, phi, out=w), inside, dx)
+    b2_out = ell * integrate_product(np.multiply(c.sigma_phi, u, out=w), outside, dx)
+    g1_in = -half * integrate_product(upp_sq, inside, dx)
+    g1_out = -half * integrate_product(np.multiply(u, u, out=w), outside, dx)
 
     # ell (phi^2/2 + Pi) + a ((n - n~)/n~ + phi/sigma), inside
     np.multiply(0.5, phi, out=w)
@@ -459,19 +455,15 @@ def _split(c: _Rows, delta: float) -> _Split:
     v += c.dn_rel
     v *= c.a
     w += v
-    w *= inside
-    y_g = integrate_values(w, dx)
+    y_g = integrate_product(w, inside, dx)
 
     # ell ((u + phi)^2/2 - phi (u + phi)), inside
     np.multiply(0.5, upp_sq, out=w)
     w -= np.multiply(phi, upp, out=v)
-    w *= inside
-    y_b = ell * integrate_values(w, dx)
+    y_b = ell * integrate_product(w, inside, dx)
 
-    np.multiply(c.a, upp, out=w)
-    w *= inside
-    y_l = -(1.0 / sigma) * integrate_values(w, dx)
-    y_s = integrate_values(np.multiply(c.y_bracket, outside, out=w), dx)
+    y_l = -(1.0 / sigma) * integrate_product(np.multiply(c.a, upp, out=w), inside, dx)
+    y_s = integrate_product(c.y_bracket, outside, dx)
     return _Split(y_g, y_b, y_l, y_s, c.B1, b2_in, b2_out, c.B3, g1_in, g1_out, c.G_pi, c.D)
 
 

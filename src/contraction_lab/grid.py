@@ -11,6 +11,7 @@ import numpy as np
 __all__ = [
     "Grid",
     "GridField",
+    "integrate_product",
     "integrate_values",
 ]
 
@@ -69,8 +70,17 @@ class GridField:
         self.values = vals
 
 
+def _trapezoid(total, first, last, dx):
+    """The composite trapezoid rule from the sum over the nodes and the two
+    end values: `dx * (total - (first + last) / 2)`.  Elementwise on arrays
+    of sums and ends.  A zero total of either sign with zero ends gives +0.0:
+    where the sum of -0.0 values is -0.0, so are the ends, and
+    -0.0 - (-0.0) is +0.0."""
+    return dx * (total - 0.5 * (first + last))
+
+
 def integrate_values(values: np.ndarray, dx: float):
-    """Composite trapezoid rule on raw node values: the package's one trapezoid.
+    """Composite trapezoid rule on raw node values.
 
     `dx * (sum(v) - (v[0] + v[-1]) / 2)`, with the sum one pairwise
     `np.add.reduce` over the nodes: one pass over the values.  It is the
@@ -86,11 +96,40 @@ def integrate_values(values: np.ndarray, dx: float):
     """
     v = np.ascontiguousarray(values, dtype=float)
     if v.ndim == 1:
-        return dx * (float(np.add.reduce(v)) - 0.5 * (float(v[0]) + float(v[-1])))
-    total = np.add.reduce(v, -1)
-    total -= 0.5 * (v[:, 0] + v[:, -1])
-    total *= dx
-    return total
+        return _trapezoid(float(np.add.reduce(v)), float(v[0]), float(v[-1]), dx)
+    return _trapezoid(np.add.reduce(v, -1), v[:, 0], v[:, -1], dx)
+
+
+# The longest block of one BLAS dot.  OpenBLAS splits a dot of more than
+# 10000 values between its threads, and the split changes the order of the
+# sum; a block of at most 8193 values (a grid of 8192 cells) is summed on
+# one thread, in an order set by its length alone.
+_DOT_BLOCK = 8193
+
+
+def integrate_product(u: np.ndarray, v: np.ndarray, dx: float) -> float:
+    """Composite trapezoid rule on the nodewise product of two rows, with no
+    product row: `dx * (u.v - (u[0] v[0] + u[-1] v[-1]) / 2)`.
+
+    The products are those of `u * v`, and the sum over the nodes is a BLAS
+    dot taken on blocks of _DOT_BLOCK values from the first node, whose sums
+    are added in order: one pass over the two rows, and the same bits
+    whatever the number of BLAS threads or where the rows start in memory.
+    It is `integrate_values(u * v, dx)` to rounding, not bit for bit: the
+    error is a small multiple of `eps * dx * sum(|u v|)` (see the README).
+    Zeros of either sign integrate to +0.0, and negating u negates the
+    result exactly.  u and v are 1-D float64 arrays of one length, at
+    least 2.
+    """
+    m = len(u)
+    if m <= _DOT_BLOCK:  # one block: the loop's one dot, without its slices
+        total = float(np.dot(u, v))
+    else:
+        total = 0.0
+        for start in range(0, m, _DOT_BLOCK):
+            stop = start + _DOT_BLOCK
+            total += float(np.dot(u[start:stop], v[start:stop]))
+    return _trapezoid(total, float(u[0]) * float(v[0]), float(u[-1]) * float(v[-1]), dx)
 
 
 def _cumulative_trapezoid(values: np.ndarray, d) -> np.ndarray:

@@ -25,7 +25,7 @@ from contraction_lab.functionals import (
     _split,
     reference_arrays,
 )
-from contraction_lab.grid import _ddx_central, integrate_values
+from contraction_lab.grid import _ddx_central, integrate_product, integrate_values
 from contraction_lab.identities import random_state
 from contraction_lab.wave import (
     EXP_CLAMP,
@@ -639,7 +639,7 @@ def _eager_core(params, state, shift, refs=None):
 
 
 def _eager_dissipation(c):
-    return integrate_values(c["refs"].a * c["n"] * c["dlog"] * c["dlog"], c["dx"])
+    return integrate_product(c["refs"].a * c["n"] * c["dlog"], c["dlog"], c["dx"])
 
 
 def _eager_Y_bracket(params, c):
@@ -648,7 +648,7 @@ def _eager_Y_bracket(params, c):
 
 
 def _eager_Y(params, c):
-    return integrate_values(_eager_Y_bracket(params, c) * c["refs"].ntil_prime, c["dx"])
+    return integrate_product(_eager_Y_bracket(params, c), c["refs"].ntil_prime, c["dx"])
 
 
 def _eager_pi_bracket(params, c, q):
@@ -661,17 +661,17 @@ def _eager_pi_bracket(params, c, q):
 def _eager_I_bad(params, c):
     r, n, u, pi, inv = c["refs"], c["n"], c["u"], c["pi"], c["inv"]
     ell, a_over_ntil = params.lam / params.eps, r.a * inv
-    integ = r.ntil_prime * (
+    bracket = (
         (a_over_ntil + ell) * ((n - r.ntil) * u + n * c["logratio"] * c["dlog"])
         + pi * _eager_pi_bracket(params, c, c["q"])
     )
-    return integrate_values(integ, c["dx"])
+    return integrate_product(bracket, r.ntil_prime, c["dx"])
 
 
 def _eager_I_good(params, c):
     r, dx, ell = c["refs"], c["dx"], params.lam / params.eps
-    g_q = -(0.5 * params.sigma * ell) * integrate_values(c["u"] * c["u"] * r.ntil_prime, dx)
-    g_pi = -(params.sigma * ell) * integrate_values(r.ntil_prime * c["pi"], dx)
+    g_q = -(0.5 * params.sigma * ell) * integrate_product(c["u"] * c["u"], r.ntil_prime, dx)
+    g_pi = -(params.sigma * ell) * integrate_product(r.ntil_prime, c["pi"], dx)
     return g_q + g_pi + _eager_dissipation(c)
 
 
@@ -683,20 +683,20 @@ def _eager_split(params, c, delta):
     # the tube masks carry the weight n~'
     inside = (np.abs((n - r.ntil) * inv) <= delta) * r.ntil_prime
     outside = r.ntil_prime - inside
-    b1 = integrate_values(_eager_pi_bracket(params, c, r.qtil) * pi * r.ntil_prime, dx)
-    b2_in = -half * integrate_values(phi * phi * inside, dx)
-    b2_out = ell * integrate_values(c["sigma_phi"] * u * outside, dx)
-    b3 = integrate_values((r.a * inv + ell) * (n * c["logratio"] * c["dlog"]) * r.ntil_prime, dx)
-    g1_in = -half * integrate_values((u + phi) ** 2 * inside, dx)
-    g1_out = -half * integrate_values(u * u * outside, dx)
-    g2 = -(params.sigma * ell) * integrate_values(r.ntil_prime * pi, dx)
+    b1 = integrate_product(_eager_pi_bracket(params, c, r.qtil) * pi, r.ntil_prime, dx)
+    b2_in = -half * integrate_product(phi * phi, inside, dx)
+    b2_out = ell * integrate_product(c["sigma_phi"] * u, outside, dx)
+    b3 = integrate_product((r.a * inv + ell) * (n * c["logratio"] * c["dlog"]), r.ntil_prime, dx)
+    g1_in = -half * integrate_product((u + phi) ** 2, inside, dx)
+    g1_out = -half * integrate_product(u * u, outside, dx)
+    g2 = -(params.sigma * ell) * integrate_product(r.ntil_prime, pi, dx)
     d = _eager_dissipation(c)
-    y_g = integrate_values(
-        ((0.5 * phi * phi + pi) * ell + ((n - r.ntil) * inv + phi * over_sigma) * r.a) * inside, dx
+    y_g = integrate_product(
+        (0.5 * phi * phi + pi) * ell + ((n - r.ntil) * inv + phi * over_sigma) * r.a, inside, dx
     )
-    y_b = ell * integrate_values((0.5 * (u + phi) ** 2 - phi * (u + phi)) * inside, dx)
-    y_l = -over_sigma * integrate_values(r.a * (u + phi) * inside, dx)
-    y_s = integrate_values(_eager_Y_bracket(params, c) * outside, dx)
+    y_b = ell * integrate_product(0.5 * (u + phi) ** 2 - phi * (u + phi), inside, dx)
+    y_l = -over_sigma * integrate_product(r.a * (u + phi), inside, dx)
+    y_s = integrate_product(_eager_Y_bracket(params, c), outside, dx)
     return (b1, b2_in, b2_out, b3), (g1_in, g1_out, g2, d), (y_g, y_b, y_l, y_s)
 
 
@@ -727,7 +727,7 @@ def _eager_report(params, c, delta0, delta1):
     return _report_of(
         params, delta0, delta1, _eager_Y(params, c), _eager_I_bad(params, c),
         _eager_I_good(params, c), *_eager_split(params, c, delta1),
-        integrate_values(c["refs"].a * c["eta"], c["dx"]), integrate_values(c["eta"], c["dx"]),
+        integrate_product(c["refs"].a, c["eta"], c["dx"]), integrate_values(c["eta"], c["dx"]),
     )
 
 
@@ -1227,10 +1227,12 @@ class TestLazyCore:
                            " ".join(cl.functionals.__doc__.split()))
         core_n, complete_n, split_n, entropies_n, total = map(int, stated.groups())
         assert core_n + complete_n + split_n + entropies_n == total
+        # both entry points count: every integral but int eta is a product
         calls = []
-        integrate = cl.functionals.integrate_values
-        monkeypatch.setattr(cl.functionals, "integrate_values",
-                            lambda *args: calls.append(1) or integrate(*args))
+        for name in ("integrate_values", "integrate_product"):
+            rule = getattr(cl.functionals, name)
+            monkeypatch.setattr(cl.functionals, name,
+                                lambda *args, name=name, rule=rule: calls.append(name) or rule(*args))
         for name in ("_a_derivative_of", "_n_second_of"):
             monkeypatch.setattr(cl.wave, name, lambda *args, name=name, **kw: pytest.fail(name))
 
@@ -1248,6 +1250,7 @@ class TestLazyCore:
             assert count == split_n
             splits.append(s)
         assert counted(cl.functionals._entropies, c)[0] == entropies_n
+        assert calls == ["integrate_product", "integrate_values"]
         # the tube-free parts come off the evaluation, whatever the delta
         assert {(s.B1, s.B3, s.G2, s.G_D) for s in splits} == {(c.B1, c.B3, c.G_pi, c.D)}
 

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +11,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid, quad
 
+import contraction_lab
 from contraction_lab.grid import (
     Grid,
     GridField,
     _cumulative_trapezoid,
     _ddx_central,
     _ddx_forward_biased,
+    integrate_product,
     integrate_values,
 )
 
@@ -224,6 +230,102 @@ class TestIntegrateValuesIsNumpys:
         got = integrate_values(v.tolist(), 0.25)
         assert got == integrate_values(v, 0.25)
         assert isinstance(got, float)
+
+
+class TestIntegrateProduct:
+    """The trapezoid rule on the product of two rows: one BLAS dot on blocks
+    of at most 8193 values, summed in order, and an endpoint correction.
+    Sizes run past one block (8194, 16385) to the thread-split sizes."""
+
+    SIZES = [2, 3, 4097, 8193, 8194, 16385]
+    KINDS = ["normal", "positive", "wide"]
+
+    @staticmethod
+    def _rows(kind, size):
+        rng = np.random.default_rng(size)
+        if kind == "normal":
+            return rng.normal(size=size), rng.normal(size=size)
+        if kind == "positive":
+            # one sign throughout: a running sum's rounding does not cancel
+            return rng.uniform(0.5, 1.0, size=size), rng.uniform(0.5, 1.0, size=size)
+        if kind == "wide":
+            return rng.lognormal(0.0, 3.0, size=size), rng.normal(size=size)
+        raise ValueError(kind)
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dx", [0.0137, 1.0 / 4096, 3.0])
+    def test_within_bound(self, kind, size, dx):
+        # the bound integrate_values is held to, on the products: a BLAS dot
+        # sums in running sums, one per lane, whose worst case grows with m
+        # over the lanes, not with log2 m; on random rows the error stays
+        # near eps dx sum|uv| (at most 1.1 of it on these rows)
+        u, v = self._rows(kind, size)
+        products = [Fraction(a) * Fraction(b) for a, b in zip(u.tolist(), v.tolist())]
+        exact = Fraction(dx) * (sum(products) - (products[0] + products[-1]) / 2)
+        bound = (math.ceil(math.log2(size)) + 4) * Fraction(EPS) * Fraction(dx) * sum(map(abs, products))
+        got = integrate_product(u, v, dx)
+        assert isinstance(got, float)
+        assert abs(Fraction(got) - exact) <= bound
+        # and integrate_values on the product row, to the same bound
+        assert abs(Fraction(got) - Fraction(integrate_values(u * v, dx))) <= 2 * bound
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_negation_is_exact(self, kind, size):
+        # each product and each rounding of the sum is odd in the sign
+        u, v = self._rows(kind, size)
+        got = integrate_product(u, v, 0.0137)
+        assert integrate_product(-u, v, 0.0137) == -got
+        assert integrate_product(u, -v, 0.0137) == -got
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("kind", ["signed_zeros", "negative_zeros", "positive_zeros"])
+    def test_zeros_integrate_to_positive_zero(self, kind, size):
+        rng = np.random.default_rng(size)
+        zeros = {
+            "signed_zeros": np.where(rng.random(size) < 0.5, -0.0, 0.0),
+            "negative_zeros": np.full(size, -0.0),
+            "positive_zeros": np.zeros(size),
+        }[kind]
+        other = rng.normal(size=size)
+        for u, v in ((zeros, other), (other, zeros), (zeros, zeros), (-zeros, other)):
+            got = integrate_product(u, v, 0.0137)
+            assert got == 0.0 and not np.signbit(got)
+
+    @pytest.mark.parametrize("size", [2049, 8193, 16385])
+    def test_bit_equal_at_every_alignment(self, size):
+        # the rows at each of the 8 offsets of a double in a 64-byte line,
+        # u and v at different ones: the sum's order is set by the length
+        u, v = self._rows("normal", size)
+        want = integrate_product(u, v, 0.0137)
+        for offset in range(8):
+            raw_u, raw_v = np.empty(size + 8), np.empty(size + 8)
+            u_at = raw_u[offset : offset + size]
+            v_at = raw_v[(3 * offset) % 8 : (3 * offset) % 8 + size]
+            u_at[...], v_at[...] = u, v
+            assert integrate_product(u_at, v_at, 0.0137) == want, offset
+
+    def test_bit_equal_under_one_and_two_blas_threads(self):
+        # OpenBLAS splits a dot of over 10000 values between its threads, in
+        # another order of the sum; the rule's blocks are each summed on one
+        # thread, so the run with 1 thread and the run with 2 agree
+        code = (
+            "import numpy as np\n"
+            "from contraction_lab.grid import integrate_product\n"
+            "for size in (16385, 65537):\n"
+            "    rng = np.random.default_rng(size)\n"
+            "    u, v = rng.normal(size=size), rng.normal(size=size)\n"
+            "    print(integrate_product(u, v, 1.0 / 4096).hex())\n"
+        )
+        src = str(Path(contraction_lab.__file__).resolve().parent.parent)
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env=env, check=True)
+            outs.append(proc.stdout.split())
+        assert len(outs[0]) == 2 and outs[0] == outs[1]
 
 
 class TestCumulativeTrapezoid:

@@ -13,7 +13,7 @@ from contraction_lab import (
     phi_eps,
     run,
 )
-from contraction_lab.functionals import reference_arrays, y_and_ibad
+from contraction_lab.functionals import _core, reference_arrays, y_and_ibad
 from contraction_lab.identities import random_state
 from contraction_lab.shift import velocity
 
@@ -118,23 +118,33 @@ class TestAdvance:
 
 
 class TestShiftedFunctionalConsistency:
+    # The kernel's references at shift X against the pointwise functions of
+    # `wave` at the nodes minus X, in ulps of the row's largest |value|.
+    # Both sides round the logistic's argument, of size up to about 40 on
+    # this grid at these shifts, and exp carries an error in it into E in
+    # proportion: 133 ulps was the largest seen on n~' at kX up to 20.5, and
+    # q~ and a err by under 25.  A translation the wrong way is off by
+    # about 1e15 of these ulps.
+    REFERENCE_ULPS = 256
+
     def test_translated_references_define_the_shift(self, small_params):
-        # the two sides of the change of variables are literally the same
-        # computation: evaluating at shift X equals evaluating the state
-        # against references translated by X
-        grid = lab_grid(small_params, num_cells=512)
-        state = random_state(small_params, grid, 8)
-        x = 2.314
-        refs = pointwise_references(small_params, grid, shift=x)
-        np.testing.assert_array_equal(
-            refs.ntil,
-            np.asarray(
-                __import__("contraction_lab").profile_n(small_params, grid.nodes() - x)
-            ),
-        )
-        y1, ib1 = y_and_ibad(small_params, state, shift=x)
-        y2, ib2 = y_and_ibad(small_params, state, shift=x)
-        assert y1 == y2 and ib1 == ib2
+        # evaluating at shift X is evaluating the state against the wave
+        # translated by X: the rows that the first stage builds are the
+        # pointwise references at the nodes minus X, at anchor 0 (|kX| < 4)
+        # and past the first anchor (kX 6.0 and -9.3 take anchors 8 and -8)
+        p = small_params
+        grid = lab_grid(p, num_cells=512)
+        state = random_state(p, grid, 8)
+        for kx in (0.0, 0.083, 6.0, -9.3):
+            x = kx / (p.eps / (p.nu * p.sigma))
+            c = _core(p, state, x)
+            refs = pointwise_references(p, grid, shift=x)
+            for name in ("ntil_prime", "qtil", "a"):
+                got, want = getattr(c, name), getattr(refs, name)
+                err = np.max(np.abs(got - want))
+                assert err <= self.REFERENCE_ULPS * np.spacing(np.max(np.abs(want))), (kx, name)
+                if x == 0.0:
+                    assert np.array_equal(got, want), name
 
     def test_change_of_variables_against_index_translation(self, small_params):
         # for a shift that is an exact multiple of dx the translated state
